@@ -7,7 +7,8 @@ baseline for comparison. See the README for the CLI and file formats.
 """
 
 from .checkpoint import load_params, load_train_state, save_params, save_train_state
-from .config import CompareConfig, EvalConfig, RunConfig, load_config
+from .compare import CompareConfig, ComparisonRow, compare_runs, comparison_to_csv
+from .config import EvalConfig, RunConfig, load_config
 from .data import (
     DatasetFamily,
     DatasetSpec,
@@ -34,8 +35,6 @@ from .kernel import (
     kernel_gram,
 )
 from .loss import (
-    CostFamily,
-    CostSpec,
     LossValues,
     monge_mmd_loss,
     monge_mmd_loss_grad,
@@ -58,11 +57,8 @@ from .nn import (
 )
 from .optim import AdamHyper, AdamState, adam_init, adam_step
 from .sinkhorn import (
-    ComparisonRow,
     Coupling,
     barycentric_map,
-    compare_runs,
-    comparison_to_csv,
     default_epsilon,
     sinkhorn_solve,
     squared_distance_matrix,
@@ -77,8 +73,6 @@ __all__ = [
     "AdamState",
     "CompareConfig",
     "ComparisonRow",
-    "CostFamily",
-    "CostSpec",
     "Coupling",
     "DatasetFamily",
     "DatasetSpec",

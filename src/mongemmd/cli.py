@@ -16,53 +16,47 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from enum import Enum
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import RunConfig, load_config
-from .data import DatasetFamily, DatasetSpec, generate, read_points_csv, write_points_csv
+from .compare import compare_runs, comparison_to_csv
+from .config import RunConfig, config_reference, field_types, load_config
+from .data import DatasetSpec, generate, read_points_csv, write_points_csv
 from .errors import InputError, NumericError
 from .evaluation import evaluate
 from .kernel import KernelSpec
-from .sinkhorn import compare_runs, comparison_to_csv
 from .train import LossHistory, TrainState, train
 from .util import atomic_write_text
 
-CONFIG_KEYS = """\
-config file keys (YAML; defaults in parentheses):
-  label                   free-form run name ("run")
-  out_dir                 artifact directory, required for train/compare
-  source / target         point clouds; fields:
-    family                isotropic_gaussian | two_moons | two_circles
-    n                     points (500), seed (1 source, 2 target)
-    mean, variance        gaussian location ([0,0] / [5,5]) and spread (1.0)
-    noise                 curve jitter SD (0.05), factor: inner radius (0.5)
-  kernel:
-    family                gaussian | matern ("gaussian")
-    alpha                 gaussian bandwidth (1.0)
-    matern_order          half | three_halves | five_halves ("three_halves")
-    lengthscale           matern lengthscale (1.0)
-  cost:
-    family                squared_euclidean (the only choice)
-  train:
-    epochs (3000)         full passes over the data
-    batch_size (500)      points per update; == data size -> one batch/epoch
-    inv_lambda (1e-6)     cost weight 1/lambda; 0 trains pure matching
-    hidden_widths ([64])  hidden layer sizes
-    hidden_activation     relu | tanh ("relu")
-    learning_rate (1e-4)  adam step size; beta1 (0.9), beta2 (0.999),
-    adam_eps (1e-8)       adam stabilizer
-    seed (0)              init + shuffling seed; shuffle (true)
-  eval:
-    n (1000)              held-out test points per side
-    seed_offset (10000)   test seed = data seed + offset
-  compare:
-    sizes ([200,1000,2000])  data sizes to benchmark
-    epsilon (null)           sinkhorn regularization; null -> 0.1 * median cost
-    max_iters (10000), tol (1e-9), seed (0)
-    size_cap (4096)          refuse larger sizes (dense cost matrix memory)
-"""
+
+def _config_keys_help() -> str:
+    lines = ["config file keys (YAML; defaults in parentheses):"]
+    for key, default, text in config_reference():
+        head = f"{key} ({'required' if default is None else default})"
+        lines.append(f"  {head:<34} {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _field_flag(parser, flag: str, cls, name: str, **kw) -> None:
+    """Add ``flag`` for field ``name`` of ``cls``, typed, documented and defaulted by the field."""
+    f = next(f for f in fields(cls) if f.name == name)
+    kind = field_types(cls)[name]
+    if kind in (int, float):
+        kw["type"] = kind
+    elif isinstance(kind, type) and issubclass(kind, Enum):
+        kw["choices"] = [e.value for e in kind]
+    text = f.metadata["help"]
+    if f.default is not MISSING:
+        default = f.default
+        if isinstance(default, Enum):
+            default = default.value
+        elif isinstance(default, tuple):
+            default = ",".join(str(v) for v in default)
+        kw["default"] = default
+        text += " (default: %(default)s)"
+    parser.add_argument(flag, help=text, **kw)
 
 
 def _mean_arg(text: str) -> tuple[float, ...]:
@@ -145,9 +139,7 @@ def cmd_train(args) -> int:
     atomic_write_text(loss_path, prior.to_csv())
 
     src_spec, tgt_spec = _test_specs(cfg)
-    report = evaluate(
-        state.params, generate(src_spec), generate(tgt_spec), cfg.train.kernel, cfg.train.cost
-    )
+    report = evaluate(state.params, generate(src_spec), generate(tgt_spec), cfg.train.kernel)
     atomic_write_text(out / "eval.json", report.to_json())
 
     mean = ", ".join(f"{v:.4f}" for v in report.mean)
@@ -184,29 +176,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config, args.set)
     out = _prepare_out_dir(cfg)
-    cap = cfg.compare.size_cap
-    worst = max(cfg.compare.sizes)
-    if worst > cap:
-        per_matrix = 8 * worst * worst
-        raise InputError(
-            f"compare size {worst} exceeds size_cap {cap}: the dense cost matrix "
-            f"needs {per_matrix / 1e9:.2f} GB and the solver holds several arrays "
-            f"of that footprint; raise compare.size_cap only with enough memory"
-        )
-    gaussian = DatasetFamily.ISOTROPIC_GAUSSIAN
-    if cfg.source.family is not gaussian or cfg.target.family is not gaussian:
-        raise InputError("compare requires isotropic_gaussian source and target")
-    rows = compare_runs(
-        cfg.train,
-        sizes=cfg.compare.sizes,
-        source_mean=cfg.source.mean,
-        target_mean=cfg.target.mean,
-        variance=cfg.source.variance,
-        epsilon=cfg.compare.epsilon,
-        max_iters=cfg.compare.max_iters,
-        tol=cfg.compare.tol,
-        seed=cfg.compare.seed,
-    )
+    rows = compare_runs(cfg.train, cfg.compare, cfg.source, cfg.target)
     csv_text = comparison_to_csv(rows)
     path = out / "comparison.csv"
     atomic_write_text(path, csv_text)
@@ -223,20 +193,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "plus a Sinkhorn baseline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_keys = _config_keys_help()
 
     p = sub.add_parser(
         "generate", help="draw a synthetic point cloud and write CSV",
         description="Draw a synthetic point cloud and write it as CSV "
                     "(header x0,x1,...; 17 significant digits).",
     )
-    p.add_argument("--family", required=True,
-                   choices=["isotropic_gaussian", "two_moons", "two_circles"])
-    p.add_argument("--n", type=int, required=True, help="number of points")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.05, help="curve jitter SD")
-    p.add_argument("--factor", type=float, default=0.5, help="inner circle radius")
-    p.add_argument("--mean", default="0,0", help="gaussian mean, comma separated")
-    p.add_argument("--variance", type=float, default=1.0, help="gaussian variance")
+    _field_flag(p, "--family", DatasetSpec, "family", required=True)
+    _field_flag(p, "--n", DatasetSpec, "n", required=True)
+    _field_flag(p, "--seed", DatasetSpec, "seed")
+    _field_flag(p, "--noise", DatasetSpec, "noise")
+    _field_flag(p, "--factor", DatasetSpec, "factor")
+    _field_flag(p, "--mean", DatasetSpec, "mean", metavar="M0,M1,...")
+    _field_flag(p, "--variance", DatasetSpec, "variance")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_generate)
 
@@ -244,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "train", help="fit the transport map from a YAML config",
         description="Train the map described by the config; writes loss.csv, "
                     "model.ckpt and eval.json into out_dir.",
-        epilog=CONFIG_KEYS, formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=config_keys, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("config", help="YAML config path")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -263,18 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source points CSV")
     p.add_argument("--target", required=True, help="target points CSV")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p.add_argument("--kernel-family", default="gaussian", choices=["gaussian", "matern"])
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--matern-order", default="three_halves",
-                   choices=["half", "three_halves", "five_halves"])
-    p.add_argument("--lengthscale", type=float, default=1.0)
+    _field_flag(p, "--kernel-family", KernelSpec, "family")
+    _field_flag(p, "--alpha", KernelSpec, "alpha")
+    _field_flag(p, "--matern-order", KernelSpec, "matern_order")
+    _field_flag(p, "--lengthscale", KernelSpec, "lengthscale")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
         "compare", help="benchmark neural map vs sinkhorn across sizes",
         description="Run both methods on the Gaussian translation task at the "
                     "configured sizes and write comparison.csv into out_dir.",
-        epilog=CONFIG_KEYS, formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=config_keys, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("config", help="YAML config path")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

@@ -1,33 +1,39 @@
 """Run configuration: YAML schema, validation, and dotted-key overrides.
 
-A run is described by one YAML file; every key is listed in the README and
-in ``mongemmd train --help``. Scalar keys can be overridden on the command
-line with ``--set section.key=value`` (values parsed as YAML). Validation
-errors always name the offending key.
+A run is described by one YAML file. Each key is a field of a config
+dataclass declared with ``util.setting``, which holds the key's default,
+type and help line; this module reads every section, and builds the
+``--help`` and README key tables, from those fields alone. Scalar keys can
+be overridden on the command line with ``--set section.key=value`` (values
+parsed as YAML). Validation errors always name the offending key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import types
+import typing
+from dataclasses import MISSING, Field, dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import yaml
 
-from .data import DatasetFamily, DatasetSpec
+from .compare import CompareConfig
+from .data import DEFAULT_SOURCE, DEFAULT_TARGET, DatasetSpec
 from .errors import InputError
 from .kernel import KernelSpec
-from .loss import CostSpec
-from .nn import Activation
 from .optim import AdamHyper
 from .train import TrainConfig
+from .util import setting
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Held-out evaluation: fresh draws with shifted seeds, never training data."""
 
-    n: int = 1000
-    seed_offset: int = 10000
+    n: int = setting(1000, "held-out test points per side")
+    seed_offset: int = setting(10000, "test seed = data seed + offset")
 
     def __post_init__(self):
         if self.n < 2:
@@ -37,39 +43,29 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class CompareConfig:
-    sizes: tuple[int, ...] = (200, 1000, 2000)
-    epsilon: float | None = None
-    max_iters: int = 10000
-    tol: float = 1e-9
-    seed: int = 0
-    size_cap: int = 4096
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(v) for v in self.sizes))
-        if len(self.sizes) == 0 or any(v < 2 for v in self.sizes):
-            raise InputError(f"compare.sizes must all be >= 2, got {self.sizes}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise InputError(f"compare.epsilon must be positive or null, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise InputError(f"compare.max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise InputError(f"compare.tol must be positive, got {self.tol}")
-        if self.seed < 0:
-            raise InputError(f"compare.seed must be >= 0, got {self.seed}")
-        if self.size_cap < 2:
-            raise InputError(f"compare.size_cap must be >= 2, got {self.size_cap}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    out_dir: str
+    out_dir: str = setting(MISSING, "artifact directory")
     source: DatasetSpec
     target: DatasetSpec
     train: TrainConfig
     eval: EvalConfig = EvalConfig()
     compare: CompareConfig = CompareConfig()
-    label: str = "run"
+    label: str = setting("run", "free-form run name")
+
+
+# Each section's keys and their defaults: the keyed fields of these objects,
+# in table order. The train section also carries the Adam keys.
+_SECTIONS = {
+    "source": (DEFAULT_SOURCE,),
+    "target": (DEFAULT_TARGET,),
+    "kernel": (KernelSpec(),),
+    "train": (TrainConfig(), AdamHyper()),
+    "eval": (EvalConfig(),),
+    "compare": (CompareConfig(),),
+}
+
+# The only transport cost; the section stays readable for older configs.
+_COST_FAMILY = "squared_euclidean"
 
 
 def _expect_mapping(node, where: str) -> dict:
@@ -80,201 +76,142 @@ def _expect_mapping(node, where: str) -> dict:
     return dict(node)
 
 
-def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(node) - allowed)
+def _reject_unknown(node: dict, allowed, where: str) -> None:
+    unknown = sorted(set(node) - set(allowed))
     if unknown:
         raise InputError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def _as_int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InputError(f"{where}: expected an integer, got {v!r}")
-    return v
+@functools.cache
+def field_types(cls) -> dict:
+    """The resolved annotations of a config dataclass, by field name."""
+    return typing.get_type_hints(cls)
 
 
-def _as_float(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+def _keys(cls) -> dict[str, Field]:
+    """YAML key -> field, for the fields of ``cls`` declared with ``setting``."""
+    return {f.metadata.get("key", f.name): f for f in fields(cls) if "help" in f.metadata}
 
 
-def _as_bool(v, where: str) -> bool:
-    if not isinstance(v, bool):
-        raise InputError(f"{where}: expected true/false, got {v!r}")
-    return v
-
-
-def _as_str(v, where: str) -> str:
+def _convert(kind, v, where: str):
+    """``v`` as a value of the annotated type ``kind``; bool is not a number."""
+    if typing.get_origin(kind) is types.UnionType:
+        if v is None:
+            return None
+        kind = next(a for a in typing.get_args(kind) if a is not type(None))
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(v, (list, tuple)) or not v:
+            raise InputError(f"{where}: expected a nonempty list, got {v!r}")
+        return tuple(_convert(typing.get_args(kind)[0], x, where) for x in v)
+    if kind is bool:
+        if not isinstance(v, bool):
+            raise InputError(f"{where}: expected true/false, got {v!r}")
+        return v
+    if kind is int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InputError(f"{where}: expected an integer, got {v!r}")
+        return v
+    if kind is float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InputError(f"{where}: expected a number, got {v!r}")
+        return float(v)
     if not isinstance(v, str):
         raise InputError(f"{where}: expected a string, got {v!r}")
+    if issubclass(kind, Enum):
+        try:
+            return kind(v)
+        except ValueError:
+            raise InputError(f"{where}: expected one of {_choices(kind)}, got {v!r}") from None
     return v
 
 
-def _as_number_list(v, where: str) -> tuple[float, ...]:
-    if not isinstance(v, (list, tuple)) or not v:
-        raise InputError(f"{where}: expected a nonempty list of numbers, got {v!r}")
-    return tuple(_as_float(x, where) for x in v)
+def _choices(kind) -> str:
+    return ", ".join(e.value for e in kind)
 
 
-def _as_int_list(v, where: str) -> tuple[int, ...]:
-    if not isinstance(v, (list, tuple)) or not v:
-        raise InputError(f"{where}: expected a nonempty list of integers, got {v!r}")
-    return tuple(_as_int(x, where) for x in v)
-
-
-def _dataset_from(node, where: str, default: DatasetSpec) -> DatasetSpec:
-    node = _expect_mapping(node, where)
-    if not node:
-        return default
-    allowed = {"family", "n", "seed", "noise", "factor", "mean", "variance"}
-    _reject_unknown(node, allowed, where)
-    kwargs = {}
-    if "family" in node:
-        kwargs["family"] = _as_str(node["family"], f"{where}.family")
-    for key, conv in (("n", _as_int), ("seed", _as_int)):
-        if key in node:
-            kwargs[key] = conv(node[key], f"{where}.{key}")
-    for key in ("noise", "factor", "variance"):
-        if key in node:
-            kwargs[key] = _as_float(node[key], f"{where}.{key}")
-    if "mean" in node:
-        kwargs["mean"] = _as_number_list(node["mean"], f"{where}.mean")
-    base = {
-        "family": default.family, "n": default.n, "seed": default.seed,
-        "noise": default.noise, "factor": default.factor,
-        "mean": default.mean, "variance": default.variance,
-    }
-    base.update(kwargs)
+def _read(base, node: dict, where: str, **fixed):
+    """``base`` with the keys given in ``node`` replaced; unknown keys are refused."""
+    keys = _keys(type(base))
+    _reject_unknown(node, keys, where)
+    hints = field_types(type(base))
+    changes = {}
+    for key, v in node.items():
+        name = keys[key].name
+        changes[name] = _convert(hints[name], v, f"{where}.{key}")
     try:
-        return DatasetSpec(**base)
+        return replace(base, **fixed, **changes)
     except (InputError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 
-def _kernel_from(node, where: str) -> KernelSpec:
-    node = _expect_mapping(node, where)
-    allowed = {"family", "alpha", "matern_order", "lengthscale"}
-    _reject_unknown(node, allowed, where)
-    kwargs = {}
-    if "family" in node:
-        kwargs["family"] = _as_str(node["family"], f"{where}.family")
-    if "matern_order" in node:
-        kwargs["matern_order"] = _as_str(node["matern_order"], f"{where}.matern_order")
-    for key in ("alpha", "lengthscale"):
-        if key in node:
-            kwargs[key] = _as_float(node[key], f"{where}.{key}")
-    try:
-        return KernelSpec(**kwargs)
-    except (InputError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-def _cost_from(node, where: str) -> CostSpec:
-    node = _expect_mapping(node, where)
-    _reject_unknown(node, {"family"}, where)
-    try:
-        return CostSpec(**{k: _as_str(v, f"{where}.{k}") for k, v in node.items()})
-    except (InputError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-def _train_from(node, where: str, kernel: KernelSpec, cost: CostSpec) -> TrainConfig:
-    node = _expect_mapping(node, where)
-    allowed = {
-        "epochs", "batch_size", "inv_lambda", "hidden_widths", "hidden_activation",
-        "learning_rate", "beta1", "beta2", "adam_eps", "seed", "shuffle",
-    }
-    _reject_unknown(node, allowed, where)
-    adam_kwargs = {}
-    for key, dest in (("learning_rate", "learning_rate"), ("beta1", "beta1"),
-                      ("beta2", "beta2"), ("adam_eps", "eps")):
-        if key in node:
-            adam_kwargs[dest] = _as_float(node[key], f"{where}.{key}")
-    try:
-        optimizer = AdamHyper(**adam_kwargs)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-    kwargs = {"kernel": kernel, "cost": cost, "optimizer": optimizer}
-    for key, conv in (("epochs", _as_int), ("batch_size", _as_int), ("seed", _as_int)):
-        if key in node:
-            kwargs[key] = conv(node[key], f"{where}.{key}")
-    if "inv_lambda" in node:
-        kwargs["inv_lambda"] = _as_float(node["inv_lambda"], f"{where}.inv_lambda")
-    if "hidden_widths" in node:
-        kwargs["hidden_widths"] = _as_int_list(node["hidden_widths"], f"{where}.hidden_widths")
-    if "hidden_activation" in node:
-        kwargs["hidden_activation"] = _as_str(
-            node["hidden_activation"], f"{where}.hidden_activation")
-    if "shuffle" in node:
-        kwargs["shuffle"] = _as_bool(node["shuffle"], f"{where}.shuffle")
-    kwargs.setdefault("epochs", 3000)
-    kwargs.setdefault("batch_size", 500)
-    try:
-        return TrainConfig(**kwargs)
-    except (InputError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-def _eval_from(node, where: str) -> EvalConfig:
-    node = _expect_mapping(node, where)
-    _reject_unknown(node, {"n", "seed_offset"}, where)
-    kwargs = {k: _as_int(v, f"{where}.{k}") for k, v in node.items()}
-    try:
-        return EvalConfig(**kwargs)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-def _compare_from(node, where: str) -> CompareConfig:
-    node = _expect_mapping(node, where)
-    allowed = {"sizes", "epsilon", "max_iters", "tol", "seed", "size_cap"}
-    _reject_unknown(node, allowed, where)
-    kwargs = {}
-    if "sizes" in node:
-        kwargs["sizes"] = _as_int_list(node["sizes"], f"{where}.sizes")
-    if "epsilon" in node and node["epsilon"] is not None:
-        kwargs["epsilon"] = _as_float(node["epsilon"], f"{where}.epsilon")
-    for key in ("max_iters", "seed", "size_cap"):
-        if key in node:
-            kwargs[key] = _as_int(node[key], f"{where}.{key}")
-    if "tol" in node:
-        kwargs["tol"] = _as_float(node["tol"], f"{where}.tol")
-    try:
-        return CompareConfig(**kwargs)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-DEFAULT_SOURCE = DatasetSpec(
-    family=DatasetFamily.ISOTROPIC_GAUSSIAN, n=500, seed=1, mean=(0.0, 0.0), variance=1.0
-)
-DEFAULT_TARGET = DatasetSpec(
-    family=DatasetFamily.ISOTROPIC_GAUSSIAN, n=500, seed=2, mean=(5.0, 5.0), variance=1.0
-)
-
-_TOP_KEYS = {"label", "out_dir", "source", "target", "kernel", "cost", "train",
-             "eval", "compare"}
+def _check_cost(node) -> None:
+    node = _expect_mapping(node, "cost")
+    _reject_unknown(node, {"family"}, "cost")
+    if node.get("family", _COST_FAMILY) != _COST_FAMILY:
+        raise InputError(f"cost.family: only {_COST_FAMILY} is supported, got {node['family']!r}")
 
 
 def config_from_tree(tree: dict) -> RunConfig:
     """Validate a parsed YAML tree into a RunConfig; errors name their key."""
     tree = _expect_mapping(tree, "config")
-    _reject_unknown(tree, _TOP_KEYS, "config")
+    top = _keys(RunConfig)
+    _reject_unknown(tree, {*top, *_SECTIONS, "cost"}, "config")
     if "out_dir" not in tree:
         raise InputError("config: out_dir is required")
-    out_dir = _as_str(tree["out_dir"], "out_dir")
-    label = _as_str(tree.get("label", "run"), "label")
-    kernel = _kernel_from(tree.get("kernel"), "kernel")
-    cost = _cost_from(tree.get("cost"), "cost")
+    scalars = {top[k].name: _convert(str, tree[k], k) for k in top if k in tree}
+    _check_cost(tree.get("cost"))
+    node = {name: _expect_mapping(tree.get(name), name) for name in _SECTIONS}
+    adam_keys = _keys(AdamHyper)
+    optimizer = _read(AdamHyper(), {k: v for k, v in node["train"].items() if k in adam_keys},
+                      "train")
+    train = {k: v for k, v in node["train"].items() if k not in adam_keys}
     return RunConfig(
-        out_dir=out_dir,
-        source=_dataset_from(tree.get("source"), "source", DEFAULT_SOURCE),
-        target=_dataset_from(tree.get("target"), "target", DEFAULT_TARGET),
-        train=_train_from(tree.get("train"), "train", kernel, cost),
-        eval=_eval_from(tree.get("eval"), "eval"),
-        compare=_compare_from(tree.get("compare"), "compare"),
-        label=label,
+        source=_read(DEFAULT_SOURCE, node["source"], "source"),
+        target=_read(DEFAULT_TARGET, node["target"], "target"),
+        train=_read(TrainConfig(), train, "train",
+                    kernel=_read(KernelSpec(), node["kernel"], "kernel"), optimizer=optimizer),
+        eval=_read(EvalConfig(), node["eval"], "eval"),
+        compare=_read(CompareConfig(), node["compare"], "compare"),
+        **scalars,
     )
+
+
+def _yaml_text(value) -> str:
+    """A default written as it would be in the config file or after ``--set``."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_yaml_text(v) for v in value) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float) and "." not in repr(value):
+        return repr(value).replace("e", ".0e")  # YAML reads 1e-06 as a string
+    return str(value)
+
+
+def _rows(prefix: str, base) -> list[tuple[str, str | None, str]]:
+    cls = base if isinstance(base, type) else type(base)
+    hints = field_types(cls)
+    rows = []
+    for key, f in _keys(cls).items():
+        default = getattr(base, f.name, MISSING)
+        text = f.metadata["help"]
+        if isinstance(hints[f.name], type) and issubclass(hints[f.name], Enum):
+            text = f"{text}: {_choices(hints[f.name])}"
+        rows.append((prefix + key, None if default is MISSING else _yaml_text(default), text))
+    return rows
+
+
+def config_reference() -> list[tuple[str, str | None, str]]:
+    """(dotted key, default as YAML or None when required, help) for every config key."""
+    rows = _rows("", RunConfig)
+    for section, bases in _SECTIONS.items():
+        for base in bases:
+            rows += _rows(section + ".", base)
+    rows.append(("cost.family", _COST_FAMILY, "transport cost; the only value"))
+    return rows
 
 
 def apply_override(tree: dict, assignment: str) -> None:

@@ -14,14 +14,14 @@ per value, which round-trips float64 exactly.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .util import as_points, atomic_write_text
+from .util import as_points, atomic_write_text, setting
 
 
 class DatasetFamily(str, Enum):
@@ -32,13 +32,13 @@ class DatasetFamily(str, Enum):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    family: DatasetFamily
-    n: int
-    seed: int = 0
-    noise: float = 0.05
-    factor: float = 0.5
-    mean: tuple[float, ...] = (0.0, 0.0)
-    variance: float = 1.0
+    family: DatasetFamily = setting(MISSING, "point cloud family")
+    n: int = setting(MISSING, "number of points")
+    seed: int = setting(0, "draw seed")
+    noise: float = setting(0.05, "curve jitter SD (moons, circles)")
+    factor: float = setting(0.5, "inner circle radius (circles)")
+    mean: tuple[float, ...] = setting((0.0, 0.0), "gaussian location")
+    variance: float = setting(1.0, "gaussian per-coordinate variance")
 
     def __post_init__(self):
         object.__setattr__(self, "family", DatasetFamily(self.family))
@@ -55,6 +55,11 @@ class DatasetSpec:
             raise InputError(f"mean must be a nonempty finite vector, got {self.mean}")
         if not (np.isfinite(self.variance) and self.variance > 0.0):
             raise InputError(f"variance must be positive, got {self.variance}")
+
+
+# The default run maps N(0, I) onto N((5, 5), I), the Gaussian translation task.
+DEFAULT_SOURCE = DatasetSpec(family=DatasetFamily.ISOTROPIC_GAUSSIAN, n=500, seed=1)
+DEFAULT_TARGET = replace(DEFAULT_SOURCE, seed=2, mean=(5.0, 5.0))
 
 
 def _moons(n: int) -> np.ndarray:

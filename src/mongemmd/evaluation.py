@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernel import KernelSpec
-from .loss import CostSpec, cost_values
+from .loss import cost_values
 from .mmd import mmd2_unbiased
 from .nn import MlpParams, mlp_forward_batch
 from .util import as_points
@@ -67,7 +67,6 @@ def evaluate(
     source_test,
     target_test,
     kernel: KernelSpec,
-    cost: CostSpec = CostSpec(),
 ) -> EvalReport:
     """Push source_test through the map and compare against target_test.
 
@@ -83,7 +82,7 @@ def evaluate(
     return EvalReport(
         mean=images.mean(axis=0),
         sd=images.std(axis=0, ddof=1),
-        transport_cost=float(cost_values(cost, source_test, images).mean()),
+        transport_cost=float(cost_values(source_test, images).mean()),
         mmd2=mmd2_unbiased(kernel, images, target_test),
         n=source_test.shape[0],
     )

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .util import as_points
+from .util import as_points, setting
 
 # Row blocks are sized so a block of the pairwise difference tensor stays
 # around 128 MiB regardless of the number of columns.
@@ -53,10 +53,10 @@ class KernelSpec:
     ``lengthscale`` apply to the Matern family only.
     """
 
-    family: KernelFamily = KernelFamily.GAUSSIAN
-    alpha: float = 1.0
-    matern_order: MaternOrder = MaternOrder.THREE_HALVES
-    lengthscale: float = 1.0
+    family: KernelFamily = setting(KernelFamily.GAUSSIAN, "kernel family")
+    alpha: float = setting(1.0, "gaussian bandwidth exponent")
+    matern_order: MaternOrder = setting(MaternOrder.THREE_HALVES, "matern smoothness")
+    lengthscale: float = setting(1.0, "matern lengthscale")
 
     def __post_init__(self):
         object.__setattr__(self, "family", KernelFamily(self.family))

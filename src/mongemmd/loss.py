@@ -19,8 +19,6 @@ point-wise statistic gradient, then backpropagates through the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -32,24 +30,12 @@ from .nn import MlpParams, ParamGrads, mlp_backward, mlp_forward_batch
 from .util import as_points
 
 
-class CostFamily(str, Enum):
-    SQUARED_EUCLIDEAN = "squared_euclidean"
-
-
-@dataclass(frozen=True)
-class CostSpec:
-    family: CostFamily = CostFamily.SQUARED_EUCLIDEAN
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", CostFamily(self.family))
-
-
-def cost_values(cost: CostSpec, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+def cost_values(X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """c(X_i, T_i) per row; squared Euclidean distance."""
     return ((X - T) ** 2).sum(axis=1)
 
 
-def cost_grad_images(cost: CostSpec, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+def cost_grad_images(X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """d c(X_i, t) / d t at t = T_i, one row per point."""
     return 2.0 * (T - X)
 
@@ -83,15 +69,19 @@ def _evaluate(
     Y: np.ndarray,
     kernel: KernelSpec,
     inv_lambda: float,
-    cost: CostSpec,
     want_grad: bool,
 ) -> tuple[LossValues, ParamGrads | None]:
     m = X.shape[0]
     T = mlp_forward_batch(params, X)
-    mean_cost = float(cost_values(cost, X, T).mean())
+    mean_cost = float(cost_values(X, T).mean())
     if want_grad:
-        sxx_full, gxx = kernel_sum_and_grad_rowsum(kernel, T, T, skip_equal_index=True)
-        sxy, gxy = kernel_sum_and_grad_rowsum(kernel, T, Y)
+        try:
+            sxx_full, gxx = kernel_sum_and_grad_rowsum(kernel, T, T, skip_equal_index=True)
+            sxy, gxy = kernel_sum_and_grad_rowsum(kernel, T, Y)
+        except InputError as exc:
+            # Shapes were checked above, so the kernel can only refuse coincident
+            # images (Matern 1/2); the map made them, so it is a numeric failure.
+            raise NumericError(str(exc)) from exc
     else:
         sxx_full = _pair_sum(kernel, T, T)
         sxy = _pair_sum(kernel, T, Y)
@@ -106,7 +96,7 @@ def _evaluate(
         raise NumericError(f"non-finite loss values: {values}")
     if not want_grad:
         return values, None
-    upstream = (inv_lambda / m) * cost_grad_images(cost, X, T)
+    upstream = (inv_lambda / m) * cost_grad_images(X, T)
     upstream = upstream + (2.0 / (m * (m - 1))) * gxx - (2.0 / (m * m)) * gxy
     grads = mlp_backward(params, X, upstream)
     for g in grads.arrays():
@@ -121,11 +111,10 @@ def monge_mmd_loss(
     Y,
     kernel: KernelSpec,
     inv_lambda: float,
-    cost: CostSpec = CostSpec(),
 ) -> LossValues:
     """Objective, full unbiased squared MMD, and mean transport cost for one batch."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
-    values, _ = _evaluate(params, X, Y, kernel, inv_lambda, cost, want_grad=False)
+    values, _ = _evaluate(params, X, Y, kernel, inv_lambda, want_grad=False)
     return values
 
 
@@ -135,11 +124,10 @@ def monge_mmd_loss_with_grad(
     Y,
     kernel: KernelSpec,
     inv_lambda: float,
-    cost: CostSpec = CostSpec(),
 ) -> tuple[LossValues, ParamGrads]:
     """Loss values together with exact parameter gradients of the objective."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
-    values, grads = _evaluate(params, X, Y, kernel, inv_lambda, cost, want_grad=True)
+    values, grads = _evaluate(params, X, Y, kernel, inv_lambda, want_grad=True)
     return values, grads
 
 
@@ -149,8 +137,7 @@ def monge_mmd_loss_grad(
     Y,
     kernel: KernelSpec,
     inv_lambda: float,
-    cost: CostSpec = CostSpec(),
 ) -> ParamGrads:
     """Parameter gradients of the objective for one batch."""
-    _, grads = monge_mmd_loss_with_grad(params, X, Y, kernel, inv_lambda, cost)
+    _, grads = monge_mmd_loss_with_grad(params, X, Y, kernel, inv_lambda)
     return grads

@@ -13,14 +13,15 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .nn import MlpParams, ParamGrads
+from .util import setting
 
 
 @dataclass(frozen=True)
 class AdamHyper:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    learning_rate: float = setting(1e-4, "adam step size")
+    beta1: float = setting(0.9, "adam first-moment decay")
+    beta2: float = setting(0.999, "adam second-moment decay")
+    eps: float = setting(1e-8, "adam stabilizer", key="adam_eps")
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):

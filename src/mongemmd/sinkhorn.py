@@ -1,4 +1,4 @@
-"""Entropic-regularization transport baseline and the method comparison driver.
+"""Entropic-regularization transport baseline.
 
 ``sinkhorn_solve`` scales the Gibbs kernel exp(-cost/epsilon) to the given
 marginals. The default path iterates the dual potentials in the log domain
@@ -12,27 +12,16 @@ transposed back. Solving either orientation therefore executes the exact
 same arithmetic, which makes transposition an exact symmetry of the output
 rather than an approximate one. A self-transposed instance (symmetric cost,
 equal marginals) is symmetrized explicitly for the same reason.
-
-``compare_runs`` reruns the Gaussian translation task at several sample
-sizes with both the trained network map and the Sinkhorn barycentric map,
-recording pushforward statistics and wall-clock time per run.
 """
 
 from __future__ import annotations
 
-import io
-import time
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import DatasetFamily, DatasetSpec, generate
 from .errors import InputError, NumericError
-from .loss import cost_values
-from .nn import mlp_forward_batch
-from .train import TrainConfig, train
 from .util import as_points
 
 DEFAULT_MAX_ITERS = 10000
@@ -216,95 +205,3 @@ def barycentric_map(coupling: Coupling, Y) -> np.ndarray:
     if np.any(row_mass <= 0.0) or not np.all(np.isfinite(row_mass)):
         raise NumericError("coupling has rows without mass; cannot form barycentric images")
     return (P @ Y) / row_mass[:, None]
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    method: str
-    data_size: int
-    epsilon: float  # nan for the neural rows, where it does not apply
-    mean0: float
-    mean1: float
-    sd0: float
-    sd1: float
-    runtime_seconds: float
-
-
-COMPARISON_HEADER = "method,data_size,epsilon,mean0,mean1,sd0,sd1,runtime_seconds"
-
-
-def comparison_to_csv(rows: Sequence[ComparisonRow]) -> str:
-    buf = io.StringIO()
-    buf.write(COMPARISON_HEADER + "\n")
-    for r in rows:
-        eps = "" if np.isnan(r.epsilon) else f"{r.epsilon:.17g}"
-        buf.write(
-            f"{r.method},{r.data_size},{eps},{r.mean0:.17g},{r.mean1:.17g},"
-            f"{r.sd0:.17g},{r.sd1:.17g},{r.runtime_seconds:.6f}\n"
-        )
-    return buf.getvalue()
-
-
-def _derived_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint32)[0])
-
-
-def _stats(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return points.mean(axis=0), points.std(axis=0, ddof=1)
-
-
-def compare_runs(
-    train_config: TrainConfig,
-    sizes: Sequence[int] = (200, 1000, 2000),
-    source_mean: Sequence[float] = (0.0, 0.0),
-    target_mean: Sequence[float] = (5.0, 5.0),
-    variance: float = 1.0,
-    epsilon: float | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> list[ComparisonRow]:
-    """Neural map vs Sinkhorn barycentric map on the Gaussian translation task.
-
-    For each size n, both methods map the same n source draws; rows report
-    per-coordinate mean and SD of the mapped points. The neural rows time
-    training; the Sinkhorn rows time the solve (epsilon defaults to
-    0.1 * median cost, recorded per row).
-    """
-    if len(sizes) == 0 or any(int(s) < 2 for s in sizes):
-        raise InputError(f"sizes must all be >= 2, got {sizes}")
-    rows: list[ComparisonRow] = []
-    for size in (int(s) for s in sizes):
-        src = generate(DatasetSpec(
-            family=DatasetFamily.ISOTROPIC_GAUSSIAN, n=size,
-            seed=_derived_seed(seed, size, 0), mean=tuple(source_mean), variance=variance,
-        ))
-        tgt = generate(DatasetSpec(
-            family=DatasetFamily.ISOTROPIC_GAUSSIAN, n=size,
-            seed=_derived_seed(seed, size, 1), mean=tuple(target_mean), variance=variance,
-        ))
-
-        cfg = replace(train_config, batch_size=min(train_config.batch_size, size))
-        t0 = time.perf_counter()
-        state, _ = train(cfg, src, tgt)
-        neural_time = time.perf_counter() - t0
-        mean, sd = _stats(mlp_forward_batch(state.params, src))
-        rows.append(ComparisonRow(
-            method="neural", data_size=size, epsilon=float("nan"),
-            mean0=float(mean[0]), mean1=float(mean[1]),
-            sd0=float(sd[0]), sd1=float(sd[1]), runtime_seconds=neural_time,
-        ))
-
-        C = squared_distance_matrix(src, tgt)
-        eps = default_epsilon(C) if epsilon is None else float(epsilon)
-        t0 = time.perf_counter()
-        coupling = sinkhorn_solve(C, epsilon=eps, max_iters=max_iters, tol=tol)
-        images = barycentric_map(coupling, tgt)
-        sink_time = time.perf_counter() - t0
-        mean, sd = _stats(images)
-        rows.append(ComparisonRow(
-            method="sinkhorn", data_size=size, epsilon=eps,
-            mean0=float(mean[0]), mean1=float(mean[1]),
-            sd0=float(sd[0]), sd1=float(sd[1]), runtime_seconds=sink_time,
-        ))
-    return rows

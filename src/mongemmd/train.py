@@ -22,26 +22,28 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import KernelSpec
-from .loss import CostSpec, LossValues, monge_mmd_loss_with_grad
+from .loss import LossValues, monge_mmd_loss_with_grad
 from .nn import Activation, MlpParams, init_params
 from .optim import AdamHyper, AdamState, adam_init, adam_step
-from .util import as_points
+from .util import as_points, setting
 
 SHUFFLE_STREAM = 1
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
-    batch_size: int
-    inv_lambda: float = 1e-6
+    """Settings of one training run; ``kernel`` and ``optimizer`` come from
+    the config's ``kernel`` section and the ``train`` section's Adam keys."""
+
+    epochs: int = setting(3000, "full passes over the data")
+    batch_size: int = setting(500, "points per update; the data size gives one batch per epoch")
+    inv_lambda: float = setting(1e-6, "cost weight 1/lambda; 0 trains pure matching")
     kernel: KernelSpec = KernelSpec()
-    cost: CostSpec = CostSpec()
-    hidden_widths: tuple[int, ...] = (64,)
-    hidden_activation: Activation = Activation.RELU
+    hidden_widths: tuple[int, ...] = setting((64,), "hidden layer sizes")
+    hidden_activation: Activation = setting(Activation.RELU, "hidden layer activation")
     optimizer: AdamHyper = AdamHyper()
-    seed: int = 0
-    shuffle: bool = True
+    seed: int = setting(0, "network init and shuffling seed")
+    shuffle: bool = setting(True, "reshuffle source and target every epoch")
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(v) for v in self.hidden_widths))
@@ -180,7 +182,6 @@ def train(
                     target[order_y[sl]],
                     config.kernel,
                     config.inv_lambda,
-                    config.cost,
                 )
                 opt, params = adam_step(opt, params, grads)
             except NumericError as exc:

@@ -1,14 +1,25 @@
-"""Small shared helpers: point-set validation and atomic file writes."""
+"""Small shared helpers: config fields, point-set validation and atomic file writes."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
+
+
+def setting(default, help: str, key: str | None = None):
+    """A run-config field: its default and the help line that ``--help`` and the README show.
+
+    Pass ``dataclasses.MISSING`` for a field without a default. ``key`` is
+    the YAML key when it differs from the field name.
+    """
+    meta = {"help": help} if key is None else {"help": help, "key": key}
+    return field(default=default, metadata=meta)
 
 
 def as_points(x, name: str = "points") -> np.ndarray:

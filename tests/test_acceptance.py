@@ -12,9 +12,9 @@ import pytest
 
 import mongemmd as m
 from mongemmd.cli import main as cli_main
+from mongemmd.compare import comparison_to_csv
 from mongemmd.loss import monge_mmd_loss, monge_mmd_loss_grad
 from mongemmd.sinkhorn import (
-    comparison_to_csv,
     default_epsilon,
     sinkhorn_solve,
     squared_distance_matrix,
@@ -258,8 +258,8 @@ def test_criterion_7_sinkhorn_feasibility_and_limits():
 def test_criterion_8_comparison_harness():
     config = m.TrainConfig(epochs=500, batch_size=100, inv_lambda=1e-6,
                            hidden_activation="tanh", seed=0)
-    rows = m.compare_runs(config, sizes=(200, 1000), seed=0)
-    again = m.compare_runs(config, sizes=(200, 1000), seed=0)
+    rows = m.compare_runs(config, m.CompareConfig(sizes=(200, 1000), seed=0))
+    again = m.compare_runs(config, m.CompareConfig(sizes=(200, 1000), seed=0))
 
     sinkhorn_200 = next(r for r in rows
                         if r.method == "sinkhorn" and r.data_size == 200)

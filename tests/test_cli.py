@@ -7,6 +7,7 @@ import pytest
 from mongemmd.checkpoint import load_params, load_train_state
 from mongemmd.cli import build_parser, main
 from mongemmd.data import DatasetSpec, generate, read_points_csv, write_points_csv
+from mongemmd.kernel import KernelSpec
 from mongemmd.train import LossHistory
 
 
@@ -235,6 +236,20 @@ class TestParser:
         for key in ("inv_lambda", "hidden_widths", "hidden_activation",
                     "learning_rate", "seed_offset", "size_cap", "epsilon"):
             assert key in text, f"--help does not document {key}"
+
+    def test_flag_defaults_are_the_dataclass_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["eval", "--checkpoint", "c", "--source", "s",
+                                  "--target", "t"])
+        assert KernelSpec(family=args.kernel_family, alpha=args.alpha,
+                          matern_order=args.matern_order,
+                          lengthscale=args.lengthscale) == KernelSpec()
+        args = parser.parse_args(["generate", "--family", "two_moons", "--n", "3",
+                                  "--out", "x.csv"])
+        assert DatasetSpec(family=args.family, n=args.n, seed=args.seed,
+                           noise=args.noise, factor=args.factor,
+                           variance=args.variance) == DatasetSpec(family="two_moons", n=3)
+        assert args.mean == "0.0,0.0"
 
     def test_all_subcommands_present(self):
         parser = build_parser()

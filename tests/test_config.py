@@ -1,4 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongemmd.config import (
     DEFAULT_SOURCE,
@@ -7,6 +13,7 @@ from mongemmd.config import (
     EvalConfig,
     apply_override,
     config_from_tree,
+    config_reference,
     load_config,
 )
 from mongemmd.data import DatasetFamily
@@ -207,3 +214,84 @@ class TestLoadConfig:
         path.write_text("- 1\n- 2\n")
         with pytest.raises(InputError):
             load_config(path)
+
+
+REFERENCE = config_reference()
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def reference_markdown() -> str:
+    """The README's config table as generated from the config dataclasses."""
+    lines = ["| Key | Default | Meaning |", "| --- | --- | --- |"]
+    for key, default, text in REFERENCE:
+        shown = "required" if default is None else f"`{default}`"
+        lines.append(f"| `{key}` | {shown} | {text} |")
+    return "\n".join(lines)
+
+
+def tree_with(key: str, value) -> dict:
+    tree = dict(MINIMAL)
+    *sections, leaf = key.split(".")
+    node = tree
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[leaf] = value
+    return tree
+
+
+def wrong_values(default):
+    """Values of another YAML type than a key's documented default."""
+    texts = st.text(max_size=6)
+    if isinstance(default, bool):
+        return st.one_of(st.integers(), st.floats(), texts, st.lists(st.booleans(), max_size=2))
+    if isinstance(default, int):
+        return st.one_of(st.booleans(), st.floats(), texts, st.lists(st.integers(), max_size=2))
+    if default is None or isinstance(default, float):
+        return st.one_of(st.booleans(), texts, st.lists(st.floats(), max_size=2))
+    if isinstance(default, str):
+        return st.one_of(st.booleans(), st.integers(), st.floats(), st.lists(texts, max_size=2))
+    return st.one_of(st.booleans(), st.integers(), st.floats(), texts,
+                     st.lists(st.one_of(texts, st.booleans()), min_size=1, max_size=2))
+
+
+class TestReference:
+    def test_every_key_is_documented_once(self):
+        keys = [key for key, _, _ in REFERENCE]
+        assert len(keys) == len(set(keys))
+        assert {"out_dir", "label", "cost.family", "train.adam_eps",
+                "compare.epsilon"} <= set(keys)
+
+    @pytest.mark.parametrize("key,default", [(k, d) for k, d, _ in REFERENCE if d is not None],
+                             ids=[k for k, d, _ in REFERENCE if d is not None])
+    def test_documented_default_is_the_default(self, key, default):
+        tree = dict(MINIMAL)
+        apply_override(tree, f"{key}={default}")
+        assert config_from_tree(tree) == config_from_tree(dict(MINIMAL))
+
+    @pytest.mark.parametrize("key,default", [(k, d) for k, d, _ in REFERENCE],
+                             ids=[k for k, _, _ in REFERENCE])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_wrong_type_names_the_key(self, key, default, data):
+        # A required key (no default) is a string, like out_dir.
+        value = data.draw(wrong_values("" if default is None else yaml.safe_load(default)))
+        with pytest.raises(InputError, match=re.escape(key)):
+            config_from_tree(tree_with(key, value))
+
+    def test_readme_table_is_the_generated_one(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("<!-- config-reference:begin -->\n")[1]
+        block = block.split("\n<!-- config-reference:end -->")[0]
+        assert block == reference_markdown()
+
+    def test_only_the_squared_euclidean_cost_is_accepted(self):
+        cfg = config_from_tree({**MINIMAL, "cost": {"family": "squared_euclidean"}})
+        assert cfg == config_from_tree(dict(MINIMAL))
+        with pytest.raises(InputError, match="cost.family"):
+            config_from_tree({**MINIMAL, "cost": {"family": "manhattan"}})
+        with pytest.raises(InputError, match="cost: unknown key"):
+            config_from_tree({**MINIMAL, "cost": {"p": 1}})
+
+    def test_epsilon_may_be_null(self):
+        cfg = config_from_tree({**MINIMAL, "compare": {"epsilon": None}})
+        assert cfg.compare.epsilon is None

@@ -5,8 +5,8 @@ import pytest
 
 from mongemmd.errors import InputError, NumericError
 from mongemmd.kernel import KernelSpec
+from mongemmd.config import config_from_tree
 from mongemmd.loss import (
-    CostSpec,
     LossValues,
     cost_grad_images,
     cost_values,
@@ -50,19 +50,19 @@ class TestCost:
     def test_squared_euclidean_values(self):
         X = np.array([[0.0, 0.0], [1.0, 2.0]])
         T = np.array([[3.0, 4.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(cost_values(CostSpec(), X, T),
+        np.testing.assert_array_equal(cost_values(X, T),
                                       np.array([25.0, 4.0]))
 
     def test_gradient_is_twice_the_difference(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 3))
         T = rng.standard_normal((6, 3))
-        np.testing.assert_array_equal(cost_grad_images(CostSpec(), X, T),
+        np.testing.assert_array_equal(cost_grad_images(X, T),
                                       2.0 * (T - X))
 
     def test_unknown_family_rejected(self):
         with pytest.raises((InputError, ValueError)):
-            CostSpec(family="manhattan")
+            config_from_tree({"out_dir": "x", "cost": {"family": "manhattan"}})
 
 
 class TestWorkedExample:
@@ -189,6 +189,15 @@ class TestValidation:
             monge_mmd_loss(self.params, X, X, GAUSS, -1.0)
         with pytest.raises(InputError):
             monge_mmd_loss(self.params, X, X, GAUSS, float("nan"))
+
+    def test_coincident_matern_half_images_are_a_numeric_failure(self):
+        """Duplicate source rows map to coincident images, where Matern 1/2
+        has no gradient; the images are computed, so this is exit 3, not 2."""
+        half = KernelSpec(family="matern", matern_order="half")
+        X = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -1.0]])
+        Y = np.array([[5.0, 5.0], [4.0, 6.0], [6.0, 4.0]])
+        with pytest.raises(NumericError, match="coincident"):
+            monge_mmd_loss_with_grad(self.params, X, Y, half, 1e-6)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_forward_raises_numeric_error(self):

@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from mongemmd.errors import InputError, NumericError
-from mongemmd.sinkhorn import (
+from mongemmd import compare
+from mongemmd.compare import (
     COMPARISON_HEADER,
+    CompareConfig,
     ComparisonRow,
-    barycentric_map,
     compare_runs,
     comparison_to_csv,
+)
+from mongemmd.errors import InputError, NumericError
+from mongemmd.sinkhorn import (
+    barycentric_map,
     default_epsilon,
     sinkhorn_solve,
     squared_distance_matrix,
@@ -273,7 +277,7 @@ class TestComparison:
         assert lines[1].endswith("1.234568")  # runtime rounded to six places
 
     def test_compare_runs_structure(self):
-        rows = compare_runs(self.tiny_config(), sizes=(12,), seed=3)
+        rows = compare_runs(self.tiny_config(), CompareConfig(sizes=(12,), seed=3))
         assert [r.method for r in rows] == ["neural", "sinkhorn"]
         assert all(r.data_size == 12 for r in rows)
         assert math.isnan(rows[0].epsilon)
@@ -281,15 +285,23 @@ class TestComparison:
 
     def test_compare_runs_statistics_deterministic(self):
         cfg = self.tiny_config()
-        r1 = compare_runs(cfg, sizes=(12, 16), seed=3)
-        r2 = compare_runs(cfg, sizes=(12, 16), seed=3)
+        r1 = compare_runs(cfg, CompareConfig(sizes=(12, 16), seed=3))
+        r2 = compare_runs(cfg, CompareConfig(sizes=(12, 16), seed=3))
         for a, b in zip(r1, r2):
             assert (a.method, a.data_size) == (b.method, b.data_size)
             assert (a.mean0, a.mean1, a.sd0, a.sd1) == (b.mean0, b.mean1,
                                                         b.sd0, b.sd1)
 
+    def test_compare_runs_refuses_oversized_sizes_before_drawing(self, monkeypatch):
+        def no_draws(spec):
+            raise AssertionError("data drawn before the size check")
+
+        monkeypatch.setattr(compare, "generate", no_draws)
+        with pytest.raises(InputError, match="size_cap.*GB"):
+            compare_runs(self.tiny_config(), CompareConfig(sizes=(100000,)))
+
     def test_compare_runs_rejects_tiny_sizes(self):
         with pytest.raises(InputError):
-            compare_runs(self.tiny_config(), sizes=(1,))
+            compare_runs(self.tiny_config(), CompareConfig(sizes=(1,)))
         with pytest.raises(InputError):
-            compare_runs(self.tiny_config(), sizes=())
+            compare_runs(self.tiny_config(), CompareConfig(sizes=()))

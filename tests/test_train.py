@@ -169,6 +169,14 @@ class TestTrainingErrors:
         with pytest.raises(NumericError, match="epoch 1, batch 0"):
             train(cfg, src * 1e200, tgt)
 
+    def test_coincident_matern_half_images_report_epoch_and_batch(self):
+        src, tgt = clouds(n=10)
+        src[1] = src[0]
+        cfg = TrainConfig(epochs=1, batch_size=10, hidden_widths=(4,), seed=0,
+                          kernel=KernelSpec(family="matern", matern_order="half"))
+        with pytest.raises(NumericError, match="epoch 1, batch 0: .*coincident"):
+            train(cfg, src, tgt)
+
 
 class TestEpochRng:
     def test_deterministic_per_epoch(self):
