@@ -11,6 +11,7 @@ parsed as YAML). Validation errors always name the offending key.
 from __future__ import annotations
 
 import functools
+import re
 import types
 import typing
 from dataclasses import MISSING, Field, dataclass, fields, replace
@@ -66,6 +67,17 @@ _SECTIONS = {
 
 # The only transport cost; the section stays readable for older configs.
 _COST_FAMILY = "squared_euclidean"
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe YAML 1.1 loading that also reads 1e-6 and 1.0e6 as numbers, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 def _expect_mapping(node, where: str) -> dict:
@@ -187,7 +199,7 @@ def _yaml_text(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float) and "." not in repr(value):
-        return repr(value).replace("e", ".0e")  # YAML reads 1e-06 as a string
+        return repr(value).replace("e", ".0e")  # YAML 1.1 reads 1e-06 as a string
     return str(value)
 
 
@@ -221,19 +233,9 @@ def apply_override(tree: dict, assignment: str) -> None:
     if not sep or not key:
         raise InputError(f"--set expects dotted.key=value, got {assignment!r}")
     try:
-        value = yaml.safe_load(raw) if raw.strip() else None
+        value = yaml.load(raw, Loader=_Loader) if raw.strip() else None
     except yaml.YAMLError as exc:
         raise InputError(f"--set {key}: cannot parse value {raw!r}: {exc}") from exc
-    if isinstance(value, str):
-        # YAML 1.1 reads dotless exponents like 1e-3 as strings; treat any
-        # numeric-looking value as the number the user meant.
-        try:
-            value = int(value)
-        except ValueError:
-            try:
-                value = float(value)
-            except ValueError:
-                pass
     parts = key.split(".")
     node = tree
     for part in parts[:-1]:
@@ -255,7 +257,7 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise InputError(f"{path}: invalid YAML: {exc}") from exc
     tree = _expect_mapping(tree, str(path))

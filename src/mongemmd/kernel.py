@@ -11,11 +11,16 @@ Two families are provided, both bounded in (0, 1]:
     5/2:  (1 + sqrt(5) r/ell + 5 r^2/(3 ell^2)) exp(-sqrt(5) r/ell)
 
 For every family the spatial gradient factors as
-``dK/dx (x, y) = coeff(r) * (x - y)``; ``kernel_grad_x_rowsum`` uses that
-factorization to batch gradient sums uniformly across families.
+``dK/dx (x, y) = coeff(r) * (x - y)``; ``kernel_sum_and_grad_rowsum`` uses
+that factorization to batch kernel sums and gradient sums uniformly across
+families, sharing one exponential between them.
 
-All arithmetic is float64. Gram computation walks row blocks in a fixed
-order, so results do not depend on how callers parallelize over rows.
+All arithmetic is float64. Squared distances come from one routine,
+``_sqdist``, which sums one coordinate at a time; the Gram matrix, the
+batched routines, the scalar ``kernel_eval`` and the Sinkhorn cost matrix
+all use it, so their entries agree bit for bit at every dimension. Gram
+computation walks row blocks in a fixed order, so results do not depend on
+how callers parallelize over rows.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import numpy as np
 from .errors import InputError
 from .util import as_points, setting
 
-# Row blocks are sized so a block of the pairwise difference tensor stays
-# around 128 MiB regardless of the number of columns.
+# Row blocks hold about 2**24 (row, column, coordinate) entries; the block
+# edges set the order in which the fused total adds up the block sums.
 _BLOCK_ELEMS = 1 << 24
 
 
@@ -84,33 +89,12 @@ def _eval_from_sqdist(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     return (1.0 + z + z * z / 3.0) * np.exp(-z)
 
 
-def _grad_coeff_from_sqdist(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Coefficient c(r) with dK/dx = c(r) * (x - y), element-wise.
-
-    Matern order 1/2 diverges at r = 0; the caller is responsible for
-    coincident points there.
-    """
-    if spec.family is KernelFamily.GAUSSIAN:
-        return -2.0 * spec.alpha * np.exp(-spec.alpha * sq)
-    r = np.sqrt(sq)
-    ell = spec.lengthscale
-    if spec.matern_order is MaternOrder.HALF:
-        with np.errstate(divide="ignore"):
-            return -np.exp(-r / ell) / (ell * r)
-    if spec.matern_order is MaternOrder.THREE_HALVES:
-        z = (math.sqrt(3.0) / ell) * r
-        return -(3.0 / ell**2) * np.exp(-z)
-    z = (math.sqrt(5.0) / ell) * r
-    return -(5.0 / (3.0 * ell**2)) * (1.0 + z) * np.exp(-z)
-
-
 def _eval_and_coeff_from_sqdist(spec: KernelSpec, sq: np.ndarray):
-    """Kernel values and gradient coefficients sharing one exponential.
+    """Kernel values and coefficients c(r) with dK/dx = c(r) * (x - y), element-wise.
 
-    Same results as calling ``_eval_from_sqdist`` and
-    ``_grad_coeff_from_sqdist`` separately (each expression below is
-    algebraically identical, term for term); the training loop needs both
-    per batch and the exponential dominates the cost.
+    The values equal ``_eval_from_sqdist`` term for term; the two share one
+    exponential, which dominates the cost. Matern order 1/2 diverges at
+    r = 0; the caller is responsible for coincident points there.
     """
     ell = spec.lengthscale
     if spec.family is KernelFamily.GAUSSIAN:
@@ -142,16 +126,29 @@ def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared distances between every row of X and every row of Y.
+
+    Computed from explicit differences (not the dot-product identity) so that
+    coincident points give exactly 0. Coordinates are summed one at a time in
+    index order: no (M, N, d) temporary is formed, and for d <= 5 the result
+    has the same bits as numpy's reduction of the differences over d.
+    """
+    sq = (X[:, None, 0] - Y[None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        sq += (X[:, None, j] - Y[None, :, j]) ** 2
+    return sq
+
+
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Evaluate K(x, y) for two points of equal dimension.
 
     Symmetric in its arguments and bounded in (0, 1]; K(x, x) == 1 exactly.
     """
     x, y = _as_vector_pair(x, y)
-    # Same expression and reduction as _sqdist_rows, so Gram entries and
-    # scalar evaluations agree bit-for-bit.
-    sq = ((x - y) ** 2).sum()
-    return float(_eval_from_sqdist(spec, sq))
+    # The Gram's own distance routine, so Gram entries and scalar evaluations
+    # agree bit for bit.
+    return float(_eval_from_sqdist(spec, _sqdist(x[None], y[None])[0, 0]))
 
 
 def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
@@ -161,24 +158,13 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     not differentiable at x == y and raises there.
     """
     x, y = _as_vector_pair(x, y)
-    diff = x - y
-    sq = (diff**2).sum()
+    sq = _sqdist(x[None], y[None])[0, 0]
     if sq == 0.0:
         if spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF:
             raise InputError("Matern order 1/2 has no gradient at coincident points")
-        return np.zeros_like(diff)
-    coeff = float(_grad_coeff_from_sqdist(spec, np.float64(sq)))
-    return coeff * diff
-
-
-def _sqdist_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Squared distances between every row of X and every row of Y.
-
-    Computed from explicit differences (not the dot-product identity) so that
-    coincident points give exactly 0 and Gram entries match kernel_eval
-    bit-for-bit.
-    """
-    return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+        return np.zeros_like(x)
+    _, coeff = _eval_and_coeff_from_sqdist(spec, sq)
+    return float(coeff) * (x - y)
 
 
 def _row_blocks(n_rows: int, n_cols: int, d: int):
@@ -199,19 +185,25 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
         raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
-        out[i0:i1] = _eval_from_sqdist(spec, _sqdist_rows(X[i0:i1], Y))
+        out[i0:i1] = _eval_from_sqdist(spec, _sqdist(X[i0:i1], Y))
     return out
 
 
-def kernel_grad_x_rowsum(
+def kernel_sum_and_grad_rowsum(
     spec: KernelSpec, X, Y, *, skip_equal_index: bool = False
-) -> np.ndarray:
-    """Row i of the result is sum_j dK/dx (X[i], Y[j]).
+) -> tuple[float, np.ndarray]:
+    """Total kernel sum over all pairs together with row-wise gradient sums.
 
-    ``skip_equal_index`` omits the j == i pair (for U-statistic sums where X
-    and Y are the same set). Coincident pairs contribute a zero gradient for
-    the smooth families; Matern order 1/2 raises on any included coincident
-    pair, where its gradient is undefined.
+    Returns ``(sum_{ij} K(X_i, Y_j), G)`` with ``G[i] = sum_j dK/dx(X_i, Y_j)``.
+    The sum always runs over every pair (a U-statistic caller subtracts the
+    exact diagonal itself); ``skip_equal_index`` drops the j == i pairs from
+    the gradient sums only (for U-statistic sums where X and Y are the same
+    set). Coincident pairs contribute a zero gradient for the smooth
+    families; Matern order 1/2 raises on any included coincident pair, where
+    its gradient is undefined. One batch step needs both quantities, and
+    they share the distance matrix and exponential, so computing them
+    together nearly halves the kernel work. The sum matches
+    ``kernel_gram(...).sum()``.
 
     Walks row blocks in a fixed order, so each row's reduction order is
     independent of how callers parallelize over rows.
@@ -224,65 +216,34 @@ def kernel_grad_x_rowsum(
         raise InputError("skip_equal_index requires equally sized sets")
     half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
     out = np.empty_like(X)
+    total = 0.0
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
         block = X[i0:i1]
-        sq = _sqdist_rows(block, Y)
+        sq = _sqdist(block, Y)
         diag = (np.arange(i1 - i0), np.arange(i0, i1))
         zero = sq == 0.0
         if skip_equal_index:
-            zero[diag] = True
-        if half:
-            included_zero = zero.copy()
-            if skip_equal_index:
-                included_zero[diag] = False
-            if included_zero.any():
-                raise InputError("Matern order 1/2 has no gradient at coincident points")
-        coeff = _grad_coeff_from_sqdist(spec, sq)
+            zero[diag] = False
+        if half and zero.any():
+            raise InputError("Matern order 1/2 has no gradient at coincident points")
+        k, coeff = _eval_and_coeff_from_sqdist(spec, sq)
         # At zero distance the pair's gradient contribution vanishes (smooth
         # families) or the pair is excluded; either way the coefficient must
         # not pollute the row sums.
         coeff[zero] = 0.0
-        out[i0:i1] = coeff.sum(axis=1)[:, None] * block - coeff @ Y
-    return out
-
-
-def kernel_sum_and_grad_rowsum(
-    spec: KernelSpec, X, Y, *, skip_equal_index: bool = False
-) -> tuple[float, np.ndarray]:
-    """Total kernel sum over all pairs together with row-wise gradient sums.
-
-    Returns ``(sum_{ij} K(X_i, Y_j), G)`` with ``G[i] = sum_j dK/dx(X_i, Y_j)``.
-    The sum always runs over every pair (a U-statistic caller subtracts the
-    exact diagonal itself); ``skip_equal_index`` drops the j == i pairs from
-    the gradient sums only. One batch step needs both quantities, and they
-    share the distance matrix and exponential, so computing them together
-    nearly halves the kernel work. Values match ``kernel_gram(...).sum()``
-    and ``kernel_grad_x_rowsum``.
-    """
-    X = as_points(X, "X")
-    Y = as_points(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
-    if skip_equal_index and X.shape[0] != Y.shape[0]:
-        raise InputError("skip_equal_index requires equally sized sets")
-    half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
-    out = np.empty_like(X)
-    total = 0.0
-    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
-        block = X[i0:i1]
-        sq = _sqdist_rows(block, Y)
-        diag = (np.arange(i1 - i0), np.arange(i0, i1))
-        zero = sq == 0.0
         if skip_equal_index:
-            zero[diag] = True
-        if half:
-            included_zero = zero.copy()
-            if skip_equal_index:
-                included_zero[diag] = False
-            if included_zero.any():
-                raise InputError("Matern order 1/2 has no gradient at coincident points")
-        k, coeff = _eval_and_coeff_from_sqdist(spec, sq)
-        coeff[zero] = 0.0
+            coeff[diag] = 0.0
         total += float(k.sum())
         out[i0:i1] = coeff.sum(axis=1)[:, None] * block - coeff @ Y
     return total, out
+
+
+def kernel_grad_x_rowsum(
+    spec: KernelSpec, X, Y, *, skip_equal_index: bool = False
+) -> np.ndarray:
+    """Row i of the result is sum_j dK/dx (X[i], Y[j]).
+
+    The gradient half of ``kernel_sum_and_grad_rowsum``, which documents
+    ``skip_equal_index`` and the coincident-point rules.
+    """
+    return kernel_sum_and_grad_rowsum(spec, X, Y, skip_equal_index=skip_equal_index)[1]

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError, NumericError
 from .kernel import KernelSpec, kernel_sum_and_grad_rowsum
 from .mmd import _pair_sum
-from .nn import MlpParams, ParamGrads, mlp_backward, mlp_forward_batch
+from .nn import MlpParams, ParamGrads, _backward, _forward_checked
 from .util import as_points
 
 
@@ -72,7 +72,9 @@ def _evaluate(
     want_grad: bool,
 ) -> tuple[LossValues, ParamGrads | None]:
     m = X.shape[0]
-    T = mlp_forward_batch(params, X)
+    # One forward pass serves the loss and, through its cache, the backward pass.
+    cache = _forward_checked(params, X)
+    T = cache[0]
     mean_cost = float(cost_values(X, T).mean())
     if want_grad:
         try:
@@ -98,7 +100,7 @@ def _evaluate(
         return values, None
     upstream = (inv_lambda / m) * cost_grad_images(X, T)
     upstream = upstream + (2.0 / (m * (m - 1))) * gxx - (2.0 / (m * m)) * gxy
-    grads = mlp_backward(params, X, upstream)
+    grads = _backward(params, cache, upstream)
     for g in grads.arrays():
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite loss gradient")

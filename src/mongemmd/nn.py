@@ -162,15 +162,20 @@ def _forward_cached(params: MlpParams, X: np.ndarray):
     return h, inputs, pres, posts
 
 
+def _forward_checked(params: MlpParams, X: np.ndarray):
+    """``_forward_cached`` on validated points, refusing a non-finite output."""
+    cache = _forward_cached(params, X)
+    if not np.all(np.isfinite(cache[0])):
+        raise NumericError("forward pass produced non-finite values")
+    return cache
+
+
 def mlp_forward_batch(params: MlpParams, X) -> np.ndarray:
     """Apply the map to every row of X; returns an array of the same shape."""
     X = as_points(X, "X")
     if X.shape[1] != params.input_dim:
         raise InputError(f"expected dimension {params.input_dim}, got {X.shape[1]}")
-    out, _, _, _ = _forward_cached(params, X)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("forward pass produced non-finite values")
-    return out
+    return _forward_checked(params, X)[0]
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
@@ -196,7 +201,12 @@ def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
         )
     if X.shape[1] != params.input_dim:
         raise InputError(f"expected dimension {params.input_dim}, got {X.shape[1]}")
-    _, inputs, pres, posts = _forward_cached(params, X)
+    return _backward(params, _forward_cached(params, X), upstream)
+
+
+def _backward(params: MlpParams, cache, upstream: np.ndarray) -> ParamGrads:
+    """``mlp_backward`` from the ``_forward_cached`` result of the same points."""
+    _, inputs, pres, posts = cache
     grads = ParamGrads.zeros_like(params)
     delta = upstream
     for l in range(params.n_layers - 1, -1, -1):

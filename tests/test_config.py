@@ -199,6 +199,15 @@ class TestLoadConfig:
         cfg = load_config(path, overrides=["train.epochs=9"])
         assert cfg.train.epochs == 9
 
+    def test_exponents_without_a_dot_are_numbers(self, tmp_path):
+        # Plain YAML 1.1 reads both of these as strings.
+        path = tmp_path / "run.yaml"
+        path.write_text("out_dir: runs/a\ntrain:\n  inv_lambda: 1e-6\n"
+                        "source:\n  mean: [1e3, 0.0]\n")
+        cfg = load_config(path)
+        assert cfg.train.inv_lambda == 1e-06
+        assert cfg.source.mean == (1000.0, 0.0)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_config(tmp_path / "none.yaml")

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mongemmd import InputError, KernelSpec, kernel_eval, kernel_grad_x, kernel_gram
-from mongemmd.kernel import kernel_grad_x_rowsum, kernel_sum_and_grad_rowsum
+from mongemmd.kernel import _sqdist, kernel_grad_x_rowsum, kernel_sum_and_grad_rowsum
 
 
 def kernel_oracle(spec, x, y):
@@ -130,6 +133,23 @@ class TestKernelGrad:
             kernel_grad_x(spec, [1.0, 2.0], [1.0, 2.0])
 
 
+def point_pairs(max_d: int):
+    """Two point sets of a common dimension 1..max_d."""
+    coords = st.floats(-1e6, 1e6, allow_nan=False)
+    return st.tuples(st.integers(1, max_d), st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda s: st.tuples(arrays(np.float64, (s[1], s[0]), elements=coords),
+                            arrays(np.float64, (s[2], s[0]), elements=coords)))
+
+
+class TestSqdist:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=point_pairs(5))
+    def test_equals_the_broadcast_sum_bitwise(self, pair):
+        X, Y = pair
+        expected = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(_sqdist(X, Y), expected)
+
+
 class TestKernelGram:
     def test_entries_match_kernel_eval_bitwise(self):
         rng = np.random.default_rng(21)
@@ -139,6 +159,19 @@ class TestKernelGram:
             G = kernel_gram(spec, X, Y)
             assert G.shape == (7, 5)
             for i in range(7):
+                for j in range(5):
+                    assert G[i, j] == kernel_eval(spec, X[i], Y[j])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_entries_match_kernel_eval_bitwise_at_any_dimension(self, d):
+        # At d >= 8 numpy's own reduction over d rounds differently from a
+        # coordinate-by-coordinate sum; scalar and Gram share one routine.
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((6, d))
+        Y = rng.standard_normal((5, d))
+        for spec in ALL_SPECS:
+            G = kernel_gram(spec, X, Y)
+            for i in range(6):
                 for j in range(5):
                     assert G[i, j] == kernel_eval(spec, X[i], Y[j])
 

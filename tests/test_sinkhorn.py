@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mongemmd
 from mongemmd import compare
 from mongemmd.compare import (
     COMPARISON_HEADER,
@@ -14,6 +19,7 @@ from mongemmd.compare import (
 )
 from mongemmd.errors import InputError, NumericError
 from mongemmd.sinkhorn import (
+    _logsumexp,
     barycentric_map,
     default_epsilon,
     sinkhorn_solve,
@@ -132,6 +138,59 @@ class TestTransposeSymmetry:
         coupling = sinkhorn_solve(C, epsilon=0.5)
         np.testing.assert_array_equal(coupling.matrix, coupling.matrix.T)
         assert coupling.max_violation < 1e-9
+
+
+class TestZeroMarginalEntries:
+    def test_log_domain_leaves_an_exactly_empty_row_and_column(self):
+        C, a, b = random_problem(6, 5, 21)
+        a[2], b[4] = 0.0, 0.0
+        a, b = a / a.sum(), b / b.sum()
+        coupling = sinkhorn_solve(C, a, b, epsilon=0.5, tol=1e-12)
+        assert coupling.converged
+        assert np.all(coupling.matrix[2] == 0.0)
+        assert np.all(coupling.matrix[:, 4] == 0.0)
+        np.testing.assert_allclose(coupling.matrix.sum(axis=1), a, atol=1e-12)
+        np.testing.assert_allclose(coupling.matrix.sum(axis=0), b, atol=1e-12)
+
+
+class TestLogSumExp:
+    """The numpy log-sum-exp against SciPy's, which serves only as a test oracle."""
+
+    @staticmethod
+    def check(A):
+        special = pytest.importorskip("scipy.special")
+        for axis in (0, 1):
+            np.testing.assert_allclose(_logsumexp(A, axis),
+                                       special.logsumexp(A, axis=axis), rtol=1e-15)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(31)
+        self.check(rng.standard_normal((40, 30)) * 50.0)
+
+    def test_exact_ties(self):
+        rng = np.random.default_rng(32)
+        A = np.round(rng.standard_normal((40, 30)) * 2.0) / 2.0
+        A[5] = 1.5
+        self.check(A)
+
+    def test_rows_holding_minus_infinity(self):
+        rng = np.random.default_rng(33)
+        A = rng.standard_normal((20, 15))
+        A[rng.random(A.shape) < 0.3] = -np.inf
+        A[4] = -np.inf
+        A[:, 7] = -np.inf
+        self.check(A)
+
+
+class TestImport:
+    def test_package_import_leaves_scipy_out(self):
+        src = Path(mongemmd.__file__).resolve().parents[1]
+        code = ("import sys, mongemmd; "
+                "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestPlainMethod:
