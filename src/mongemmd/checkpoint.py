@@ -36,20 +36,18 @@ KIND_MAP = "map"
 KIND_TRAIN_STATE = "train_state"
 
 
-def _param_arrays(params: MlpParams) -> list[tuple[str, np.ndarray]]:
+def _layer_arrays(layers: MlpParams | ParamGrads, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+    """Named per-layer views in payload order: w0, b0, w1, b1, ..."""
     out = []
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out.append((f"w{l}", w))
-        out.append((f"b{l}", b))
+    for l, (w, b) in enumerate(zip(layers.weights, layers.biases)):
+        out += [(f"{prefix}w{l}", w), (f"{prefix}b{l}", b)]
     return out
 
 
-def _moment_arrays(prefix: str, grads: ParamGrads) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for l, (w, b) in enumerate(zip(grads.weights, grads.biases)):
-        out.append((f"{prefix}_w{l}", w))
-        out.append((f"{prefix}_b{l}", b))
-    return out
+def _layer_lists(arrays: dict[str, np.ndarray], n_layers: int, prefix: str = ""):
+    """The weight and bias lists that ``_layer_arrays`` named; KeyError if one is missing."""
+    return ([arrays[f"{prefix}w{l}"] for l in range(n_layers)],
+            [arrays[f"{prefix}b{l}"] for l in range(n_layers)])
 
 
 def _encode(kind: str, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
@@ -100,13 +98,10 @@ def _params_from(header: dict, arrays: dict[str, np.ndarray]) -> MlpParams:
     acts = header.get("activations")
     if not isinstance(acts, list) or not acts:
         raise InputError("checkpoint header lacks activations")
-    weights, biases = [], []
-    for l in range(len(acts)):
-        try:
-            weights.append(arrays[f"w{l}"])
-            biases.append(arrays[f"b{l}"])
-        except KeyError as exc:
-            raise InputError(f"checkpoint payload missing array {exc}") from exc
+    try:
+        weights, biases = _layer_lists(arrays, len(acts))
+    except KeyError as exc:
+        raise InputError(f"checkpoint payload missing array {exc}") from exc
     try:
         return MlpParams(weights, biases, acts)
     except (InputError, ValueError) as exc:
@@ -116,7 +111,7 @@ def _params_from(header: dict, arrays: dict[str, np.ndarray]) -> MlpParams:
 def save_params(path, params: MlpParams) -> None:
     """Write a map-only checkpoint."""
     meta = {"activations": [a.value for a in params.activations]}
-    atomic_write_bytes(Path(path), _encode(KIND_MAP, meta, _param_arrays(params)))
+    atomic_write_bytes(Path(path), _encode(KIND_MAP, meta, _layer_arrays(params)))
 
 
 def load_params(path) -> MlpParams:
@@ -140,11 +135,8 @@ def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> Non
             "eps": opt.hyper.eps,
         },
     }
-    arrays = (
-        _param_arrays(params)
-        + _moment_arrays("m", opt.first_moment)
-        + _moment_arrays("v", opt.second_moment)
-    )
+    arrays = (_layer_arrays(params) + _layer_arrays(opt.first_moment, "m_")
+              + _layer_arrays(opt.second_moment, "v_"))
     atomic_write_bytes(Path(path), _encode(KIND_TRAIN_STATE, meta, arrays))
 
 
@@ -154,7 +146,6 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
     if header.get("kind") != KIND_TRAIN_STATE:
         raise InputError(f"{path}: not a training-state checkpoint")
     params = _params_from(header, arrays)
-    n = params.n_layers
     try:
         adam_cfg = header["adam"]
         hyper = AdamHyper(
@@ -163,19 +154,13 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
             beta2=float(adam_cfg["beta2"]),
             eps=float(adam_cfg["eps"]),
         )
-        first = ParamGrads(
-            [arrays[f"m_w{l}"] for l in range(n)], [arrays[f"m_b{l}"] for l in range(n)]
-        )
-        second = ParamGrads(
-            [arrays[f"v_w{l}"] for l in range(n)], [arrays[f"v_b{l}"] for l in range(n)]
-        )
+        first = ParamGrads(*_layer_lists(arrays, params.n_layers, "m_"))
+        second = ParamGrads(*_layer_lists(arrays, params.n_layers, "v_"))
         epoch = int(header["epoch"])
         step_count = int(header["step_count"])
     except KeyError as exc:
         raise InputError(f"{path}: checkpoint missing field {exc}") from exc
-    for name, (p, m) in enumerate(zip(params.weights + params.biases,
-                                      first.weights + first.biases)):
-        if p.shape != m.shape:
-            raise InputError(f"{path}: moment array {name} does not match parameters")
+    if not first.layout == second.layout == params.layout:
+        raise InputError(f"{path}: moment arrays do not match parameters")
     opt = AdamState(hyper=hyper, first_moment=first, second_moment=second, step_count=step_count)
     return params, opt, epoch

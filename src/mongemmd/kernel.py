@@ -183,6 +183,11 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     Y = as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
+    return _gram(spec, X, Y)
+
+
+def _gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``kernel_gram`` on validated point sets of equal dimension."""
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
         out[i0:i1] = _eval_from_sqdist(spec, _sqdist(X[i0:i1], Y))
@@ -214,6 +219,11 @@ def kernel_sum_and_grad_rowsum(
         raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     if skip_equal_index and X.shape[0] != Y.shape[0]:
         raise InputError("skip_equal_index requires equally sized sets")
+    return _sum_and_grad_rowsum(spec, X, Y, skip_equal_index)
+
+
+def _sum_and_grad_rowsum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, skip_equal_index: bool):
+    """``kernel_sum_and_grad_rowsum`` on validated point sets (Matern 1/2 still raises)."""
     half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
     out = np.empty_like(X)
     total = 0.0

@@ -19,12 +19,13 @@ point-wise statistic gradient, then backpropagates through the network.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernel import KernelSpec, kernel_sum_and_grad_rowsum
+from .kernel import KernelSpec, _sum_and_grad_rowsum
 from .mmd import _pair_sum
 from .nn import MlpParams, ParamGrads, _backward, _forward_checked
 from .util import as_points
@@ -71,6 +72,7 @@ def _evaluate(
     inv_lambda: float,
     want_grad: bool,
 ) -> tuple[LossValues, ParamGrads | None]:
+    """Loss values (and gradients if ``want_grad``) of a batch that passed ``_check_batch``."""
     m = X.shape[0]
     # One forward pass serves the loss and, through its cache, the backward pass.
     cache = _forward_checked(params, X)
@@ -78,8 +80,8 @@ def _evaluate(
     mean_cost = float(cost_values(X, T).mean())
     if want_grad:
         try:
-            sxx_full, gxx = kernel_sum_and_grad_rowsum(kernel, T, T, skip_equal_index=True)
-            sxy, gxy = kernel_sum_and_grad_rowsum(kernel, T, Y)
+            sxx_full, gxx = _sum_and_grad_rowsum(kernel, T, T, skip_equal_index=True)
+            sxy, gxy = _sum_and_grad_rowsum(kernel, T, Y, skip_equal_index=False)
         except InputError as exc:
             # Shapes were checked above, so the kernel can only refuse coincident
             # images (Matern 1/2); the map made them, so it is a numeric failure.
@@ -94,16 +96,15 @@ def _evaluate(
     yy = (_pair_sum(kernel, Y, Y) - m) / (m * (m - 1))
     objective = inv_lambda * mean_cost + xx + cross
     values = LossValues(float(objective), float(xx + cross + yy), mean_cost)
-    if not all(np.isfinite(v) for v in values):
+    if not all(math.isfinite(v) for v in values):
         raise NumericError(f"non-finite loss values: {values}")
     if not want_grad:
         return values, None
     upstream = (inv_lambda / m) * cost_grad_images(X, T)
     upstream = upstream + (2.0 / (m * (m - 1))) * gxx - (2.0 / (m * m)) * gxy
     grads = _backward(params, cache, upstream)
-    for g in grads.arrays():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite loss gradient")
+    if not np.isfinite(grads.flat).all():
+        raise NumericError("non-finite loss gradient")
     return values, grads
 
 
@@ -116,8 +117,7 @@ def monge_mmd_loss(
 ) -> LossValues:
     """Objective, full unbiased squared MMD, and mean transport cost for one batch."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
-    values, _ = _evaluate(params, X, Y, kernel, inv_lambda, want_grad=False)
-    return values
+    return _evaluate(params, X, Y, kernel, inv_lambda, want_grad=False)[0]
 
 
 def monge_mmd_loss_with_grad(
@@ -129,8 +129,7 @@ def monge_mmd_loss_with_grad(
 ) -> tuple[LossValues, ParamGrads]:
     """Loss values together with exact parameter gradients of the objective."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
-    values, grads = _evaluate(params, X, Y, kernel, inv_lambda, want_grad=True)
-    return values, grads
+    return _evaluate(params, X, Y, kernel, inv_lambda, want_grad=True)
 
 
 def monge_mmd_loss_grad(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .kernel import KernelFamily, KernelSpec, _row_blocks, kernel_gram, kernel_grad_x_rowsum
+from .kernel import KernelFamily, KernelSpec, _gram, _row_blocks, kernel_grad_x_rowsum
 from .util import as_points
 
 # Largest per-set point count for which a full Gram matrix is built in one go.
@@ -40,12 +40,12 @@ def _check_pair(X, Y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, point_cap: int = POINT_CAP) -> float:
-    """sum_{i,j} K(X_i, Y_j), streaming in row blocks above the cap."""
+    """sum_{i,j} K(X_i, Y_j) over validated point sets, streaming in row blocks above the cap."""
     if max(X.shape[0], Y.shape[0]) <= point_cap:
-        return float(kernel_gram(spec, X, Y).sum())
+        return float(_gram(spec, X, Y).sum())
     total = 0.0
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
-        total += float(kernel_gram(spec, X[i0:i1], Y).sum())
+        total += float(_gram(spec, X[i0:i1], Y).sum())
     return total
 
 

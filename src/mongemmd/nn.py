@@ -5,11 +5,16 @@ its activation, and the output layer is affine (identity activation) so the
 map can reach arbitrary targets. Input and output dimension are equal by
 construction. Reverse-mode gradients are computed by the standard chain rule
 with batch contributions accumulated in fixed index order.
+
+Parameters, gradients and Adam moments share one layout: one float64 vector
+``flat`` with per-layer views. Public constructors and functions validate;
+the private ``_wrap``, ``_forward_checked`` and ``_backward`` do not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -42,25 +47,67 @@ def _derivative(act: Activation, pre: np.ndarray, post: np.ndarray) -> np.ndarra
     return None
 
 
-@dataclass
-class MlpParams:
+class _FlatLayers:
+    """Per-layer arrays copied into one contiguous float64 vector ``flat`` (w0, b0, w1, ...).
+
+    ``layout`` holds each layer's (weight shape, bias shape); ``weights`` and
+    ``biases`` are views of ``flat``, built on first read.
+    """
+
+    def __init__(self, weights, biases):
+        pairs = zip(weights, biases, strict=True)
+        self.layout = tuple((np.shape(w), np.shape(b)) for w, b in pairs)
+        self.flat = np.empty(sum(math.prod(ws) + math.prod(bs) for ws, bs in self.layout))
+        for view, a in zip(self.weights + self.biases, list(weights) + list(biases)):
+            view[...] = a
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, layout, **fields):
+        """An instance over an existing flat vector, without any check."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(fields, flat=flat, layout=layout)
+        return obj
+
+    @functools.cached_property
+    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        weights, biases, end = [], [], 0
+        for w_shape, b_shape in self.layout:
+            start, mid = end, end + math.prod(w_shape)
+            end = mid + math.prod(b_shape)
+            weights.append(self.flat[start:mid].reshape(w_shape))
+            biases.append(self.flat[mid:end].reshape(b_shape))
+        return tuple(weights), tuple(biases)
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._views[0]
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._views[1]
+
+    def arrays(self):
+        """All arrays in a fixed order (weights then bias, layer by layer)."""
+        for w, b in zip(self.weights, self.biases):
+            yield w
+            yield b
+
+
+class MlpParams(_FlatLayers):
     """Transport-map network parameters.
 
     ``weights[l]`` has shape (m_l, m_{l-1}) and ``biases[l]`` shape (m_l,);
     ``activations[l]`` is applied after layer l's affine map. The final
-    activation is identity when built through ``init_params``.
+    activation is identity when built through ``init_params``. The
+    constructor validates and copies the arrays into ``flat``.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: list[Activation]
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations) >= 1):
+    def __init__(self, weights, biases, activations):
+        if not (len(weights) == len(biases) == len(activations) >= 1):
             raise InputError("weights, biases and activations must align, one entry per layer")
-        self.activations = [Activation(a) for a in self.activations]
+        self.activations = [Activation(a) for a in activations]
         prev = None
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise InputError(f"layer {i}: weight {w.shape} and bias {b.shape} do not align")
             if prev is not None and w.shape[1] != prev:
@@ -68,6 +115,7 @@ class MlpParams:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise InputError(f"layer {i}: non-finite parameter entries")
             prev = w.shape[0]
+        super().__init__(weights, biases)
         if self.output_dim != self.input_dim:
             raise InputError(
                 f"transport map must preserve dimension, got {self.input_dim} -> {self.output_dim}"
@@ -75,47 +123,30 @@ class MlpParams:
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.layout[0][0][1]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.layout[-1][0][0]
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layout)
 
     @property
     def widths(self) -> tuple[int, ...]:
-        return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
+        return (self.input_dim,) + tuple(ws[0] for ws, _ in self.layout)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
+        return MlpParams._wrap(self.flat.copy(), self.layout, activations=list(self.activations))
 
 
-@dataclass
-class ParamGrads:
-    """Per-parameter gradients (or any parameter-shaped accumulator)."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+class ParamGrads(_FlatLayers):
+    """Per-parameter gradients (or any parameter-shaped accumulator), laid out as ``MlpParams``."""
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "ParamGrads":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
-
-    def arrays(self):
-        """All arrays in a fixed order (weights then bias, layer by layer)."""
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
+        return cls._wrap(np.zeros_like(params.flat), params.layout)
 
 
 def init_params(
@@ -165,7 +196,7 @@ def _forward_cached(params: MlpParams, X: np.ndarray):
 def _forward_checked(params: MlpParams, X: np.ndarray):
     """``_forward_cached`` on validated points, refusing a non-finite output."""
     cache = _forward_cached(params, X)
-    if not np.all(np.isfinite(cache[0])):
+    if not np.isfinite(cache[0]).all():
         raise NumericError("forward pass produced non-finite values")
     return cache
 
@@ -207,14 +238,14 @@ def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
 def _backward(params: MlpParams, cache, upstream: np.ndarray) -> ParamGrads:
     """``mlp_backward`` from the ``_forward_cached`` result of the same points."""
     _, inputs, pres, posts = cache
-    grads = ParamGrads.zeros_like(params)
+    grads = ParamGrads._wrap(np.empty_like(params.flat), params.layout)
     delta = upstream
     for l in range(params.n_layers - 1, -1, -1):
         dact = _derivative(params.activations[l], pres[l], posts[l])
         if dact is not None:
             delta = delta * dact
-        grads.weights[l] = delta.T @ inputs[l]
-        grads.biases[l] = delta.sum(axis=0)
+        np.matmul(delta.T, inputs[l], out=grads.weights[l])
+        np.sum(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ params.weights[l]
     return grads

@@ -3,6 +3,9 @@
 Stateless-style API: ``adam_step`` returns a new (state, params) pair and
 never mutates its arguments, so training can be checkpointed and resumed
 bit-exactly by serializing the state.
+
+The moments share the parameters' flat layout (see ``nn``): an update is a
+few whole-vector operations, bit-equal to a loop over layers (Adam is element-wise).
 """
 
 from __future__ import annotations
@@ -55,48 +58,29 @@ def adam_init(params: MlpParams, hyper: AdamHyper | None = None) -> AdamState:
     )
 
 
-def _check_congruent(params: MlpParams, grads: ParamGrads, state: AdamState) -> None:
-    for name, other in (("grads", grads), ("state", state.first_moment)):
-        if len(other.weights) != len(params.weights):
-            raise InputError(f"{name} do not match the parameter layout")
-        for p, g in zip(list(params.weights) + list(params.biases),
-                        list(other.weights) + list(other.biases)):
-            if p.shape != g.shape:
-                raise InputError(f"{name} shape {g.shape} does not match parameters {p.shape}")
-
-
 def adam_step(state: AdamState, params: MlpParams, grads: ParamGrads) -> tuple[AdamState, MlpParams]:
-    """One Adam update with bias correction.
+    """One Adam update with bias correction, over the whole flat parameter vector.
 
-    Raises NumericError on non-finite gradients; in that case nothing is
-    consumed and the caller still holds the previous state and parameters.
+    Raises InputError if the gradient or moment layout differs from the
+    parameters', and NumericError on a non-finite gradient or an update that
+    overflows a parameter; in either numeric case nothing is consumed and
+    the caller still holds the previous state and parameters.
     """
-    _check_congruent(params, grads, state)
-    for g in grads.arrays():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient; optimizer state left unchanged")
+    if not (grads.layout == state.first_moment.layout == state.second_moment.layout
+            == params.layout):
+        raise InputError("grads and optimizer state must match the parameter layout")
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite gradient; optimizer state left unchanged")
     h = state.hyper
     t = state.step_count + 1
     bc1 = 1.0 - h.beta1 ** t
     bc2 = 1.0 - h.beta2 ** t
-    new_m, new_v, new_p = [], [], []
-    pairs = list(zip(params.weights, grads.weights,
-                     state.first_moment.weights, state.second_moment.weights))
-    pairs += list(zip(params.biases, grads.biases,
-                      state.first_moment.biases, state.second_moment.biases))
-    for p, g, m, v in pairs:
-        m2 = h.beta1 * m + (1.0 - h.beta1) * g
-        v2 = h.beta2 * v + (1.0 - h.beta2) * (g * g)
-        step = h.learning_rate * (m2 / bc1) / (np.sqrt(v2 / bc2) + h.eps)
-        new_m.append(m2)
-        new_v.append(v2)
-        new_p.append(p - step)
-    k = len(params.weights)
-    next_state = AdamState(
-        hyper=h,
-        first_moment=ParamGrads(new_m[:k], new_m[k:]),
-        second_moment=ParamGrads(new_v[:k], new_v[k:]),
-        step_count=t,
-    )
-    next_params = MlpParams(new_p[:k], new_p[k:], list(params.activations))
-    return next_state, next_params
+    m = h.beta1 * state.first_moment.flat + (1.0 - h.beta1) * g
+    v = h.beta2 * state.second_moment.flat + (1.0 - h.beta2) * (g * g)
+    p = params.flat - h.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + h.eps)
+    if not np.isfinite(p).all():
+        raise NumericError("update overflowed the parameters; optimizer state left unchanged")
+    layout = params.layout
+    next_state = AdamState(h, ParamGrads._wrap(m, layout), ParamGrads._wrap(v, layout), t)
+    return next_state, MlpParams._wrap(p, layout, activations=list(params.activations))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import KernelSpec
-from .loss import LossValues, monge_mmd_loss_with_grad
+from .loss import LossValues, _evaluate
 from .nn import Activation, MlpParams, init_params
 from .optim import AdamHyper, AdamState, adam_init, adam_step
 from .util import as_points, setting
@@ -138,7 +138,8 @@ def train(
 
     Pass ``state`` from a loaded checkpoint to resume; the default starts
     from freshly initialized parameters. ``progress``, if given, is called
-    after every epoch with its index and averaged loss values.
+    after every epoch with its index and averaged loss values. The inputs
+    are validated here, once; every batch then goes to the unchecked loss.
     """
     source = as_points(source, "source")
     target = as_points(target, "target")
@@ -176,13 +177,8 @@ def train(
         for b in range(n_batches):
             sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
             try:
-                values, grads = monge_mmd_loss_with_grad(
-                    params,
-                    source[order_x[sl]],
-                    target[order_y[sl]],
-                    config.kernel,
-                    config.inv_lambda,
-                )
+                values, grads = _evaluate(params, source[order_x[sl]], target[order_y[sl]],
+                                          config.kernel, config.inv_lambda, want_grad=True)
                 opt, params = adam_step(opt, params, grads)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {b}: {exc}") from exc

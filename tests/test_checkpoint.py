@@ -12,8 +12,8 @@ from mongemmd.checkpoint import (
     save_train_state,
 )
 from mongemmd.errors import InputError
-from mongemmd.nn import Activation, ParamGrads, init_params
-from mongemmd.optim import AdamHyper, adam_init, adam_step
+from mongemmd.nn import Activation, MlpParams, ParamGrads, init_params
+from mongemmd.optim import AdamHyper, AdamState, adam_init, adam_step
 
 
 def trained_state(seed=0, steps=3):
@@ -105,6 +105,24 @@ class TestTrainStateCheckpoint:
             load_train_state(path)
 
 
+    def test_flat_state_saves_like_per_layer_copies(self, tmp_path):
+        """The file is written from the flat buffers' views and must not depend on them."""
+        params, state = trained_state(seed=4, steps=5)
+
+        def rebuilt(moment):
+            return ParamGrads([w.copy() for w in moment.weights],
+                              [b.copy() for b in moment.biases])
+
+        params2 = MlpParams([w.copy() for w in params.weights],
+                            [b.copy() for b in params.biases], params.activations)
+        state2 = AdamState(state.hyper, rebuilt(state.first_moment),
+                           rebuilt(state.second_moment), state.step_count)
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_train_state(a, params, state, epoch=5)
+        save_train_state(b, params2, state2, epoch=5)
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestCorruption:
     def write_state(self, tmp_path):
         params, state = trained_state()
@@ -134,6 +152,15 @@ class TestCorruption:
         path.write_bytes(blob[:-16])
         with pytest.raises(InputError, match="truncated"):
             load_params(path)
+
+    def test_moment_layouts_must_match_parameters(self, tmp_path):
+        params, state = trained_state()
+        wrong = ParamGrads([np.zeros((5, 3)), np.zeros((2, 5))], [np.zeros(5), np.zeros(2)])
+        for first, second in ((wrong, state.second_moment), (state.first_moment, wrong)):
+            path = tmp_path / "state.ckpt"
+            save_train_state(path, params, AdamState(state.hyper, first, second, 3), epoch=1)
+            with pytest.raises(InputError, match="moment"):
+                load_train_state(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = self.write_state(tmp_path)

@@ -136,6 +136,17 @@ class TestTrain:
         assert "numeric failure" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_runaway_adam_update_exits_three(self, tmp_path, capsys):
+        """A step size that overflows the parameters is a numeric failure with its epoch."""
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        rc = main(["train", str(cfg), "--quiet", "--set", "train.learning_rate=1.7e+308",
+                   "--set", "train.inv_lambda=1000"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: epoch 1, batch 0: update overflowed" in err
+
+
 class TestEval:
     def make_artifacts(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")

@@ -259,3 +259,36 @@ class TestParamGrads:
         assert [a.shape for a in arrays] == [(3, 2), (3,), (2, 3), (2,)]
         for a in arrays:
             np.testing.assert_array_equal(a, np.zeros_like(a))
+
+
+class TestFlatLayout:
+    def test_flat_holds_layers_in_order_and_views_alias_it(self):
+        params = init_params((3, 5, 4, 3), seed=4)
+        np.testing.assert_array_equal(
+            params.flat, np.concatenate([a.ravel() for a in params.arrays()]))
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        for a in params.arrays():
+            assert np.shares_memory(a, params.flat)
+        params.biases[1][2] = 7.0
+        assert params.flat[3 * 5 + 5 + 5 * 4 + 2] == 7.0
+
+    def test_constructor_copies_its_arrays(self):
+        w, b = np.eye(2), np.zeros(2)
+        params = MlpParams([w], [b], [Activation.IDENTITY])
+        w[0, 0] = 5.0
+        assert params.weights[0][0, 0] == 1.0
+
+    def test_copy_does_not_alias_flat(self):
+        params = init_params((2, 4, 2), seed=3)
+        dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
+        np.testing.assert_array_equal(dup.flat, params.flat)
+        assert dup.layout == params.layout and dup.activations == params.activations
+
+    def test_backward_gradient_shares_the_parameter_layout(self):
+        params = init_params((2, 5, 3, 2), seed=1)
+        grads = mlp_backward(params, np.ones((4, 2)), np.ones((4, 2)))
+        assert grads.layout == params.layout
+        assert grads.flat.shape == params.flat.shape
+        for g in grads.arrays():
+            assert np.shares_memory(g, grads.flat)

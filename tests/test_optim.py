@@ -132,6 +132,18 @@ class TestAdamStep:
         np.testing.assert_array_equal(state.first_moment.weights[0],
                                       np.zeros((1, 1)))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_runaway_update_raises_numeric_error_and_preserves_state(self):
+        """An update that overflows a parameter is a numeric failure, not bad input."""
+        params = scalar_params(1.7e308)
+        state = adam_init(params, AdamHyper(learning_rate=1.7e308))
+        with pytest.raises(NumericError, match="overflow"):
+            adam_step(state, params, grads_like(params, [[[-1.0]], [0.0]]))
+        assert state.step_count == 0
+        np.testing.assert_array_equal(params.flat, [1.7e308, 0.0])
+        np.testing.assert_array_equal(state.first_moment.flat, [0.0, 0.0])
+        np.testing.assert_array_equal(state.second_moment.flat, [0.0, 0.0])
+
     def test_shape_mismatch_rejected(self):
         params = init_params((2, 4, 2))
         state = adam_init(params)
@@ -152,6 +164,32 @@ class TestAdamStep:
         np.testing.assert_allclose(p.weights[0][0, 0], expected[0], rtol=1e-12)
         m = state.first_moment.weights[0][0, 0]
         np.testing.assert_allclose(m, 0.9 * 0.1 + 0.1 * (-1.0), rtol=1e-12)
+
+
+    def test_flat_update_equals_per_layer_update(self):
+        """Adam is element-wise: the flat update has the bits of a loop over the arrays."""
+        h = AdamHyper(learning_rate=0.03, beta1=0.7, beta2=0.99)
+        params = init_params((3, 5, 4, 3), seed=2)
+        state = adam_init(params, h)
+        rng = np.random.default_rng(6)
+        ps = [a.copy() for a in params.arrays()]
+        ms = [np.zeros_like(a) for a in ps]
+        vs = [np.zeros_like(a) for a in ps]
+        for t in range(1, 6):
+            grads = ParamGrads([rng.standard_normal(w.shape) for w in params.weights],
+                               [rng.standard_normal(b.shape) for b in params.biases])
+            state, params = adam_step(state, params, grads)
+            for i, g in enumerate(grads.arrays()):
+                ms[i] = h.beta1 * ms[i] + (1.0 - h.beta1) * g
+                vs[i] = h.beta2 * vs[i] + (1.0 - h.beta2) * (g * g)
+                ps[i] = ps[i] - h.learning_rate * (ms[i] / (1.0 - h.beta1 ** t)) / (
+                    np.sqrt(vs[i] / (1.0 - h.beta2 ** t)) + h.eps)
+        for got, want in zip(params.arrays(), ps):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(state.first_moment.arrays(), ms):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(state.second_moment.arrays(), vs):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAdamInit:

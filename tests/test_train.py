@@ -1,11 +1,18 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mongemmd import util
 from mongemmd.data import DatasetSpec, generate
 from mongemmd.errors import InputError, NumericError
 from mongemmd.kernel import KernelSpec
-from mongemmd.loss import monge_mmd_loss
+from mongemmd.loss import monge_mmd_loss, monge_mmd_loss_with_grad
 from mongemmd.nn import mlp_forward_batch
+from mongemmd.optim import adam_step
 from mongemmd.train import (
     LossHistory,
     TrainConfig,
@@ -140,6 +147,107 @@ class TestTrainingLoop:
                            progress=lambda e, v: seen.append((e, v.objective)))
         assert [e for e, _ in seen] == history.epochs
         assert [o for _, o in seen] == history.objective
+
+
+def reference_train(config, source, target):
+    """The training loop written from the public, validating API alone."""
+    state = init_state(config, source.shape[1])
+    params, opt = state.params, state.optimizer
+    n_pairs = min(source.shape[0], target.shape[0])
+    n_batches = n_pairs // config.batch_size
+    rows = []
+    for epoch in range(1, config.epochs + 1):
+        if config.shuffle:
+            rng = epoch_rng(config.seed, epoch)
+            order_x = rng.permutation(source.shape[0])
+            order_y = rng.permutation(target.shape[0])
+        else:
+            order_x = np.arange(source.shape[0])
+            order_y = np.arange(target.shape[0])
+        tot = np.zeros(3)
+        for b in range(n_batches):
+            sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
+            values, grads = monge_mmd_loss_with_grad(
+                params, source[order_x[sl]], target[order_y[sl]],
+                config.kernel, config.inv_lambda)
+            opt, params = adam_step(opt, params, grads)
+            tot += np.array(values)
+        rows.append(tuple(tot / n_batches))
+    return params, opt, rows
+
+
+def state_bytes(state):
+    return (state.params.flat.tobytes(), state.optimizer.first_moment.flat.tobytes(),
+            state.optimizer.second_moment.flat.tobytes(), state.optimizer.step_count,
+            state.epoch)
+
+
+class TestEquivalence:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        activation=st.sampled_from(["relu", "tanh"]),
+        batch_size=st.integers(2, 12),
+        shuffle=st.booleans(),
+        kernel=st.sampled_from([
+            KernelSpec(family="gaussian", alpha=0.5),
+            KernelSpec(family="matern", matern_order="three_halves", lengthscale=1.5),
+        ]),
+        epochs=st.integers(1, 3),
+    )
+    def test_train_equals_public_reference_loop(self, widths, activation, batch_size,
+                                                shuffle, kernel, epochs):
+        """train() validates once and then skips the public checks; the bits must not move."""
+        src, tgt = clouds(n=24)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, hidden_widths=widths,
+                          hidden_activation=activation, shuffle=shuffle, kernel=kernel,
+                          inv_lambda=0.1, seed=3)
+        params, opt, rows = reference_train(cfg, src, tgt)
+        state, history = train(cfg, src, tgt)
+        assert state.params.flat.tobytes() == params.flat.tobytes()
+        assert state.optimizer.first_moment.flat.tobytes() == opt.first_moment.flat.tobytes()
+        assert state.optimizer.second_moment.flat.tobytes() == opt.second_moment.flat.tobytes()
+        assert state.optimizer.step_count == opt.step_count
+        assert list(zip(history.objective, history.mmd2, history.cost)) == rows
+
+        # Resuming from an earlier state reaches the same end and leaves that state alone.
+        mid, _ = train(replace(cfg, epochs=epochs - 1), src, tgt)
+        before = state_bytes(mid)
+        resumed, _ = train(cfg, src, tgt, state=mid)
+        assert state_bytes(mid) == before
+        assert state_bytes(resumed) == state_bytes(state)
+
+
+def count_as_points(monkeypatch):
+    """Route every mongemmd module's binding of ``util.as_points`` through a counter."""
+    calls = []
+    orig = util.as_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    bound = [mod for name, mod in list(sys.modules.items())
+             if name.split(".")[0] == "mongemmd" and mod is not None
+             and getattr(mod, "as_points", None) is orig]
+    assert len(bound) > 3
+    for mod in bound:
+        monkeypatch.setattr(mod, "as_points", counted)
+    return calls
+
+
+class TestValidateOnce:
+    def test_as_points_calls_do_not_grow_with_epochs_or_batches(self, monkeypatch):
+        calls = count_as_points(monkeypatch)
+        src, tgt = clouds(n=30)
+        counts = []
+        for epochs, batch_size in ((1, 30), (4, 10), (4, 5)):
+            del calls[:]
+            train(TrainConfig(epochs=epochs, batch_size=batch_size, hidden_widths=(4,)),
+                  src, tgt)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
 
 
 class TestTrainingErrors:
