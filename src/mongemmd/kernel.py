@@ -35,7 +35,7 @@ from .errors import InputError
 from .util import as_points, setting
 
 # Row blocks hold about 2**24 (row, column, coordinate) entries; the block
-# edges set the order in which the fused total adds up the block sums.
+# edges set the order in which the fused total and the MMD pair sums add up.
 _BLOCK_ELEMS = 1 << 24
 
 
@@ -183,11 +183,6 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     Y = as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
-    return _gram(spec, X, Y)
-
-
-def _gram(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``kernel_gram`` on validated point sets of equal dimension."""
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
         out[i0:i1] = _eval_from_sqdist(spec, _sqdist(X[i0:i1], Y))
@@ -207,8 +202,8 @@ def kernel_sum_and_grad_rowsum(
     families; Matern order 1/2 raises on any included coincident pair, where
     its gradient is undefined. One batch step needs both quantities, and
     they share the distance matrix and exponential, so computing them
-    together nearly halves the kernel work. The sum matches
-    ``kernel_gram(...).sum()``.
+    together nearly halves the kernel work. The sum is bit-equal to the MMD
+    pair sum; to ``kernel_gram(...).sum()`` only within one row block.
 
     Walks row blocks in a fixed order, so each row's reduction order is
     independent of how callers parallelize over rows.

@@ -10,9 +10,9 @@ and may be negative; it is never clamped, since unbiasedness is the point.
 The V-statistic (biased) companion keeps all pairs with divisors M^2, N^2,
 is nonnegative, and vanishes exactly on identical multisets.
 
-Full Gram matrices are materialized up to ``POINT_CAP`` points per set;
-larger inputs stream in row blocks, so memory stays bounded while the result
-changes only at rounding level.
+Pair sums add up row blocks of the Gram matrix in order, the blocks and order
+of the training loss's fused sums, so memory is bounded by one row block and
+the loss's values equal these bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .kernel import KernelFamily, KernelSpec, _gram, _row_blocks, kernel_grad_x_rowsum
+from .kernel import KernelFamily, KernelSpec, kernel_grad_x_rowsum
+from .kernel import _eval_from_sqdist, _row_blocks, _sqdist
 from .util import as_points
-
-# Largest per-set point count for which a full Gram matrix is built in one go.
-POINT_CAP = 16384
 
 
 def _check_pair(X, Y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -39,17 +37,15 @@ def _check_pair(X, Y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _pair_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, point_cap: int = POINT_CAP) -> float:
-    """sum_{i,j} K(X_i, Y_j) over validated point sets, streaming in row blocks above the cap."""
-    if max(X.shape[0], Y.shape[0]) <= point_cap:
-        return float(_gram(spec, X, Y).sum())
+def _pair_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> float:
+    """sum_{i,j} K(X_i, Y_j) over validated point sets, one row block at a time."""
     total = 0.0
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
-        total += float(_gram(spec, X[i0:i1], Y).sum())
+        total += float(_eval_from_sqdist(spec, _sqdist(X[i0:i1], Y)).sum())
     return total
 
 
-def mmd2_unbiased(spec: KernelSpec, X, Y, *, point_cap: int = POINT_CAP) -> float:
+def mmd2_unbiased(spec: KernelSpec, X, Y) -> float:
     """Unbiased estimate of the squared MMD between the two empirical measures.
 
     Sizes may differ; with equal sizes M = N this is the classical U-statistic.
@@ -58,13 +54,13 @@ def mmd2_unbiased(spec: KernelSpec, X, Y, *, point_cap: int = POINT_CAP) -> floa
     m, n = X.shape[0], Y.shape[0]
     # K(x, x) == 1 exactly for every supported family, so the diagonal of the
     # (X, X) Gram sums to exactly m.
-    sxx = _pair_sum(spec, X, X, point_cap) - m
-    syy = _pair_sum(spec, Y, Y, point_cap) - n
-    sxy = _pair_sum(spec, X, Y, point_cap)
+    sxx = _pair_sum(spec, X, X) - m
+    syy = _pair_sum(spec, Y, Y) - n
+    sxy = _pair_sum(spec, X, Y)
     return sxx / (m * (m - 1)) - 2.0 * sxy / (m * n) + syy / (n * (n - 1))
 
 
-def mmd2_biased(spec: KernelSpec, X, Y, *, point_cap: int = POINT_CAP) -> float:
+def mmd2_biased(spec: KernelSpec, X, Y) -> float:
     """Biased (V-statistic) squared MMD; nonnegative, zero iff X == Y as multisets.
 
     Symmetry is bit-exact: arguments are put in a canonical order first, so
@@ -74,9 +70,9 @@ def mmd2_biased(spec: KernelSpec, X, Y, *, point_cap: int = POINT_CAP) -> float:
     if X.tobytes() > Y.tobytes():
         X, Y = Y, X
     m, n = X.shape[0], Y.shape[0]
-    sxx = _pair_sum(spec, X, X, point_cap)
-    syy = _pair_sum(spec, Y, Y, point_cap)
-    sxy = _pair_sum(spec, X, Y, point_cap)
+    sxx = _pair_sum(spec, X, X)
+    syy = _pair_sum(spec, Y, Y)
+    sxy = _pair_sum(spec, X, Y)
     val = sxx / (m * m) - 2.0 * sxy / (m * n) + syy / (n * n)
     # Mathematically >= 0; rounding may leave a tiny negative residue.
     return max(0.0, val)

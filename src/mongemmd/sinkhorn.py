@@ -1,22 +1,24 @@
 """Entropic-regularization transport baseline.
 
 ``sinkhorn_solve`` scales the Gibbs kernel exp(-cost/epsilon) to the given
-marginals. The default path iterates the dual potentials in the log domain
-(stable at small epsilon); the plain-domain path is faster per iteration and
-falls back to the log domain if the Gibbs kernel underflows.
+marginals with one solver: the dual potentials iterate in the log domain,
+which does not underflow at small epsilon (Peyre & Cuturi, arXiv:1803.00567,
+section 4.4). Rows and columns reduce with ``_logsumexp``, numpy code with
+the real-input arithmetic of SciPy 1.17's ``logsumexp`` (shift by the
+maximum, set the entries tied with it apart), so its results are SciPy's
+bit for bit. After each g-update the column marginals hold up to rounding
+and the row sums are exp(f/epsilon + lse_r), where lse_r is the row
+log-sum-exp the next f-update needs anyway; the stop test reads that row
+violation, so the plan is built once, after the loop.
 
-The log-domain updates reduce rows and columns with ``_logsumexp``, numpy
-code with the real-input arithmetic of SciPy 1.17's ``logsumexp`` (shift by
-the maximum, set the entries tied with it apart), so its results are SciPy's
-bit for bit, in fewer passes over the matrix.
-
-The solver orients the problem canonically before iterating: if the
-transposed instance (cost.T with marginals swapped) sorts lower under a
-deterministic byte-order key, that instance is solved and the result is
-transposed back. Solving either orientation therefore executes the exact
-same arithmetic, which makes transposition an exact symmetry of the output
-rather than an approximate one. A self-transposed instance (symmetric cost,
-equal marginals) is symmetrized explicitly for the same reason.
+Before iterating, the problem is oriented canonically: if the transposed
+instance (cost.T, marginals swapped) sorts lower by shape, then the cost's
+bytes, then the marginals' bytes, that instance is solved and the result
+transposed back. The order is decided at the first entry where the cost and
+its transpose differ bit for bit, so no copy is made unless the transposed
+instance is solved. Either orientation executes the same arithmetic, which
+makes transposition an exact symmetry of the output; a self-transposed
+instance (symmetric cost, equal marginals) is symmetrized for the same reason.
 """
 
 from __future__ import annotations
@@ -103,52 +105,24 @@ def _logsumexp(A: np.ndarray, axis: int) -> np.ndarray:
     return np.where(np.isfinite(a_max), out, a_max).squeeze(axis)
 
 
-def _solve_log(C, a, b, epsilon, max_iters, tol):
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
-    f = np.zeros(a.shape[0])
-    g = np.zeros(b.shape[0])
-    P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-    viol = _violation(P, a, b)
-    it = 0
-    while viol >= tol and it < max_iters:
-        f = epsilon * (log_a - _logsumexp((g[None, :] - C) / epsilon, axis=1))
-        g = epsilon * (log_b - _logsumexp((f[:, None] - C) / epsilon, axis=0))
-        P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-        viol = _violation(P, a, b)
-        it += 1
-        if not np.isfinite(viol):
-            raise NumericError(
-                f"log-domain iteration broke down at epsilon={epsilon}; increase epsilon"
-            )
-    return P, it, viol
+def _orientation(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
+    """Compare (C.T, b, a) with (C, a, b) as tuples of shape and ``tobytes()``: -1, 0 or 1.
 
-
-def _solve_plain(C, a, b, epsilon, max_iters, tol):
-    """Kernel-scaling iteration; returns None on numeric breakdown."""
-    K = np.exp(-C / epsilon)
-    u = np.ones(a.shape[0])
-    v = np.ones(b.shape[0])
-    P = (u[:, None] * K) * v[None, :]
-    viol = _violation(P, a, b)
-    it = 0
-    while viol >= tol and it < max_iters:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u = a / (K @ v)
-            v = b / (K.T @ u)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            return None
-        P = (u[:, None] * K) * v[None, :]
-        viol = _violation(P, a, b)
-        it += 1
-        if not np.isfinite(viol):
-            return None
-    return P, it, viol
-
-
-def _orientation_key(C: np.ndarray, a: np.ndarray, b: np.ndarray):
-    return (C.shape, C.tobytes(), a.tobytes(), b.tobytes())
+    Reads only the first entry where C and C.T differ bit for bit, so it
+    makes neither a transposed copy nor a byte string of C.
+    """
+    m, n = C.shape
+    if m != n:
+        return -1 if n < m else 1
+    bits = C.view(np.uint64)
+    differ = bits != bits.T
+    k = int(differ.argmax())
+    if differ.flat[k]:
+        i, j = divmod(k, n)
+        here, flipped = C[i, j].tobytes(), C[j, i].tobytes()
+    else:
+        here, flipped = a.tobytes(), b.tobytes()
+    return (flipped > here) - (flipped < here)
 
 
 def sinkhorn_solve(
@@ -159,29 +133,24 @@ def sinkhorn_solve(
     epsilon: float,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
-    method: str = "log",
 ) -> Coupling:
     """Scale exp(-cost/epsilon) to marginals (a, b); uniform when omitted.
 
-    Stops once the worst row/column marginal violation drops below ``tol``
-    or after ``max_iters`` double updates; ``converged`` records which.
-    ``method`` is ``log`` (default, underflow-proof) or ``plain`` (faster,
-    silently falls back to ``log`` when the kernel underflows).
+    Runs log-domain double updates, at least one and at most ``max_iters``,
+    until the row marginal violation is below ``tol`` (columns hold after
+    each g-update). ``max_violation`` is measured on the returned plan, rows
+    and columns; ``converged`` says whether the iterated plan met ``tol``.
     """
-    if method not in ("log", "plain"):
-        raise InputError(f"method must be 'log' or 'plain', got {method!r}")
     if max_iters < 1:
         raise InputError(f"max_iters must be >= 1, got {max_iters}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputError(f"tol must be positive, got {tol}")
     C, a, b = _check_problem(cost_matrix, a, b, epsilon)
-    Ct = np.ascontiguousarray(C.T)
-    key = _orientation_key(C, a, b)
-    key_t = _orientation_key(Ct, b, a)
-    if key_t < key:
-        return _solve_oriented(Ct, b, a, epsilon, max_iters, tol, method).transpose()
-    coupling = _solve_oriented(C, a, b, epsilon, max_iters, tol, method)
-    if key_t == key:
+    sign = _orientation(C, a, b)
+    if sign < 0:
+        return _solve_log(np.ascontiguousarray(C.T), b, a, epsilon, max_iters, tol).transpose()
+    coupling = _solve_log(C, a, b, epsilon, max_iters, tol)
+    if sign == 0:
         # Self-transposed problem: make the result exactly symmetric too.
         # Row and column sums average, so feasibility is preserved.
         coupling.matrix = (coupling.matrix + coupling.matrix.T) / 2.0
@@ -189,13 +158,25 @@ def sinkhorn_solve(
     return coupling
 
 
-def _solve_oriented(C, a, b, epsilon, max_iters, tol, method) -> Coupling:
-    result = None
-    if method == "plain":
-        result = _solve_plain(C, a, b, epsilon, max_iters, tol)
-    if result is None:
-        result = _solve_log(C, a, b, epsilon, max_iters, tol)
-    P, it, viol = result
+def _solve_log(C, a, b, epsilon, max_iters, tol) -> Coupling:
+    with np.errstate(divide="ignore"):
+        log_a = np.log(a)
+        log_b = np.log(b)
+    g = np.zeros(b.shape[0])
+    lse_r = _logsumexp((g[None, :] - C) / epsilon, axis=1)
+    for it in range(1, max_iters + 1):
+        f = epsilon * (log_a - lse_r)
+        g = epsilon * (log_b - _logsumexp((f[:, None] - C) / epsilon, axis=0))
+        lse_r = _logsumexp((g[None, :] - C) / epsilon, axis=1)
+        viol = float(np.abs(np.exp(f / epsilon + lse_r) - a).max())
+        if not np.isfinite(viol):
+            raise NumericError(
+                f"log-domain iteration broke down at epsilon={epsilon}; increase epsilon"
+            )
+        if viol < tol:
+            break
+    P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+    viol = _violation(P, a, b)
     return Coupling(matrix=P, a=a, b=b, n_iters=it, max_violation=viol, converged=viol < tol)
 
 

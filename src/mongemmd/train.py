@@ -106,12 +106,14 @@ class LossHistory:
         if not lines or lines[0] != "epoch,objective,mmd2,cost":
             raise InputError("loss history must start with the epoch,objective,mmd2,cost header")
         hist = cls()
-        for line in lines[1:]:
-            e, o, m, c = line.split(",")
-            hist.epochs.append(int(e))
-            hist.objective.append(float(o))
-            hist.mmd2.append(float(m))
-            hist.cost.append(float(c))
+        for lineno, line in enumerate(lines[1:], start=2):
+            try:
+                e, o, m, c = line.split(",")
+                hist.append(int(e), LossValues(float(o), float(m), float(c)))
+            except ValueError as exc:
+                raise InputError(
+                    f"loss history line {lineno}: expected 4 numbers, got {line!r}"
+                ) from exc
         return hist
 
 

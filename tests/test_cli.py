@@ -107,6 +107,19 @@ class TestTrain:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row", ["2,0.5,0.25", "2,0.5,oops,0.125"])
+    def test_malformed_loss_history_on_resume_is_usage_error(self, tmp_path, capsys, bad_row):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        loss = tmp_path / "out" / "loss.csv"
+        lines = loss.read_text().splitlines()
+        lines[2] = bad_row
+        loss.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["train", str(cfg), "--quiet", "--resume"])
+        assert rc == 2
+        assert "loss history line 3" in capsys.readouterr().err
+
     def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg)]) == 0

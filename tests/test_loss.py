@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mongemmd import kernel
 from mongemmd.errors import InputError, NumericError
 from mongemmd.kernel import KernelSpec
 from mongemmd.config import config_from_tree
@@ -148,6 +149,19 @@ class TestConsistency:
             assert plain.objective == fused.objective
             assert plain.mmd2 == fused.mmd2
             assert plain.mean_cost == fused.mean_cost
+
+    def test_value_paths_agree_bitwise_across_row_blocks(self, monkeypatch):
+        """Both paths add the same per-block kernel sums in the same order."""
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 64)
+        for seed in range(20):
+            params = init_params((2, 8, 2), hidden_activation=Activation.TANH,
+                                 seed=seed)
+            rng = np.random.default_rng(200 + seed)
+            X = rng.standard_normal((40, 2))
+            Y = rng.standard_normal((40, 2)) + 1.0
+            plain = monge_mmd_loss(params, X, Y, GAUSS, 1e-3)
+            fused, _ = monge_mmd_loss_with_grad(params, X, Y, GAUSS, 1e-3)
+            assert plain == fused
 
     def test_reported_mmd2_equals_unbiased_estimator(self):
         for seed in range(5):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from mongemmd import (
     InputError,
     KernelSpec,
+    kernel,
     kernel_eval,
+    kernel_gram,
     mmd2_biased,
     mmd2_population_gaussian,
     mmd2_unbiased,
@@ -95,13 +98,32 @@ class TestUnbiased:
         with pytest.raises(InputError):
             mmd2_unbiased(KernelSpec(), np.zeros((3, 2)), np.zeros((3, 1)))
 
-    def test_streaming_matches_full_gram(self):
+    def test_streaming_matches_full_gram(self, monkeypatch):
         rng = np.random.default_rng(23)
         X = rng.standard_normal((40, 2))
         Y = rng.standard_normal((37, 2))
-        full = mmd2_unbiased(KernelSpec(), X, Y)
-        streamed = mmd2_unbiased(KernelSpec(), X, Y, point_cap=8)
+        spec = KernelSpec()
+        m, n = len(X), len(Y)
+        full = ((kernel_gram(spec, X, X).sum() - m) / (m * (m - 1))
+                - 2.0 * kernel_gram(spec, X, Y).sum() / (m * n)
+                + (kernel_gram(spec, Y, Y).sum() - n) / (n * (n - 1)))
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 8 * 40 * 2)  # 8 rows of 40 2-d columns
+        streamed = mmd2_unbiased(spec, X, Y)
         np.testing.assert_allclose(streamed, full, rtol=1e-13)
+
+    def test_memory_is_one_row_block(self):
+        """No Gram matrix is kept: the peak, in n-by-n float64 matrices, is one row block's work."""
+        n = 400
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((n, 2))
+        Y = rng.standard_normal((n, 2))
+        tracemalloc.start()
+        try:
+            mmd2_unbiased(KernelSpec(), X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) <= 3.5
 
 
 class TestBiased:

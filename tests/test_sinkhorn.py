@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from mongemmd.compare import (
 from mongemmd.errors import InputError, NumericError
 from mongemmd.sinkhorn import (
     _logsumexp,
+    _orientation,
+    _violation,
     barycentric_map,
     default_epsilon,
     sinkhorn_solve,
@@ -153,6 +156,106 @@ class TestZeroMarginalEntries:
         np.testing.assert_allclose(coupling.matrix.sum(axis=0), b, atol=1e-12)
 
 
+def _orientation_key(C, a, b):
+    """The byte-order key the solver's orientation must agree with."""
+    return (C.shape, C.tobytes(), a.tobytes(), b.tobytes())
+
+
+def reference_solve(C, a, b, epsilon, max_iters, tol):
+    """Log-domain Sinkhorn that builds the plan and its violation every iteration.
+
+    The straightforward form of the solver, kept as the oracle: with tol=0 it
+    runs exactly ``max_iters`` double updates. Returns (P, n_iters, violation).
+    """
+    key, key_t = _orientation_key(C, a, b), _orientation_key(np.ascontiguousarray(C.T), b, a)
+    if key_t < key:
+        P, it, viol = reference_solve(np.ascontiguousarray(C.T), b, a, epsilon, max_iters, tol)
+        return np.ascontiguousarray(P.T), it, viol
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(a), np.log(b)
+    f, g = np.zeros(a.shape[0]), np.zeros(b.shape[0])
+    P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+    viol = _violation(P, a, b)
+    it = 0
+    while viol >= tol and it < max_iters:
+        f = epsilon * (log_a - _logsumexp((g[None, :] - C) / epsilon, axis=1))
+        g = epsilon * (log_b - _logsumexp((f[:, None] - C) / epsilon, axis=0))
+        P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+        viol = _violation(P, a, b)
+        it += 1
+    if key_t == key:
+        P = (P + P.T) / 2.0
+        viol = _violation(P, a, b)
+    return P, it, viol
+
+
+def oracle_instances():
+    """Square, non-square, symmetric, zero-marginal and signed-zero problems."""
+    for seed in range(4):
+        yield random_problem(17, 17, 300 + seed)
+        yield random_problem(9, 14, 310 + seed)
+        yield random_problem(14, 9, 320 + seed)
+    for seed in range(3):
+        C, a, b = random_problem(12, 12, 330 + seed)
+        C = (C + C.T) / 2.0
+        yield C, a, b
+        yield C, a, a
+        yield C, b, b
+    C, a, b = random_problem(10, 8, 340)
+    a[[1, 6]], b[3] = 0.0, 0.0
+    yield C, a / a.sum(), b / b.sum()
+    C, a, b = random_problem(8, 8, 341)
+    a[0] = b[7] = 0.0
+    yield C, a / a.sum(), b / b.sum()
+    for seed in range(2):
+        C, a, b = random_problem(7, 7, 350 + seed)
+        C = (C + C.T) / 2.0
+        C[1, 4], C[4, 1] = (0.0, -0.0) if seed == 0 else (-0.0, 0.0)
+        yield C, a, b
+        yield C, a, a
+
+
+class TestReferenceLoop:
+    def test_plan_is_the_reference_loop_bit_for_bit(self):
+        for C, a, b in oracle_instances():
+            for eps, tol in ((0.5, 1e-9), (0.2, 1e-12), (2.0, 1e-6)):
+                coupling = sinkhorn_solve(C, a, b, epsilon=eps, tol=tol)
+                assert coupling.converged
+                P, _, viol = reference_solve(C, a, b, eps, coupling.n_iters, 0.0)
+                np.testing.assert_array_equal(coupling.matrix, P)
+                assert coupling.max_violation == viol
+                _, ref_iters, _ = reference_solve(C, a, b, eps, 10000, tol)
+                assert abs(coupling.n_iters - ref_iters) <= 1
+
+    def test_orientation_matches_the_byte_key(self):
+        for C, a, b in oracle_instances():
+            key = _orientation_key(C, a, b)
+            key_t = _orientation_key(np.ascontiguousarray(C.T), b, a)
+            assert _orientation(C, a, b) == (key_t > key) - (key_t < key)
+            assert _orientation(np.ascontiguousarray(C.T), b, a) == (key > key_t) - (key < key_t)
+
+    def test_signed_zero_pair_is_not_self_transposed(self):
+        C = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        assert _orientation(C, np.full(2, 0.5), np.full(2, 0.5)) == 1
+        assert _orientation(np.ascontiguousarray(C.T), np.full(2, 0.5), np.full(2, 0.5)) == -1
+
+
+class TestMemory:
+    def test_solve_holds_no_plan_during_the_loop(self):
+        """Peak traced allocation of a solve, in n-by-n float64 matrices."""
+        n = 400
+        C = np.random.default_rng(61).uniform(0.0, 4.0, size=(n, n))
+        # One of C and C.T is solved as given, the other through a transposed copy.
+        for cost in (C, np.ascontiguousarray(C.T)):
+            tracemalloc.start()
+            try:
+                sinkhorn_solve(cost, epsilon=0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / cost.nbytes <= 3.5
+
+
 class TestLogSumExp:
     """The numpy log-sum-exp against SciPy's, which serves only as a test oracle."""
 
@@ -193,18 +296,11 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
 
-class TestPlainMethod:
-    def test_agrees_with_log_domain(self):
-        C, a, b = random_problem(20, 25, 3)
-        log_c = sinkhorn_solve(C, a, b, epsilon=1.0, tol=1e-12)
-        plain_c = sinkhorn_solve(C, a, b, epsilon=1.0, tol=1e-12,
-                                 method="plain")
-        np.testing.assert_allclose(plain_c.matrix, log_c.matrix, atol=1e-12)
-
-    def test_falls_back_when_kernel_underflows(self):
-        """exp(-C/eps) is exactly zero here, so the plain path must defer."""
+class TestKernelUnderflow:
+    def test_converges_where_kernel_underflows(self):
+        """exp(-C/eps) is exactly zero off the diagonal; the log domain still converges."""
         C = np.array([[0.0, 2000.0], [2000.0, 0.0]])
-        coupling = sinkhorn_solve(C, epsilon=1.0, method="plain")
+        coupling = sinkhorn_solve(C, epsilon=1.0)
         np.testing.assert_allclose(coupling.matrix,
                                    np.array([[0.5, 0.0], [0.0, 0.5]]),
                                    atol=1e-12)
@@ -234,9 +330,7 @@ class TestValidation:
         with pytest.raises(InputError):
             sinkhorn_solve(np.zeros((0, 2)), epsilon=1.0)
 
-    def test_method_and_budget_checked(self):
-        with pytest.raises(InputError):
-            sinkhorn_solve(self.C, epsilon=1.0, method="sor")
+    def test_budget_checked(self):
         with pytest.raises(InputError):
             sinkhorn_solve(self.C, epsilon=1.0, max_iters=0)
         with pytest.raises(InputError):
