@@ -19,6 +19,7 @@ uninterrupted run.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -78,12 +79,18 @@ def _decode(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    entries = header.get("arrays", []) if isinstance(header, dict) else None
+    well_formed = isinstance(entries, list) and all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+        and all(type(v) is int and v >= 0 for v in e["shape"]) for e in entries)
+    if not well_formed:
+        raise InputError(f"{path}: corrupt checkpoint header: expected an object naming each array "
+                         "and its shape of non-negative ints")
     offset = start + header_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in header.get("arrays", []):
-        shape = tuple(int(v) for v in entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * size
+    for entry in entries:
+        shape = tuple(entry["shape"])
+        end = offset + 8 * math.prod(shape)
         if end > len(blob):
             raise InputError(f"{path}: truncated checkpoint payload")
         arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)

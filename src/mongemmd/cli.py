@@ -22,13 +22,13 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .compare import compare_runs, comparison_to_csv
-from .config import RunConfig, config_reference, field_types, load_config
+from .config import RunConfig, config_reference, load_config
 from .data import DatasetSpec, generate, read_points_csv, write_points_csv
 from .errors import InputError, NumericError
 from .evaluation import evaluate
 from .kernel import KernelSpec
 from .train import LossHistory, TrainState, train
-from .util import atomic_write_text
+from .util import atomic_write_text, field_types, valid_range
 
 
 def _config_keys_help() -> str:
@@ -47,7 +47,7 @@ def _field_flag(parser, flag: str, cls, name: str, **kw) -> None:
         kw["type"] = kind
     elif isinstance(kind, type) and issubclass(kind, Enum):
         kw["choices"] = [e.value for e in kind]
-    text = f.metadata["help"]
+    text = "; ".join(filter(None, (f.metadata["help"], valid_range(cls, f))))
     if f.default is not MISSING:
         default = f.default
         if isinstance(default, Enum):
@@ -112,14 +112,9 @@ def cmd_train(args) -> int:
     if args.resume and ckpt_path.exists():
         params, opt, epoch = ckpt.load_train_state(ckpt_path)
         state = TrainState(params=params, optimizer=opt, epoch=epoch)
-        if loss_path.exists():
-            stored = LossHistory.from_csv(loss_path.read_text(encoding="utf-8"))
-            for i, e in enumerate(stored.epochs):
-                if e <= epoch:
-                    prior.epochs.append(e)
-                    prior.objective.append(stored.objective[i])
-                    prior.mmd2.append(stored.mmd2[i])
-                    prior.cost.append(stored.cost[i])
+        stored = (LossHistory.from_csv(loss_path.read_text(encoding="utf-8"))
+                  if loss_path.exists() else LossHistory())
+        prior = stored.through(epoch)
         print(f"resuming {cfg.label} at epoch {epoch}", file=sys.stderr)
 
     every = max(1, cfg.train.epochs // 10)
@@ -135,8 +130,9 @@ def cmd_train(args) -> int:
     state, hist = train(cfg.train, source, target, state=state, progress=progress)
     prior.extend(hist)
 
-    ckpt.save_train_state(ckpt_path, state.params, state.optimizer, state.epoch)
+    # loss.csv first: a crash between the writes leaves extra rows, which --resume drops.
     atomic_write_text(loss_path, prior.to_csv())
+    ckpt.save_train_state(ckpt_path, state.params, state.optimizer, state.epoch)
 
     src_spec, tgt_spec = _test_specs(cfg)
     report = evaluate(state.params, generate(src_spec), generate(tgt_spec), cfg.train.kernel)

@@ -26,33 +26,20 @@ from .sinkhorn import (
     squared_distance_matrix,
 )
 from .train import TrainConfig, train
-from .util import setting
+from .util import check_settings, setting
 
 
 @dataclass(frozen=True)
 class CompareConfig:
-    sizes: tuple[int, ...] = setting((200, 1000, 2000), "data sizes to benchmark")
+    sizes: tuple[int, ...] = setting((200, 1000, 2000), "data sizes to benchmark", at_least=2)
     epsilon: float | None = setting(
-        None, "sinkhorn regularization; null means 0.1 * median cost")
-    max_iters: int = setting(DEFAULT_MAX_ITERS, "sinkhorn iteration limit")
-    tol: float = setting(DEFAULT_TOL, "sinkhorn marginal violation to stop at")
-    seed: int = setting(0, "seed of the per-size draws")
-    size_cap: int = setting(4096, "refuse larger sizes (dense cost matrix memory)")
+        None, "sinkhorn regularization; null means 0.1 * median cost", above=0)
+    max_iters: int = setting(DEFAULT_MAX_ITERS, "sinkhorn iteration limit", at_least=1)
+    tol: float = setting(DEFAULT_TOL, "sinkhorn marginal violation to stop at", above=0)
+    seed: int = setting(0, "seed of the per-size draws", at_least=0)
+    size_cap: int = setting(4096, "refuse larger sizes (dense cost matrix memory)", at_least=2)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(v) for v in self.sizes))
-        if len(self.sizes) == 0 or any(v < 2 for v in self.sizes):
-            raise InputError(f"compare.sizes must all be >= 2, got {self.sizes}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise InputError(f"compare.epsilon must be positive or null, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise InputError(f"compare.max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise InputError(f"compare.tol must be positive, got {self.tol}")
-        if self.seed < 0:
-            raise InputError(f"compare.seed must be >= 0, got {self.seed}")
-        if self.size_cap < 2:
-            raise InputError(f"compare.size_cap must be >= 2, got {self.size_cap}")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,14 @@
 
 A run is described by one YAML file. Each key is a field of a config
 dataclass declared with ``util.setting``, which holds the key's default,
-type and help line; this module reads every section, and builds the
-``--help`` and README key tables, from those fields alone. Scalar keys can
-be overridden on the command line with ``--set section.key=value`` (values
-parsed as YAML). Validation errors always name the offending key.
+type, valid range and help line; this module reads every section, and
+builds the ``--help`` and README key tables, from those fields alone. Scalar
+keys can be overridden on the command line with ``--set section.key=value``
+(values parsed as YAML). Validation errors always name the offending key.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 import types
 import typing
@@ -26,21 +25,17 @@ from .errors import InputError
 from .kernel import KernelSpec
 from .optim import AdamHyper
 from .train import TrainConfig
-from .util import setting
+from .util import check_settings, field_types, setting, valid_range
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Held-out evaluation: fresh draws with shifted seeds, never training data."""
 
-    n: int = setting(1000, "held-out test points per side")
-    seed_offset: int = setting(10000, "test seed = data seed + offset")
+    n: int = setting(1000, "held-out test points per side", at_least=2)
+    seed_offset: int = setting(10000, "test seed = data seed + offset", at_least=1)
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise InputError(f"eval.n must be >= 2, got {self.n}")
-        if self.seed_offset < 1:
-            raise InputError(f"eval.seed_offset must be >= 1, got {self.seed_offset}")
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -94,15 +89,9 @@ def _reject_unknown(node: dict, allowed, where: str) -> None:
         raise InputError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-@functools.cache
-def field_types(cls) -> dict:
-    """The resolved annotations of a config dataclass, by field name."""
-    return typing.get_type_hints(cls)
-
-
 def _keys(cls) -> dict[str, Field]:
     """YAML key -> field, for the fields of ``cls`` declared with ``setting``."""
-    return {f.metadata.get("key", f.name): f for f in fields(cls) if "help" in f.metadata}
+    return {f.metadata["key"] or f.name: f for f in fields(cls) if "help" in f.metadata}
 
 
 def _convert(kind, v, where: str):
@@ -212,6 +201,8 @@ def _rows(prefix: str, base) -> list[tuple[str, str | None, str]]:
         text = f.metadata["help"]
         if isinstance(hints[f.name], type) and issubclass(hints[f.name], Enum):
             text = f"{text}: {_choices(hints[f.name])}"
+        elif rng := valid_range(cls, f):
+            text = f"{text}; {rng}"
         rows.append((prefix + key, None if default is MISSING else _yaml_text(default), text))
     return rows
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .util import as_points, atomic_write_text, setting
+from .util import as_points, atomic_write_text, check_settings, setting
 
 
 class DatasetFamily(str, Enum):
@@ -33,28 +33,14 @@ class DatasetFamily(str, Enum):
 @dataclass(frozen=True)
 class DatasetSpec:
     family: DatasetFamily = setting(MISSING, "point cloud family")
-    n: int = setting(MISSING, "number of points")
-    seed: int = setting(0, "draw seed")
-    noise: float = setting(0.05, "curve jitter SD (moons, circles)")
-    factor: float = setting(0.5, "inner circle radius (circles)")
+    n: int = setting(MISSING, "number of points", at_least=1)
+    seed: int = setting(0, "draw seed", at_least=0)
+    noise: float = setting(0.05, "curve jitter SD (moons, circles)", at_least=0)
+    factor: float = setting(0.5, "inner circle radius (circles)", above=0, below=1)
     mean: tuple[float, ...] = setting((0.0, 0.0), "gaussian location")
-    variance: float = setting(1.0, "gaussian per-coordinate variance")
+    variance: float = setting(1.0, "gaussian per-coordinate variance", above=0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", DatasetFamily(self.family))
-        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.noise) and self.noise >= 0.0):
-            raise InputError(f"noise must be finite and >= 0, got {self.noise}")
-        if not (np.isfinite(self.factor) and 0.0 < self.factor < 1.0):
-            raise InputError(f"factor must lie in (0, 1), got {self.factor}")
-        if len(self.mean) < 1 or not all(np.isfinite(v) for v in self.mean):
-            raise InputError(f"mean must be a nonempty finite vector, got {self.mean}")
-        if not (np.isfinite(self.variance) and self.variance > 0.0):
-            raise InputError(f"variance must be positive, got {self.variance}")
+    __post_init__ = check_settings
 
 
 # The default run maps N(0, I) onto N((5, 5), I), the Gaussian translation task.

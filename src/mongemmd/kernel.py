@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .util import as_points, setting
+from .util import as_points, check_settings, setting
 
 # Row blocks hold about 2**24 (row, column, coordinate) entries; the block
 # edges set the order in which the fused total and the MMD pair sums add up.
@@ -59,19 +59,11 @@ class KernelSpec:
     """
 
     family: KernelFamily = setting(KernelFamily.GAUSSIAN, "kernel family")
-    alpha: float = setting(1.0, "gaussian bandwidth exponent")
+    alpha: float = setting(1.0, "gaussian bandwidth exponent", above=0)
     matern_order: MaternOrder = setting(MaternOrder.THREE_HALVES, "matern smoothness")
-    lengthscale: float = setting(1.0, "matern lengthscale")
+    lengthscale: float = setting(1.0, "matern lengthscale", above=0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", KernelFamily(self.family))
-        object.__setattr__(self, "matern_order", MaternOrder(self.matern_order))
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise InputError(f"kernel alpha must be a positive finite real, got {self.alpha}")
-        if not (math.isfinite(self.lengthscale) and self.lengthscale > 0):
-            raise InputError(
-                f"kernel lengthscale must be a positive finite real, got {self.lengthscale}"
-            )
+    __post_init__ = check_settings
 
 
 def _eval_from_sqdist(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:

@@ -16,25 +16,17 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .nn import MlpParams, ParamGrads
-from .util import setting
+from .util import check_settings, setting
 
 
 @dataclass(frozen=True)
 class AdamHyper:
-    learning_rate: float = setting(1e-4, "adam step size")
-    beta1: float = setting(0.9, "adam first-moment decay")
-    beta2: float = setting(0.999, "adam second-moment decay")
-    eps: float = setting(1e-8, "adam stabilizer", key="adam_eps")
+    learning_rate: float = setting(1e-4, "adam step size", above=0)
+    beta1: float = setting(0.9, "adam first-moment decay", at_least=0, below=1)
+    beta2: float = setting(0.999, "adam second-moment decay", at_least=0, below=1)
+    eps: float = setting(1e-8, "adam stabilizer", key="adam_eps", above=0)
 
-    def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise InputError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and 0.0 <= v < 1.0):
-                raise InputError(f"{name} must lie in [0, 1), got {v}")
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise InputError(f"eps must be positive, got {self.eps}")
+    __post_init__ = check_settings
 
 
 @dataclass

@@ -89,17 +89,17 @@ def _violation(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 def _logsumexp(A: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(A), axis)) with the arithmetic of ``scipy.special.logsumexp``.
 
-    A slice whose maximum is not finite gives that maximum, as SciPy does:
-    -inf for an empty sum, +inf for an overflowing one.
+    Overwrites ``A``. A slice whose maximum is not finite gives that maximum,
+    as SciPy does: -inf for an empty sum, +inf for an overflowing one.
     """
     a_max = A.max(axis=axis, keepdims=True)
     tie = A == a_max
     m = np.expand_dims(np.count_nonzero(tie, axis=axis), axis).astype(np.float64)
     with np.errstate(invalid="ignore"):
-        e = A - a_max
-    np.exp(e, out=e)
-    np.copyto(e, 0.0, where=tie)
-    s = e.sum(axis=axis, keepdims=True)
+        A -= a_max
+    np.exp(A, out=A)
+    np.copyto(A, 0.0, where=tie)
+    s = A.sum(axis=axis, keepdims=True)
     s = np.where(s == 0, s, s / m)
     out = np.log1p(s) + np.log(m) + a_max
     return np.where(np.isfinite(a_max), out, a_max).squeeze(axis)

@@ -25,7 +25,7 @@ from .kernel import KernelSpec
 from .loss import LossValues, _evaluate
 from .nn import Activation, MlpParams, init_params
 from .optim import AdamHyper, AdamState, adam_init, adam_step
-from .util import as_points, setting
+from .util import as_points, check_settings, setting
 
 SHUFFLE_STREAM = 1
 
@@ -35,29 +35,18 @@ class TrainConfig:
     """Settings of one training run; ``kernel`` and ``optimizer`` come from
     the config's ``kernel`` section and the ``train`` section's Adam keys."""
 
-    epochs: int = setting(3000, "full passes over the data")
-    batch_size: int = setting(500, "points per update; the data size gives one batch per epoch")
-    inv_lambda: float = setting(1e-6, "cost weight 1/lambda; 0 trains pure matching")
+    epochs: int = setting(3000, "full passes over the data", at_least=0)
+    batch_size: int = setting(500, "points per update; the data size gives one batch per epoch",
+                              at_least=2)
+    inv_lambda: float = setting(1e-6, "cost weight 1/lambda; 0 trains pure matching", at_least=0)
     kernel: KernelSpec = KernelSpec()
-    hidden_widths: tuple[int, ...] = setting((64,), "hidden layer sizes")
+    hidden_widths: tuple[int, ...] = setting((64,), "hidden layer sizes", at_least=1)
     hidden_activation: Activation = setting(Activation.RELU, "hidden layer activation")
     optimizer: AdamHyper = AdamHyper()
-    seed: int = setting(0, "network init and shuffling seed")
+    seed: int = setting(0, "network init and shuffling seed", at_least=0)
     shuffle: bool = setting(True, "reshuffle source and target every epoch")
 
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(v) for v in self.hidden_widths))
-        object.__setattr__(self, "hidden_activation", Activation(self.hidden_activation))
-        if self.epochs < 0:
-            raise InputError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 2:
-            raise InputError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not (np.isfinite(self.inv_lambda) and self.inv_lambda >= 0.0):
-            raise InputError(f"inv_lambda must be finite and >= 0, got {self.inv_lambda}")
-        if len(self.hidden_widths) < 1 or any(v < 1 for v in self.hidden_widths):
-            raise InputError(f"hidden_widths must be positive, got {self.hidden_widths}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = check_settings
 
 
 @dataclass
@@ -92,6 +81,16 @@ class LossHistory:
 
     def __len__(self) -> int:
         return len(self.epochs)
+
+    def through(self, epoch: int) -> "LossHistory":
+        """The rows of epochs 1..``epoch``; InputError unless they are exactly those, in order."""
+        rows = [r for r in zip(self.epochs, self.objective, self.mmd2, self.cost) if r[0] <= epoch]
+        if [r[0] for r in rows] != list(range(1, epoch + 1)):
+            missing = sorted(set(range(1, epoch + 1)).difference(r[0] for r in rows))
+            shown = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
+            raise InputError(f"loss history does not hold epochs 1..{epoch} once each, in order;"
+                             f" missing: {shown or 'none'}")
+        return LossHistory(*map(list, zip(*rows)))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -2,24 +2,67 @@
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import os
 import tempfile
-from dataclasses import field
+import typing
+from dataclasses import field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
 
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
-def setting(default, help: str, key: str | None = None):
-    """A run-config field: its default and the help line that ``--help`` and the README show.
 
-    Pass ``dataclasses.MISSING`` for a field without a default. ``key`` is
-    the YAML key when it differs from the field name.
-    """
-    meta = {"help": help} if key is None else {"help": help, "key": key}
-    return field(default=default, metadata=meta)
+def setting(default, help: str, key: str | None = None, *, above=None, at_least=None, below=None):
+    """A run-config field: its default, help line and valid range, which ``--help`` shows.
+
+    ``MISSING`` means no default; ``key`` is the YAML key if not the field name.
+    ``above``/``at_least`` is an exclusive/inclusive lower bound and ``below``
+    an exclusive upper bound on each number the field holds."""
+    bounds = [(op, b) for op, b in ((">", above), (">=", at_least), ("<", below)) if b is not None]
+    return field(default=default, metadata={"help": help, "key": key, "bounds": bounds})
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """The resolved annotations of a config dataclass, by field name."""
+    return typing.get_type_hints(cls)
+
+
+def valid_range(cls, f) -> str:
+    """What each number of field ``f`` must be, e.g. ``finite and > 0``; '' if it holds none."""
+    kind = field_types(cls)[f.name]
+    num = (typing.get_args(kind) or (kind,))[0]  # X of X, X | None and tuple[X, ...]
+    if num not in (int, float):
+        return ""
+    words = ["finite"] if num is float else []
+    text = " and ".join(words + [f"{op} {b}" for op, b in f.metadata["bounds"]])
+    return f"nonempty, each {text}" if typing.get_origin(kind) is tuple else text
+
+
+def check_settings(obj) -> None:
+    """The ``__post_init__`` of a frozen config dataclass: coerce, then range-check, its settings.
+
+    Enum and tuple values take their annotated types (a bad Enum value raises ValueError);
+    then a tuple must be nonempty and each number finite and in bounds, or InputError says so."""
+    for f in fields(obj):
+        kind, value = field_types(type(obj))[f.name], getattr(obj, f.name)
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            value = kind(value)
+        elif typing.get_origin(kind) is tuple:
+            value = tuple(map(typing.get_args(kind)[0], value))
+        object.__setattr__(obj, f.name, value)
+        entries = value if isinstance(value, tuple) else (value,)
+        rng = valid_range(type(obj), f) if value is not None else ""
+        if rng and not (entries and all(math.isfinite(v) and all(
+                _BOUNDS[op](v, b) for op, b in f.metadata["bounds"]) for v in entries)):
+            raise InputError(f"{f.metadata['key'] or f.name} must be {rng}, got {value!r}")
 
 
 def as_points(x, name: str = "points") -> np.ndarray:

@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -176,6 +178,34 @@ class TestCorruption:
             blob[i] = ord("?")
         path.write_bytes(bytes(blob))
         with pytest.raises(InputError):
+            load_params(path)
+
+    def write_edited_header(self, tmp_path, edit):
+        """A state checkpoint whose JSON header is replaced by ``edit(header)``."""
+        path = self.write_state(tmp_path)
+        blob = path.read_bytes()
+        header_len = struct.unpack_from("<I", blob, 12)[0]
+        header = json.dumps(edit(json.loads(blob[16:16 + header_len]))).encode()
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + header_len:])
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {**h, "arrays": [{"name": a["name"]} for a in h["arrays"]]},
+        lambda h: {**h, "arrays": ["w0"] + h["arrays"][1:]},
+        lambda h: [h],
+    ], ids=["entry-without-shape", "entry-is-a-string", "header-is-a-list"])
+    def test_malformed_header_names_the_file(self, tmp_path, edit):
+        path = self.write_edited_header(tmp_path, edit)
+        with pytest.raises(InputError, match=re.escape(f"{path}: corrupt checkpoint header")):
+            load_params(path)
+
+    @pytest.mark.parametrize("shape", [[2**70], [2**32, 2**32]],
+                             ids=["beyond-int64", "product-wraps-in-int64"])
+    def test_huge_shape_is_a_truncated_payload(self, tmp_path, shape):
+        path = self.write_edited_header(
+            tmp_path, lambda h: {**h, "arrays": [{"name": "w0", "shape": shape}] + h["arrays"][1:]})
+        with pytest.raises(InputError, match="truncated checkpoint payload"):
             load_params(path)
 
     def test_missing_file(self, tmp_path):

@@ -120,6 +120,48 @@ class TestTrain:
         assert rc == 2
         assert "loss history line 3" in capsys.readouterr().err
 
+    def test_resume_refuses_a_loss_history_with_a_gap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet"]) == 0
+        loss = tmp_path / "out" / "loss.csv"
+        loss.write_text("".join(loss.read_text().splitlines(keepends=True)[:3]))
+        capsys.readouterr()
+        rc = main(["train", str(cfg), "--quiet", "--resume", "--set", "train.epochs=6"])
+        assert rc == 2
+        assert "epochs 1..4 once each, in order; missing: 3, 4" in capsys.readouterr().err
+        assert LossHistory.from_csv(loss.read_text()).epochs == [1, 2]
+
+    def test_resume_refuses_a_deleted_loss_history(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=6"]) == 0
+        loss = tmp_path / "out" / "loss.csv"
+        loss.unlink()
+        capsys.readouterr()
+        rc = main(["train", str(cfg), "--quiet", "--resume", "--set", "train.epochs=8"])
+        assert rc == 2
+        assert "missing: 1, 2, 3, 4, 5, 6" in capsys.readouterr().err
+        assert not loss.exists()
+
+    def test_crash_between_the_writes_leaves_a_resumable_run(self, tmp_path, monkeypatch):
+        """loss.csv is written first, so the crash leaves extra rows that resume drops."""
+        cfg_full = write_config(tmp_path / "full.yaml", tmp_path / "out_full")
+        assert main(["train", str(cfg_full), "--quiet"]) == 0
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+
+        def disk_full(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("mongemmd.checkpoint.save_train_state", disk_full)
+            assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
+        out = tmp_path / "out"
+        assert LossHistory.from_csv((out / "loss.csv").read_text()).epochs == [1, 2, 3, 4]
+        assert load_train_state(out / "model.ckpt")[2] == 2
+        assert main(["train", str(cfg), "--quiet", "--resume"]) == 0
+        for name in ("model.ckpt", "loss.csv", "eval.json"):
+            assert (out / name).read_bytes() == (tmp_path / "out_full" / name).read_bytes()
+
     def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg)]) == 0
@@ -240,6 +282,15 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "size_cap" in err and "GB" in err
 
+    def test_infinite_tol_is_refused_before_any_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("compare trained a map before refusing its config")
+
+        monkeypatch.setattr("mongemmd.compare.train", no_training)
+        rc = main(["compare", str(self.compare_config(tmp_path)), "--set", "compare.tol=.inf"])
+        assert rc == 2
+        assert "compare: tol must be finite and > 0, got inf" in capsys.readouterr().err
+
     def test_non_gaussian_task_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cmp.yaml", tmp_path / "out",
@@ -260,6 +311,17 @@ class TestParser:
         for key in ("inv_lambda", "hidden_widths", "hidden_activation",
                     "learning_rate", "seed_offset", "size_cap", "epsilon"):
             assert key in text, f"--help does not document {key}"
+
+    def test_help_shows_each_range(self):
+        subactions = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        help_of = {name: " ".join(p.format_help().split())
+                   for name, p in subactions[0].choices.items()}
+        assert "inner circle radius (circles); finite and > 0 and < 1" in help_of["generate"]
+        assert "matern lengthscale; finite and > 0" in help_of["eval"]
+        assert "compare.sizes ([200, 1000, 2000]) data sizes to benchmark; nonempty, each >= 2" \
+            in help_of["compare"]
+        assert "train.adam_eps (1.0e-08) adam stabilizer; finite and > 0" in help_of["train"]
 
     def test_flag_defaults_are_the_dataclass_defaults(self):
         parser = build_parser()

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,9 @@ from mongemmd.config import (
 )
 from mongemmd.data import DatasetFamily
 from mongemmd.errors import InputError
+from mongemmd.kernel import KernelSpec
+from mongemmd.optim import AdamHyper
+from mongemmd.train import TrainConfig
 
 MINIMAL = {"out_dir": "runs/demo"}
 
@@ -304,3 +308,84 @@ class TestReference:
     def test_epsilon_may_be_null(self):
         cfg = config_from_tree({**MINIMAL, "compare": {"epsilon": None}})
         assert cfg.compare.epsilon is None
+
+
+TINY = 5e-324  # the smallest positive float
+BELOW_ONE = 0.9999999999999999  # the largest float below 1
+INF, NAN = float("inf"), float("nan")
+
+# (YAML key, last accepted values, first refused values) of every bounded key,
+# read off the ranges that the config dataclasses have always enforced. Only
+# the infinite tol and epsilon were once accepted.
+BOUNDARIES = [
+    ("train.epochs", [0], [-1]),
+    ("train.batch_size", [2], [1]),
+    ("train.inv_lambda", [0.0], [-1e-300, INF]),
+    ("train.hidden_widths", [[1]], [[], [0]]),
+    ("train.seed", [0], [-1]),
+    ("train.learning_rate", [TINY], [0.0]),
+    ("train.beta1", [0.0, BELOW_ONE], [-TINY, 1.0]),
+    ("train.beta2", [0.0, BELOW_ONE], [-TINY, 1.0]),
+    ("train.adam_eps", [TINY], [0.0]),
+    ("source.n", [1], [0]),
+    ("source.seed", [0], [-1]),
+    ("source.noise", [0.0], [-TINY]),
+    ("source.factor", [TINY, BELOW_ONE], [0.0, 1.0]),
+    ("source.mean", [[0.0]], [[], [NAN], [INF]]),
+    ("source.variance", [TINY], [0.0]),
+    ("kernel.alpha", [TINY], [0.0, NAN, INF]),
+    ("kernel.lengthscale", [TINY], [0.0, NAN, INF]),
+    ("eval.n", [2], [1]),
+    ("eval.seed_offset", [1], [0]),
+    ("compare.sizes", [[2]], [[], [1]]),
+    ("compare.epsilon", [None, TINY], [0.0, INF]),
+    ("compare.tol", [TINY], [0.0, INF]),
+    ("compare.max_iters", [1], [0]),
+    ("compare.seed", [0], [-1]),
+    ("compare.size_cap", [2], [1]),
+]
+ACCEPTED = [(key, v) for key, ok, _ in BOUNDARIES for v in ok]
+REFUSED = [(key, v) for key, _, bad in BOUNDARIES for v in bad]
+
+
+def construct(key: str, value):
+    """The dataclass that holds ``key``, built directly with ``value`` for it."""
+    section, leaf = key.split(".")
+    if section == "train" and leaf in ("learning_rate", "beta1", "beta2", "adam_eps"):
+        return replace(AdamHyper(), **{"eps" if leaf == "adam_eps" else leaf: value})
+    base = {"train": TrainConfig(), "source": DEFAULT_SOURCE, "kernel": KernelSpec(),
+            "eval": EvalConfig(), "compare": CompareConfig()}[section]
+    return replace(base, **{leaf: value})
+
+
+class TestRangeBoundaries:
+    @pytest.mark.parametrize("key,value", ACCEPTED, ids=[f"{k}={v!r}" for k, v in ACCEPTED])
+    def test_last_accepted_value(self, key, value):
+        config_from_tree(tree_with(key, value))
+        construct(key, value)
+
+    @pytest.mark.parametrize("key,value", REFUSED, ids=[f"{k}={v!r}" for k, v in REFUSED])
+    def test_first_refused_value(self, key, value):
+        section = key.split(".")[0]
+        with pytest.raises(InputError, match=rf"^{section}[.:]"):
+            config_from_tree(tree_with(key, value))
+        with pytest.raises(InputError):
+            construct(key, value)
+
+    def test_message_names_the_key_and_the_range(self):
+        with pytest.raises(InputError, match=re.escape(
+                "train: adam_eps must be finite and > 0, got 0.0")):
+            config_from_tree(tree_with("train.adam_eps", 0.0))
+        with pytest.raises(InputError, match=re.escape(
+                "hidden_widths must be nonempty, each >= 1, got (1, 0)")):
+            TrainConfig(hidden_widths=[1, 0])
+        with pytest.raises(InputError, match=re.escape("n must be >= 2, got 1")):
+            EvalConfig(n=1)
+
+    def test_lists_and_enum_names_are_coerced(self):
+        spec = replace(DEFAULT_SOURCE, family="two_moons", mean=[1, 2])
+        assert spec.family is DatasetFamily.TWO_MOONS
+        assert spec.mean == (1.0, 2.0) and all(type(v) is float for v in spec.mean)
+        assert CompareConfig(sizes=[8, 12]).sizes == (8, 12)
+        with pytest.raises(ValueError):
+            KernelSpec(family="laplace")
