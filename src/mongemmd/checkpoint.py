@@ -36,6 +36,8 @@ FORMAT_VERSION = 1
 KIND_MAP = "map"
 KIND_TRAIN_STATE = "train_state"
 
+_ADAM_KEYS = ("learning_rate", "beta1", "beta2", "eps")  # AdamHyper's fields, as saved
+
 
 def _layer_arrays(layers: MlpParams | ParamGrads, prefix: str = "") -> list[tuple[str, np.ndarray]]:
     """Named per-layer views in payload order: w0, b0, w1, b1, ..."""
@@ -135,12 +137,7 @@ def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> Non
         "activations": [a.value for a in params.activations],
         "epoch": int(epoch),
         "step_count": int(opt.step_count),
-        "adam": {
-            "learning_rate": opt.hyper.learning_rate,
-            "beta1": opt.hyper.beta1,
-            "beta2": opt.hyper.beta2,
-            "eps": opt.hyper.eps,
-        },
+        "adam": {k: getattr(opt.hyper, k) for k in _ADAM_KEYS},
     }
     arrays = (_layer_arrays(params) + _layer_arrays(opt.first_moment, "m_")
               + _layer_arrays(opt.second_moment, "v_"))
@@ -153,21 +150,23 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
     if header.get("kind") != KIND_TRAIN_STATE:
         raise InputError(f"{path}: not a training-state checkpoint")
     params = _params_from(header, arrays)
+    adam_cfg = header.get("adam")
+    if not (isinstance(adam_cfg, dict) and sorted(adam_cfg) == sorted(_ADAM_KEYS)
+            and all(type(v) in (int, float) for v in adam_cfg.values())):
+        raise InputError(f"{path}: corrupt checkpoint header: adam must be an object of four "
+                         f"real numbers ({', '.join(_ADAM_KEYS)})")
+    for key in ("epoch", "step_count"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            raise InputError(f"{path}: corrupt checkpoint header: {key} must be an integer "
+                             f">= 0, got {header.get(key)!r}")
+    hyper = AdamHyper(**{k: float(adam_cfg[k]) for k in _ADAM_KEYS})
     try:
-        adam_cfg = header["adam"]
-        hyper = AdamHyper(
-            learning_rate=float(adam_cfg["learning_rate"]),
-            beta1=float(adam_cfg["beta1"]),
-            beta2=float(adam_cfg["beta2"]),
-            eps=float(adam_cfg["eps"]),
-        )
         first = ParamGrads(*_layer_lists(arrays, params.n_layers, "m_"))
         second = ParamGrads(*_layer_lists(arrays, params.n_layers, "v_"))
-        epoch = int(header["epoch"])
-        step_count = int(header["step_count"])
     except KeyError as exc:
-        raise InputError(f"{path}: checkpoint missing field {exc}") from exc
+        raise InputError(f"{path}: checkpoint payload missing array {exc}") from exc
     if not first.layout == second.layout == params.layout:
         raise InputError(f"{path}: moment arrays do not match parameters")
-    opt = AdamState(hyper=hyper, first_moment=first, second_moment=second, step_count=step_count)
-    return params, opt, epoch
+    opt = AdamState(hyper=hyper, first_moment=first, second_moment=second,
+                    step_count=header["step_count"])
+    return params, opt, header["epoch"]

@@ -87,10 +87,10 @@ def compare_runs(
 
     For each size n in ``compare.sizes``, both methods map the same n draws
     from ``source`` onto n draws from ``target``; the specs give the means
-    and variances, their own sizes and seeds are replaced per run. Rows
-    report per-coordinate mean and SD of the mapped points. The neural rows
-    time training; the Sinkhorn rows time the solve (epsilon defaults to
-    0.1 * median cost, recorded per row).
+    (two coordinates each, as the rows report two) and variances, their own
+    sizes and seeds are replaced per run. Rows report per-coordinate mean and
+    SD of the mapped points. The neural rows time training; the Sinkhorn rows
+    time the solve (epsilon defaults to 0.1 * median cost, recorded per row).
     """
     worst = max(compare.sizes)
     if worst > compare.size_cap:
@@ -103,6 +103,10 @@ def compare_runs(
     gaussian = DatasetFamily.ISOTROPIC_GAUSSIAN
     if source.family is not gaussian or target.family is not gaussian:
         raise InputError("compare requires isotropic_gaussian source and target")
+    for name, spec in (("source", source), ("target", target)):
+        if len(spec.mean) != 2:
+            raise InputError(f"compare reports two coordinates, so {name}.mean must have "
+                             f"length 2, got {len(spec.mean)}")
     rows: list[ComparisonRow] = []
     for size in compare.sizes:
         src = generate(replace(source, n=size, seed=_derived_seed(compare.seed, size, 0)))

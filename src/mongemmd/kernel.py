@@ -11,16 +11,20 @@ Two families are provided, both bounded in (0, 1]:
     5/2:  (1 + sqrt(5) r/ell + 5 r^2/(3 ell^2)) exp(-sqrt(5) r/ell)
 
 For every family the spatial gradient factors as
-``dK/dx (x, y) = coeff(r) * (x - y)``; ``kernel_sum_and_grad_rowsum`` uses
-that factorization to batch kernel sums and gradient sums uniformly across
-families, sharing one exponential between them.
+``dK/dx (x, y) = coeff(r) * (x - y)``; one formula routine gives the values
+and, when asked, the coefficients, sharing one exponential between them.
 
 All arithmetic is float64. Squared distances come from one routine,
 ``_sqdist``, which sums one coordinate at a time; the Gram matrix, the
 batched routines, the scalar ``kernel_eval`` and the Sinkhorn cost matrix
-all use it, so their entries agree bit for bit at every dimension. Gram
-computation walks row blocks in a fixed order, so results do not depend on
-how callers parallelize over rows.
+all use it, so their entries agree bit for bit at every dimension.
+
+Every kernel sum (the MMD estimators', the training loss's and
+``kernel_sum_and_grad_rowsum``'s) is one walk, ``_kernel_sum``: it adds the
+Gram matrix one row block at a time in a fixed order, with one block in
+memory, and takes the row-wise gradient sums from the same block when asked.
+A sum therefore has the same bits with or without its gradient, and does
+not depend on how callers parallelize over rows.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError
-from .util import as_points, check_settings, setting
+from .util import as_point_pair, check_settings, setting
 
 # Row blocks hold about 2**24 (row, column, coordinate) entries; the block
-# edges set the order in which the fused total and the MMD pair sums add up.
+# edges set the order in which every kernel sum adds up.
 _BLOCK_ELEMS = 1 << 24
 
 
@@ -66,44 +70,31 @@ class KernelSpec:
     __post_init__ = check_settings
 
 
-def _eval_from_sqdist(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Kernel values from squared distances (element-wise)."""
-    if spec.family is KernelFamily.GAUSSIAN:
-        return np.exp(-spec.alpha * sq)
-    r = np.sqrt(sq)
-    ell = spec.lengthscale
-    if spec.matern_order is MaternOrder.HALF:
-        return np.exp(-r / ell)
-    if spec.matern_order is MaternOrder.THREE_HALVES:
-        z = (math.sqrt(3.0) / ell) * r
-        return (1.0 + z) * np.exp(-z)
-    z = (math.sqrt(5.0) / ell) * r
-    return (1.0 + z + z * z / 3.0) * np.exp(-z)
+def _eval_from_sqdist(spec: KernelSpec, sq: np.ndarray, want_coeff: bool = False):
+    """Kernel values from squared distances, element-wise, and with ``want_coeff``
+    the coefficients c(r) with dK/dx = c(r) * (x - y) (else None).
 
-
-def _eval_and_coeff_from_sqdist(spec: KernelSpec, sq: np.ndarray):
-    """Kernel values and coefficients c(r) with dK/dx = c(r) * (x - y), element-wise.
-
-    The values equal ``_eval_from_sqdist`` term for term; the two share one
-    exponential, which dominates the cost. Matern order 1/2 diverges at
-    r = 0; the caller is responsible for coincident points there.
+    Each family's value is written once and the coefficient reuses its
+    exponential, which dominates the cost. Matern order 1/2 diverges at r = 0;
+    the caller is responsible for coincident points there.
     """
     ell = spec.lengthscale
     if spec.family is KernelFamily.GAUSSIAN:
         k = np.exp(-spec.alpha * sq)
-        return k, -2.0 * spec.alpha * k
+        return k, -2.0 * spec.alpha * k if want_coeff else None
     r = np.sqrt(sq)
     if spec.matern_order is MaternOrder.HALF:
         k = np.exp(-r / ell)
         with np.errstate(divide="ignore"):
-            return k, -k / (ell * r)
+            return k, -k / (ell * r) if want_coeff else None
     if spec.matern_order is MaternOrder.THREE_HALVES:
         z = (math.sqrt(3.0) / ell) * r
         e = np.exp(-z)
-        return (1.0 + z) * e, -(3.0 / ell**2) * e
+        return (1.0 + z) * e, -(3.0 / ell**2) * e if want_coeff else None
     z = (math.sqrt(5.0) / ell) * r
     e = np.exp(-z)
-    return (1.0 + z + z * z / 3.0) * e, -(5.0 / (3.0 * ell**2)) * (1.0 + z) * e
+    k = (1.0 + z + z * z / 3.0) * e
+    return k, -(5.0 / (3.0 * ell**2)) * (1.0 + z) * e if want_coeff else None
 
 
 def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +131,7 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     x, y = _as_vector_pair(x, y)
     # The Gram's own distance routine, so Gram entries and scalar evaluations
     # agree bit for bit.
-    return float(_eval_from_sqdist(spec, _sqdist(x[None], y[None])[0, 0]))
+    return float(_eval_from_sqdist(spec, _sqdist(x[None], y[None])[0, 0])[0])
 
 
 def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
@@ -155,7 +146,7 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
         if spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF:
             raise InputError("Matern order 1/2 has no gradient at coincident points")
         return np.zeros_like(x)
-    _, coeff = _eval_and_coeff_from_sqdist(spec, sq)
+    _, coeff = _eval_from_sqdist(spec, sq, want_coeff=True)
     return float(coeff) * (x - y)
 
 
@@ -171,13 +162,10 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     Gram(X, X) is symmetric positive semidefinite (strictly positive
     definite for distinct points).
     """
-    X = as_points(X, "X")
-    Y = as_points(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
+    X, Y = as_point_pair(X, Y)
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
-        out[i0:i1] = _eval_from_sqdist(spec, _sqdist(X[i0:i1], Y))
+        out[i0:i1] = _eval_from_sqdist(spec, _sqdist(X[i0:i1], Y))[0]
     return out
 
 
@@ -194,43 +182,45 @@ def kernel_sum_and_grad_rowsum(
     families; Matern order 1/2 raises on any included coincident pair, where
     its gradient is undefined. One batch step needs both quantities, and
     they share the distance matrix and exponential, so computing them
-    together nearly halves the kernel work. The sum is bit-equal to the MMD
-    pair sum; to ``kernel_gram(...).sum()`` only within one row block.
-
-    Walks row blocks in a fixed order, so each row's reduction order is
-    independent of how callers parallelize over rows.
+    together nearly halves the kernel work. The sum equals
+    ``kernel_gram(...).sum()`` only within one row block.
     """
-    X = as_points(X, "X")
-    Y = as_points(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
+    X, Y = as_point_pair(X, Y)
     if skip_equal_index and X.shape[0] != Y.shape[0]:
         raise InputError("skip_equal_index requires equally sized sets")
-    return _sum_and_grad_rowsum(spec, X, Y, skip_equal_index)
+    return _kernel_sum(spec, X, Y, want_grad=True, skip_equal_index=skip_equal_index)
 
 
-def _sum_and_grad_rowsum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, skip_equal_index: bool):
-    """``kernel_sum_and_grad_rowsum`` on validated point sets (Matern 1/2 still raises)."""
+def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *, want_grad: bool = False,
+                skip_equal_index: bool = False) -> tuple[float, np.ndarray | None]:
+    """``(sum_{ij} K(X_i, Y_j), G or None)`` over validated point sets: the one summing walk.
+
+    ``G`` is computed only with ``want_grad``, under the rules of
+    ``kernel_sum_and_grad_rowsum`` (Matern 1/2 still raises on coincident
+    pairs); the total is the same either way.
+    """
     half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
-    out = np.empty_like(X)
+    out = np.empty_like(X) if want_grad else None
     total = 0.0
     for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
         block = X[i0:i1]
         sq = _sqdist(block, Y)
+        k, coeff = _eval_from_sqdist(spec, sq, want_grad)
+        total += float(k.sum())
+        if not want_grad:
+            continue
         diag = (np.arange(i1 - i0), np.arange(i0, i1))
         zero = sq == 0.0
         if skip_equal_index:
             zero[diag] = False
         if half and zero.any():
             raise InputError("Matern order 1/2 has no gradient at coincident points")
-        k, coeff = _eval_and_coeff_from_sqdist(spec, sq)
         # At zero distance the pair's gradient contribution vanishes (smooth
         # families) or the pair is excluded; either way the coefficient must
         # not pollute the row sums.
         coeff[zero] = 0.0
         if skip_equal_index:
             coeff[diag] = 0.0
-        total += float(k.sum())
         out[i0:i1] = coeff.sum(axis=1)[:, None] * block - coeff @ Y
     return total, out
 

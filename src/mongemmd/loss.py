@@ -25,10 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernel import KernelSpec, _sum_and_grad_rowsum
-from .mmd import _pair_sum
+from .kernel import KernelSpec, _kernel_sum
 from .nn import MlpParams, ParamGrads, _backward, _forward_checked
-from .util import as_points
+from .util import as_point_pair
 
 
 def cost_values(X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -48,17 +47,13 @@ class LossValues(NamedTuple):
 
 
 def _check_batch(params: MlpParams, X, Y, inv_lambda: float):
-    X = as_points(X, "X")
-    Y = as_points(Y, "Y")
+    X, Y = as_point_pair(X, Y)
     if X.shape[0] != Y.shape[0]:
         raise InputError(f"batch sizes must match, got {X.shape[0]} and {Y.shape[0]}")
     if X.shape[0] < 2:
         raise InputError("need at least 2 points per batch for the unbiased statistic")
-    if X.shape[1] != Y.shape[1] or X.shape[1] != params.input_dim:
-        raise InputError(
-            f"dimension mismatch: X has {X.shape[1]}, Y has {Y.shape[1]}, "
-            f"map expects {params.input_dim}"
-        )
+    if X.shape[1] != params.input_dim:
+        raise InputError(f"map expects dimension {params.input_dim}, X and Y have {X.shape[1]}")
     if not (np.isfinite(inv_lambda) and inv_lambda >= 0.0):
         raise InputError(f"inv_lambda must be finite and >= 0, got {inv_lambda}")
     return X, Y
@@ -78,22 +73,18 @@ def _evaluate(
     cache = _forward_checked(params, X)
     T = cache[0]
     mean_cost = float(cost_values(X, T).mean())
-    if want_grad:
-        try:
-            sxx_full, gxx = _sum_and_grad_rowsum(kernel, T, T, skip_equal_index=True)
-            sxy, gxy = _sum_and_grad_rowsum(kernel, T, Y, skip_equal_index=False)
-        except InputError as exc:
-            # Shapes were checked above, so the kernel can only refuse coincident
-            # images (Matern 1/2); the map made them, so it is a numeric failure.
-            raise NumericError(str(exc)) from exc
-    else:
-        sxx_full = _pair_sum(kernel, T, T)
-        sxy = _pair_sum(kernel, T, Y)
+    try:
+        sxx_full, gxx = _kernel_sum(kernel, T, T, want_grad=want_grad, skip_equal_index=True)
+        sxy, gxy = _kernel_sum(kernel, T, Y, want_grad=want_grad)
+    except InputError as exc:
+        # Shapes were checked above, so the kernel can only refuse coincident
+        # images (Matern 1/2); the map made them, so it is a numeric failure.
+        raise NumericError(str(exc)) from exc
     # The diagonal of K(T, T) is exactly m ones; removing it leaves the
     # off-diagonal U-statistic sum.
     xx = (sxx_full - m) / (m * (m - 1))
     cross = -2.0 * sxy / (m * m)
-    yy = (_pair_sum(kernel, Y, Y) - m) / (m * (m - 1))
+    yy = (_kernel_sum(kernel, Y, Y)[0] - m) / (m * (m - 1))
     objective = inv_lambda * mean_cost + xx + cross
     values = LossValues(float(objective), float(xx + cross + yy), mean_cost)
     if not all(math.isfinite(v) for v in values):

@@ -10,9 +10,8 @@ and may be negative; it is never clamped, since unbiasedness is the point.
 The V-statistic (biased) companion keeps all pairs with divisors M^2, N^2,
 is nonnegative, and vanishes exactly on identical multisets.
 
-Pair sums add up row blocks of the Gram matrix in order, the blocks and order
-of the training loss's fused sums, so memory is bounded by one row block and
-the loss's values equal these bit for bit.
+Every pair sum and gradient is the kernel's one summing walk, ``_kernel_sum``,
+so memory is bounded by one row block of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -20,29 +19,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .kernel import KernelFamily, KernelSpec, kernel_grad_x_rowsum
-from .kernel import _eval_from_sqdist, _row_blocks, _sqdist
-from .util import as_points
+from .kernel import KernelFamily, KernelSpec, _kernel_sum
+from .util import as_point_pair
 
 
 def _check_pair(X, Y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
-    X = as_points(X, "X")
-    Y = as_points(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
+    X, Y = as_point_pair(X, Y)
     if X.shape[0] < min_size or Y.shape[0] < min_size:
         raise InputError(
             f"need at least {min_size} points per set, got {X.shape[0]} and {Y.shape[0]}"
         )
     return X, Y
-
-
-def _pair_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> float:
-    """sum_{i,j} K(X_i, Y_j) over validated point sets, one row block at a time."""
-    total = 0.0
-    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
-        total += float(_eval_from_sqdist(spec, _sqdist(X[i0:i1], Y)).sum())
-    return total
 
 
 def mmd2_unbiased(spec: KernelSpec, X, Y) -> float:
@@ -54,9 +41,9 @@ def mmd2_unbiased(spec: KernelSpec, X, Y) -> float:
     m, n = X.shape[0], Y.shape[0]
     # K(x, x) == 1 exactly for every supported family, so the diagonal of the
     # (X, X) Gram sums to exactly m.
-    sxx = _pair_sum(spec, X, X) - m
-    syy = _pair_sum(spec, Y, Y) - n
-    sxy = _pair_sum(spec, X, Y)
+    sxx = _kernel_sum(spec, X, X)[0] - m
+    syy = _kernel_sum(spec, Y, Y)[0] - n
+    sxy = _kernel_sum(spec, X, Y)[0]
     return sxx / (m * (m - 1)) - 2.0 * sxy / (m * n) + syy / (n * (n - 1))
 
 
@@ -70,9 +57,9 @@ def mmd2_biased(spec: KernelSpec, X, Y) -> float:
     if X.tobytes() > Y.tobytes():
         X, Y = Y, X
     m, n = X.shape[0], Y.shape[0]
-    sxx = _pair_sum(spec, X, X)
-    syy = _pair_sum(spec, Y, Y)
-    sxy = _pair_sum(spec, X, Y)
+    sxx = _kernel_sum(spec, X, X)[0]
+    syy = _kernel_sum(spec, Y, Y)[0]
+    sxy = _kernel_sum(spec, X, Y)[0]
     val = sxx / (m * m) - 2.0 * sxy / (m * n) + syy / (n * n)
     # Mathematically >= 0; rounding may leave a tiny negative residue.
     return max(0.0, val)
@@ -86,8 +73,8 @@ def mmd2_unbiased_grad_points(spec: KernelSpec, X, Y) -> np.ndarray:
     """
     X, Y = _check_pair(X, Y, min_size=2)
     m, n = X.shape[0], Y.shape[0]
-    g_xx = kernel_grad_x_rowsum(spec, X, X, skip_equal_index=True)
-    g_xy = kernel_grad_x_rowsum(spec, X, Y)
+    _, g_xx = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
+    _, g_xy = _kernel_sum(spec, X, Y, want_grad=True)
     return (2.0 / (m * (m - 1))) * g_xx - (2.0 / (m * n)) * g_xy
 
 

@@ -180,8 +180,9 @@ def init_params(
     return MlpParams(weights, biases, acts)
 
 
-def _forward_cached(params: MlpParams, X: np.ndarray):
-    """Forward pass keeping per-layer inputs and pre/post activations."""
+def _forward_checked(params: MlpParams, X: np.ndarray):
+    """Forward pass on validated points, keeping per-layer inputs and pre/post
+    activations; refuses a non-finite output with NumericError."""
     h = X
     inputs, pres, posts = [], [], []
     for w, b, act in zip(params.weights, params.biases, params.activations):
@@ -190,15 +191,9 @@ def _forward_cached(params: MlpParams, X: np.ndarray):
         h = _apply(act, a)
         pres.append(a)
         posts.append(h)
-    return h, inputs, pres, posts
-
-
-def _forward_checked(params: MlpParams, X: np.ndarray):
-    """``_forward_cached`` on validated points, refusing a non-finite output."""
-    cache = _forward_cached(params, X)
-    if not np.isfinite(cache[0]).all():
+    if not np.isfinite(h).all():
         raise NumericError("forward pass produced non-finite values")
-    return cache
+    return h, inputs, pres, posts
 
 
 def mlp_forward_batch(params: MlpParams, X) -> np.ndarray:
@@ -222,6 +217,7 @@ def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
 
     ``upstream`` holds one d-vector per input point (the loss gradient with
     respect to that point's image); the result accumulates over the batch.
+    A forward pass with a non-finite output raises NumericError.
     """
     X = as_points(X, "X")
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -232,11 +228,11 @@ def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
         )
     if X.shape[1] != params.input_dim:
         raise InputError(f"expected dimension {params.input_dim}, got {X.shape[1]}")
-    return _backward(params, _forward_cached(params, X), upstream)
+    return _backward(params, _forward_checked(params, X), upstream)
 
 
 def _backward(params: MlpParams, cache, upstream: np.ndarray) -> ParamGrads:
-    """``mlp_backward`` from the ``_forward_cached`` result of the same points."""
+    """``mlp_backward`` from the ``_forward_checked`` result of the same points."""
     _, inputs, pres, posts = cache
     grads = ParamGrads._wrap(np.empty_like(params.flat), params.layout)
     delta = upstream

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import _sqdist
-from .util import as_points
+from .util import as_point_pair, as_points
 
 DEFAULT_MAX_ITERS = 10000
 DEFAULT_TOL = 1e-9
@@ -193,11 +193,7 @@ def default_epsilon(cost_matrix) -> float:
 
 def squared_distance_matrix(X, Y) -> np.ndarray:
     """Pairwise squared Euclidean costs between two point sets."""
-    X = as_points(X, "X")
-    Y = as_points(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return _sqdist(X, Y)
+    return _sqdist(*as_point_pair(X, Y))
 
 
 def barycentric_map(coupling: Coupling, Y) -> np.ndarray:

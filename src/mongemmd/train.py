@@ -25,7 +25,7 @@ from .kernel import KernelSpec
 from .loss import LossValues, _evaluate
 from .nn import Activation, MlpParams, init_params
 from .optim import AdamHyper, AdamState, adam_init, adam_step
-from .util import as_points, check_settings, setting
+from .util import as_point_pair, check_settings, setting
 
 SHUFFLE_STREAM = 1
 
@@ -142,12 +142,7 @@ def train(
     after every epoch with its index and averaged loss values. The inputs
     are validated here, once; every batch then goes to the unchecked loss.
     """
-    source = as_points(source, "source")
-    target = as_points(target, "target")
-    if source.shape[1] != target.shape[1]:
-        raise InputError(
-            f"source and target dimension differ: {source.shape[1]} vs {target.shape[1]}"
-        )
+    source, target = as_point_pair(source, target, ("source", "target"))
     n_pairs = min(source.shape[0], target.shape[0])
     if config.batch_size > n_pairs:
         raise InputError(

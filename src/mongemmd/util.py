@@ -83,6 +83,15 @@ def as_points(x, name: str = "points") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def as_point_pair(x, y, names: tuple[str, str] = ("X", "Y")) -> tuple[np.ndarray, np.ndarray]:
+    """``as_points`` on two sample sets, which must also share their dimension."""
+    X, Y = as_points(x, names[0]), as_points(y, names[1])
+    if X.shape[1] != Y.shape[1]:
+        raise InputError(f"{names[0]} and {names[1]} dimensions differ: "
+                         f"{X.shape[1]} vs {Y.shape[1]}")
+    return X, Y
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write a file via temp-file-plus-rename so readers never see a partial file."""
     path = Path(path)

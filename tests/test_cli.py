@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ def write_config(path, out_dir, extra=""):
         + extra
     )
     return path
+
+
+def edit_checkpoint_header(path, edit):
+    """Apply ``edit`` in place to the JSON header of the checkpoint at ``path``."""
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, 12)[0]
+    header = json.loads(blob[16:16 + header_len])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + header_len:])
 
 
 class TestGenerate:
@@ -162,6 +173,35 @@ class TestTrain:
         for name in ("model.ckpt", "loss.csv", "eval.json"):
             assert (out / name).read_bytes() == (tmp_path / "out_full" / name).read_bytes()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "adam", [1e-4, 0.9, 0.999, 1e-8], "adam must be an object of four real numbers"),
+        ("adam", "beta1", "x", "adam must be an object of four real numbers"),
+        ("adam", "beta1", True, "adam must be an object of four real numbers"),
+        (None, "epoch", "x", "epoch must be an integer >= 0, got 'x'"),
+        (None, "epoch", -3, "epoch must be an integer >= 0, got -3"),
+        (None, "epoch", 1.7, "epoch must be an integer >= 0, got 1.7"),
+        (None, "epoch", True, "epoch must be an integer >= 0, got True"),
+        (None, "step_count", -1, "step_count must be an integer >= 0, got -1"),
+    ], ids=["adam-list", "beta1-string", "beta1-bool", "epoch-string", "epoch-negative",
+            "epoch-fraction", "epoch-bool", "step_count-negative"])
+    def test_corrupt_training_state_header_is_usage_error(
+            self, tmp_path, capsys, section, key, value, message):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        path = tmp_path / "out" / "model.ckpt"
+        edit_checkpoint_header(path, lambda h: (h[section] if section else h).update({key: value}))
+        capsys.readouterr()
+        assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
+        assert f"{path}: corrupt checkpoint header: {message}" in capsys.readouterr().err
+
+    def test_out_of_range_adam_header_keeps_the_range_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        edit_checkpoint_header(tmp_path / "out" / "model.ckpt", lambda h: h["adam"].update(beta1=2.0))
+        capsys.readouterr()
+        assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
+        assert "beta1 must be finite and >= 0 and < 1, got 2.0" in capsys.readouterr().err
+
     def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg)]) == 0
@@ -290,6 +330,20 @@ class TestCompare:
         rc = main(["compare", str(self.compare_config(tmp_path)), "--set", "compare.tol=.inf"])
         assert rc == 2
         assert "compare: tol must be finite and > 0, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mean", ["[0.0]", "[0.0, 0.0, 0.0]"], ids=["d1", "d3"])
+    def test_mean_not_of_two_coordinates_is_refused_before_any_training(
+            self, tmp_path, capsys, monkeypatch, mean):
+        def no_training(*args, **kwargs):
+            raise AssertionError("compare trained a map before refusing its config")
+
+        monkeypatch.setattr("mongemmd.compare.train", no_training)
+        for side in ("source", "target"):
+            rc = main(["compare", str(self.compare_config(tmp_path)),
+                       "--set", f"{side}.mean={mean}"])
+            assert rc == 2
+            assert f"{side}.mean must have length 2" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "comparison.csv").exists()
 
     def test_non_gaussian_task_rejected(self, tmp_path, capsys):
         cfg = write_config(

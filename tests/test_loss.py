@@ -19,6 +19,8 @@ from mongemmd.mmd import mmd2_unbiased
 from mongemmd.nn import Activation, MlpParams, init_params, mlp_forward_batch
 
 GAUSS = KernelSpec(family="gaussian", alpha=1.0)
+ALL_FAMILIES = [GAUSS] + [KernelSpec(family="matern", matern_order=order)
+                          for order in ("half", "three_halves", "five_halves")]
 
 
 def constant_map_params(value, dim=1):
@@ -138,30 +140,32 @@ class TestGradientAgainstFiniteDifferences:
 class TestConsistency:
     def test_value_paths_agree_bitwise(self):
         """The fused value+gradient path must not change the reported numbers."""
-        for seed in range(5):
-            params = init_params((2, 6, 2), hidden_activation=Activation.TANH,
-                                 seed=seed)
-            rng = np.random.default_rng(seed)
-            X = rng.standard_normal((7, 2))
-            Y = rng.standard_normal((7, 2))
-            plain = monge_mmd_loss(params, X, Y, GAUSS, 1e-3)
-            fused, _ = monge_mmd_loss_with_grad(params, X, Y, GAUSS, 1e-3)
-            assert plain.objective == fused.objective
-            assert plain.mmd2 == fused.mmd2
-            assert plain.mean_cost == fused.mean_cost
+        for spec in ALL_FAMILIES:
+            for seed in range(5):
+                params = init_params((2, 6, 2), hidden_activation=Activation.TANH,
+                                     seed=seed)
+                rng = np.random.default_rng(seed)
+                X = rng.standard_normal((7, 2))
+                Y = rng.standard_normal((7, 2))
+                plain = monge_mmd_loss(params, X, Y, spec, 1e-3)
+                fused, _ = monge_mmd_loss_with_grad(params, X, Y, spec, 1e-3)
+                assert plain.objective == fused.objective, spec
+                assert plain.mmd2 == fused.mmd2, spec
+                assert plain.mean_cost == fused.mean_cost, spec
 
     def test_value_paths_agree_bitwise_across_row_blocks(self, monkeypatch):
         """Both paths add the same per-block kernel sums in the same order."""
         monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 64)
-        for seed in range(20):
-            params = init_params((2, 8, 2), hidden_activation=Activation.TANH,
-                                 seed=seed)
-            rng = np.random.default_rng(200 + seed)
-            X = rng.standard_normal((40, 2))
-            Y = rng.standard_normal((40, 2)) + 1.0
-            plain = monge_mmd_loss(params, X, Y, GAUSS, 1e-3)
-            fused, _ = monge_mmd_loss_with_grad(params, X, Y, GAUSS, 1e-3)
-            assert plain == fused
+        for spec in ALL_FAMILIES:
+            for seed in range(20):
+                params = init_params((2, 8, 2), hidden_activation=Activation.TANH,
+                                     seed=seed)
+                rng = np.random.default_rng(200 + seed)
+                X = rng.standard_normal((40, 2))
+                Y = rng.standard_normal((40, 2)) + 1.0
+                plain = monge_mmd_loss(params, X, Y, spec, 1e-3)
+                fused, _ = monge_mmd_loss_with_grad(params, X, Y, spec, 1e-3)
+                assert plain == fused, spec
 
     def test_reported_mmd2_equals_unbiased_estimator(self):
         for seed in range(5):

@@ -238,6 +238,15 @@ class TestBackward:
         with pytest.raises(InputError):
             mlp_backward(params, np.zeros((3, 2)), np.zeros((3, 1)))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowing_forward_raises_numeric_error(self):
+        """A non-finite forward pass is refused rather than turned into non-finite gradients."""
+        params = MlpParams([np.array([[1e200]]), np.array([[1.0]])], [np.zeros(1), np.zeros(1)],
+                           [Activation.IDENTITY, Activation.IDENTITY])
+        X = np.array([[1e200], [0.0]])
+        with pytest.raises(NumericError, match="forward pass"):
+            mlp_backward(params, X, np.ones((2, 1)))
+
     def test_linearity_in_upstream(self):
         params = init_params((2, 6, 2), hidden_activation=Activation.TANH, seed=2)
         rng = np.random.default_rng(9)
