@@ -103,18 +103,18 @@ def _decode(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _params_from(header: dict, arrays: dict[str, np.ndarray]) -> MlpParams:
+def _params_from(path, header: dict, arrays: dict[str, np.ndarray]) -> MlpParams:
     acts = header.get("activations")
     if not isinstance(acts, list) or not acts:
-        raise InputError("checkpoint header lacks activations")
+        raise InputError(f"{path}: checkpoint header lacks activations")
     try:
         weights, biases = _layer_lists(arrays, len(acts))
     except KeyError as exc:
-        raise InputError(f"checkpoint payload missing array {exc}") from exc
+        raise InputError(f"{path}: checkpoint payload missing array {exc}") from exc
     try:
         return MlpParams(weights, biases, acts)
     except (InputError, ValueError) as exc:
-        raise InputError(f"checkpoint holds an inconsistent network: {exc}") from exc
+        raise InputError(f"{path}: checkpoint holds an inconsistent network: {exc}") from exc
 
 
 def save_params(path, params: MlpParams) -> None:
@@ -128,7 +128,7 @@ def load_params(path) -> MlpParams:
     header, arrays = _decode(Path(path))
     if header.get("kind") not in (KIND_MAP, KIND_TRAIN_STATE):
         raise InputError(f"{path}: unknown checkpoint kind {header.get('kind')!r}")
-    return _params_from(header, arrays)
+    return _params_from(path, header, arrays)
 
 
 def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> None:
@@ -149,7 +149,7 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
     header, arrays = _decode(Path(path))
     if header.get("kind") != KIND_TRAIN_STATE:
         raise InputError(f"{path}: not a training-state checkpoint")
-    params = _params_from(header, arrays)
+    params = _params_from(path, header, arrays)
     adam_cfg = header.get("adam")
     if not (isinstance(adam_cfg, dict) and sorted(adam_cfg) == sorted(_ADAM_KEYS)
             and all(type(v) in (int, float) for v in adam_cfg.values())):
@@ -159,7 +159,10 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
         if type(header.get(key)) is not int or header[key] < 0:
             raise InputError(f"{path}: corrupt checkpoint header: {key} must be an integer "
                              f">= 0, got {header.get(key)!r}")
-    hyper = AdamHyper(**{k: float(adam_cfg[k]) for k in _ADAM_KEYS})
+    try:
+        hyper = AdamHyper(**adam_cfg)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     try:
         first = ParamGrads(*_layer_lists(arrays, params.n_layers, "m_"))
         second = ParamGrads(*_layer_lists(arrays, params.n_layers, "v_"))

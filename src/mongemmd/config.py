@@ -5,14 +5,14 @@ dataclass declared with ``util.setting``, which holds the key's default,
 type, valid range and help line; this module reads every section, and
 builds the ``--help`` and README key tables, from those fields alone. Scalar
 keys can be overridden on the command line with ``--set section.key=value``
-(values parsed as YAML). Validation errors always name the offending key.
+(values parsed as YAML). ``util.check_settings`` checks each value's type
+and range when its dataclass is built, as it does for Python callers; errors
+name the dotted key, e.g. ``train.epochs: expected an integer, got 'many'``.
 """
 
 from __future__ import annotations
 
 import re
-import types
-import typing
 from dataclasses import MISSING, Field, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -25,7 +25,7 @@ from .errors import InputError
 from .kernel import KernelSpec
 from .optim import AdamHyper
 from .train import TrainConfig
-from .util import check_settings, field_types, setting, valid_range
+from .util import check_settings, choices, field_types, setting, valid_range
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class RunConfig:
     eval: EvalConfig = EvalConfig()
     compare: CompareConfig = CompareConfig()
     label: str = setting("run", "free-form run name")
+
+    __post_init__ = check_settings
 
 
 # Each section's keys and their defaults: the keyed fields of these objects,
@@ -94,55 +96,14 @@ def _keys(cls) -> dict[str, Field]:
     return {f.metadata["key"] or f.name: f for f in fields(cls) if "help" in f.metadata}
 
 
-def _convert(kind, v, where: str):
-    """``v`` as a value of the annotated type ``kind``; bool is not a number."""
-    if typing.get_origin(kind) is types.UnionType:
-        if v is None:
-            return None
-        kind = next(a for a in typing.get_args(kind) if a is not type(None))
-    if typing.get_origin(kind) is tuple:
-        if not isinstance(v, (list, tuple)) or not v:
-            raise InputError(f"{where}: expected a nonempty list, got {v!r}")
-        return tuple(_convert(typing.get_args(kind)[0], x, where) for x in v)
-    if kind is bool:
-        if not isinstance(v, bool):
-            raise InputError(f"{where}: expected true/false, got {v!r}")
-        return v
-    if kind is int:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"{where}: expected an integer, got {v!r}")
-        return v
-    if kind is float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputError(f"{where}: expected a number, got {v!r}")
-        return float(v)
-    if not isinstance(v, str):
-        raise InputError(f"{where}: expected a string, got {v!r}")
-    if issubclass(kind, Enum):
-        try:
-            return kind(v)
-        except ValueError:
-            raise InputError(f"{where}: expected one of {_choices(kind)}, got {v!r}") from None
-    return v
-
-
-def _choices(kind) -> str:
-    return ", ".join(e.value for e in kind)
-
-
 def _read(base, node: dict, where: str, **fixed):
     """``base`` with the keys given in ``node`` replaced; unknown keys are refused."""
     keys = _keys(type(base))
     _reject_unknown(node, keys, where)
-    hints = field_types(type(base))
-    changes = {}
-    for key, v in node.items():
-        name = keys[key].name
-        changes[name] = _convert(hints[name], v, f"{where}.{key}")
     try:
-        return replace(base, **fixed, **changes)
-    except (InputError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
+        return replace(base, **fixed, **{keys[key].name: v for key, v in node.items()})
+    except InputError as exc:
+        raise InputError(f"{where}.{exc}") from exc
 
 
 def _check_cost(node) -> None:
@@ -159,7 +120,7 @@ def config_from_tree(tree: dict) -> RunConfig:
     _reject_unknown(tree, {*top, *_SECTIONS, "cost"}, "config")
     if "out_dir" not in tree:
         raise InputError("config: out_dir is required")
-    scalars = {top[k].name: _convert(str, tree[k], k) for k in top if k in tree}
+    scalars = {top[k].name: tree[k] for k in top if k in tree}
     _check_cost(tree.get("cost"))
     node = {name: _expect_mapping(tree.get(name), name) for name in _SECTIONS}
     adam_keys = _keys(AdamHyper)
@@ -200,7 +161,7 @@ def _rows(prefix: str, base) -> list[tuple[str, str | None, str]]:
         default = getattr(base, f.name, MISSING)
         text = f.metadata["help"]
         if isinstance(hints[f.name], type) and issubclass(hints[f.name], Enum):
-            text = f"{text}: {_choices(hints[f.name])}"
+            text = f"{text}: {choices(hints[f.name])}"
         elif rng := valid_range(cls, f):
             text = f"{text}; {rng}"
         rows.append((prefix + key, None if default is MISSING else _yaml_text(default), text))

@@ -20,7 +20,7 @@ from .kernel import KernelSpec
 from .loss import cost_values
 from .mmd import mmd2_unbiased
 from .nn import MlpParams, mlp_forward_batch
-from .util import as_points
+from .util import as_point_pair, as_points
 
 
 @dataclass
@@ -74,8 +74,8 @@ def evaluate(
     the images, the mean transport cost, and the unbiased squared MMD
     between images and targets. Both test sets need at least 2 points.
     """
-    source_test = as_points(source_test, "source_test")
-    target_test = as_points(target_test, "target_test")
+    source_test, target_test = as_point_pair(source_test, target_test,
+                                             ("source_test", "target_test"))
     if source_test.shape[0] < 2 or target_test.shape[0] < 2:
         raise InputError("evaluation needs at least 2 points on each side")
     images = mlp_forward_batch(params, source_test)

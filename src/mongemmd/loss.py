@@ -69,9 +69,9 @@ def _evaluate(
 ) -> tuple[LossValues, ParamGrads | None]:
     """Loss values (and gradients if ``want_grad``) of a batch that passed ``_check_batch``."""
     m = X.shape[0]
-    # One forward pass serves the loss and, through its cache, the backward pass.
-    cache = _forward_checked(params, X)
-    T = cache[0]
+    # One forward pass serves the loss and, through its layer outputs, the backward pass.
+    outs = _forward_checked(params, X)
+    T = outs[-1]
     mean_cost = float(cost_values(X, T).mean())
     try:
         sxx_full, gxx = _kernel_sum(kernel, T, T, want_grad=want_grad, skip_equal_index=True)
@@ -93,7 +93,7 @@ def _evaluate(
         return values, None
     upstream = (inv_lambda / m) * cost_grad_images(X, T)
     upstream = upstream + (2.0 / (m * (m - 1))) * gxx - (2.0 / (m * m)) * gxy
-    grads = _backward(params, cache, upstream)
+    grads = _backward(params, outs, upstream)
     if not np.isfinite(grads.flat).all():
         raise NumericError("non-finite loss gradient")
     return values, grads

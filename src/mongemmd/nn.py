@@ -38,10 +38,11 @@ def _apply(act: Activation, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _derivative(act: Activation, pre: np.ndarray, post: np.ndarray) -> np.ndarray | None:
-    """Activation derivative, or None for identity (multiplying by ones is wasted work)."""
+def _derivative(act: Activation, post: np.ndarray) -> np.ndarray | None:
+    """Activation derivative from the layer's output, or None for identity (multiplying by
+    ones is wasted work). ReLU's ``post > 0`` is ``pre > 0``, as max(a, 0) > 0 iff a > 0."""
     if act is Activation.RELU:
-        return (pre > 0.0).astype(np.float64)
+        return (post > 0.0).astype(np.float64)
     if act is Activation.TANH:
         return 1.0 - post * post
     return None
@@ -180,20 +181,15 @@ def init_params(
     return MlpParams(weights, biases, acts)
 
 
-def _forward_checked(params: MlpParams, X: np.ndarray):
-    """Forward pass on validated points, keeping per-layer inputs and pre/post
-    activations; refuses a non-finite output with NumericError."""
-    h = X
-    inputs, pres, posts = [], [], []
+def _forward_checked(params: MlpParams, X: np.ndarray) -> list[np.ndarray]:
+    """Forward pass on validated points: every layer's output, ``[X, h_1, ..., T(X)]``;
+    refuses a non-finite output with NumericError."""
+    outs = [X]
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        inputs.append(h)
-        a = h @ w.T + b
-        h = _apply(act, a)
-        pres.append(a)
-        posts.append(h)
-    if not np.isfinite(h).all():
+        outs.append(_apply(act, outs[-1] @ w.T + b))
+    if not np.isfinite(outs[-1]).all():
         raise NumericError("forward pass produced non-finite values")
-    return h, inputs, pres, posts
+    return outs
 
 
 def mlp_forward_batch(params: MlpParams, X) -> np.ndarray:
@@ -201,7 +197,7 @@ def mlp_forward_batch(params: MlpParams, X) -> np.ndarray:
     X = as_points(X, "X")
     if X.shape[1] != params.input_dim:
         raise InputError(f"expected dimension {params.input_dim}, got {X.shape[1]}")
-    return _forward_checked(params, X)[0]
+    return _forward_checked(params, X)[-1]
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
@@ -231,16 +227,15 @@ def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
     return _backward(params, _forward_checked(params, X), upstream)
 
 
-def _backward(params: MlpParams, cache, upstream: np.ndarray) -> ParamGrads:
+def _backward(params: MlpParams, outs: list[np.ndarray], upstream: np.ndarray) -> ParamGrads:
     """``mlp_backward`` from the ``_forward_checked`` result of the same points."""
-    _, inputs, pres, posts = cache
     grads = ParamGrads._wrap(np.empty_like(params.flat), params.layout)
     delta = upstream
     for l in range(params.n_layers - 1, -1, -1):
-        dact = _derivative(params.activations[l], pres[l], posts[l])
+        dact = _derivative(params.activations[l], outs[l + 1])
         if dact is not None:
             delta = delta * dact
-        np.matmul(delta.T, inputs[l], out=grads.weights[l])
+        np.matmul(delta.T, outs[l], out=grads.weights[l])
         np.sum(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ params.weights[l]

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import os
 import tempfile
+import types
 import typing
 from dataclasses import field, fields
 from enum import Enum
@@ -46,23 +48,47 @@ def valid_range(cls, f) -> str:
     return f"nonempty, each {text}" if typing.get_origin(kind) is tuple else text
 
 
-def check_settings(obj) -> None:
-    """The ``__post_init__`` of a frozen config dataclass: coerce, then range-check, its settings.
+def choices(kind) -> str:
+    return ", ".join(e.value for e in kind)
 
-    Enum and tuple values take their annotated types (a bad Enum value raises ValueError);
-    then a tuple must be nonempty and each number finite and in bounds, or InputError says so."""
+
+_WANTED = {bool: (bool, "true/false"), int: (numbers.Integral, "an integer"),
+           float: (numbers.Real, "a number"), str: (str, "a string")}
+
+
+def _typed(kind, value, key: str):
+    """``value`` as the annotated type ``kind``, stored as a Python int/float/tuple/Enum;
+    bool is not a number, a tuple needs a nonempty list and ``X | None`` allows None."""
+    if typing.get_origin(kind) is types.UnionType:
+        if value is None:
+            return None
+        kind = next(a for a in typing.get_args(kind) if a is not type(None))
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise InputError(f"{key}: expected a nonempty list, got {value!r}")
+        return tuple(_typed(typing.get_args(kind)[0], v, key) for v in value)
+    enum = issubclass(kind, Enum)  # every config Enum is a str Enum
+    want, name = _WANTED.get(str if enum else kind, (kind, kind.__name__))
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, want):
+        raise InputError(f"{key}: expected {name}, got {value!r}")
+    if enum and value not in [e.value for e in kind]:
+        raise InputError(f"{key}: expected one of {choices(kind)}, got {value!r}")
+    return kind(value) if enum or kind in (int, float) else value
+
+
+def check_settings(obj) -> None:
+    """The ``__post_init__`` of every config dataclass, so YAML, ``--set``, flags and Python
+    all pass here: each field takes its annotated type (``_typed``), then each number must
+    be finite and in its ``setting`` bounds. An InputError names the key."""
     for f in fields(obj):
-        kind, value = field_types(type(obj))[f.name], getattr(obj, f.name)
-        if isinstance(kind, type) and issubclass(kind, Enum):
-            value = kind(value)
-        elif typing.get_origin(kind) is tuple:
-            value = tuple(map(typing.get_args(kind)[0], value))
+        key = f.metadata.get("key") or f.name
+        value = _typed(field_types(type(obj))[f.name], getattr(obj, f.name), key)
         object.__setattr__(obj, f.name, value)
         entries = value if isinstance(value, tuple) else (value,)
         rng = valid_range(type(obj), f) if value is not None else ""
-        if rng and not (entries and all(math.isfinite(v) and all(
-                _BOUNDS[op](v, b) for op, b in f.metadata["bounds"]) for v in entries)):
-            raise InputError(f"{f.metadata['key'] or f.name} must be {rng}, got {value!r}")
+        if rng and not all(math.isfinite(v) and all(
+                _BOUNDS[op](v, b) for op, b in f.metadata["bounds"]) for v in entries):
+            raise InputError(f"{key} must be {rng}, got {value!r}")
 
 
 def as_points(x, name: str = "points") -> np.ndarray:

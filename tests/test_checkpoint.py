@@ -200,6 +200,16 @@ class TestCorruption:
         with pytest.raises(InputError, match=re.escape(f"{path}: corrupt checkpoint header")):
             load_params(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "activations"},
+        lambda h: {**h, "arrays": [{**h["arrays"][0], "name": "x0"}] + h["arrays"][1:]},
+        lambda h: {**h, "activations": ["softmax", "identity"]},
+    ], ids=["no-activations", "array-renamed", "unknown-activation"])
+    def test_unloadable_network_names_the_file(self, tmp_path, edit):
+        path = self.write_edited_header(tmp_path, edit)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: checkpoint "):
+            load_params(path)
+
     @pytest.mark.parametrize("shape", [[2**70], [2**32, 2**32]],
                              ids=["beyond-int64", "product-wraps-in-int64"])
     def test_huge_shape_is_a_truncated_payload(self, tmp_path, shape):

@@ -197,10 +197,12 @@ class TestTrain:
     def test_out_of_range_adam_header_keeps_the_range_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
-        edit_checkpoint_header(tmp_path / "out" / "model.ckpt", lambda h: h["adam"].update(beta1=2.0))
+        path = tmp_path / "out" / "model.ckpt"
+        edit_checkpoint_header(path, lambda h: h["adam"].update(beta1=2.0))
         capsys.readouterr()
         assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
-        assert "beta1 must be finite and >= 0 and < 1, got 2.0" in capsys.readouterr().err
+        assert (f"{path}: beta1 must be finite and >= 0 and < 1, got 2.0"
+                in capsys.readouterr().err)
 
     def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
@@ -329,7 +331,7 @@ class TestCompare:
         monkeypatch.setattr("mongemmd.compare.train", no_training)
         rc = main(["compare", str(self.compare_config(tmp_path)), "--set", "compare.tol=.inf"])
         assert rc == 2
-        assert "compare: tol must be finite and > 0, got inf" in capsys.readouterr().err
+        assert "compare.tol must be finite and > 0, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mean", ["[0.0]", "[0.0, 0.0, 0.0]"], ids=["d1", "d3"])
     def test_mean_not_of_two_coordinates_is_refused_before_any_training(

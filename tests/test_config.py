@@ -1,7 +1,8 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -12,12 +13,13 @@ from mongemmd.config import (
     DEFAULT_TARGET,
     CompareConfig,
     EvalConfig,
+    RunConfig,
     apply_override,
     config_from_tree,
     config_reference,
     load_config,
 )
-from mongemmd.data import DatasetFamily
+from mongemmd.data import DatasetFamily, DatasetSpec
 from mongemmd.errors import InputError
 from mongemmd.kernel import KernelSpec
 from mongemmd.optim import AdamHyper
@@ -374,7 +376,7 @@ class TestRangeBoundaries:
 
     def test_message_names_the_key_and_the_range(self):
         with pytest.raises(InputError, match=re.escape(
-                "train: adam_eps must be finite and > 0, got 0.0")):
+                "train.adam_eps must be finite and > 0, got 0.0")):
             config_from_tree(tree_with("train.adam_eps", 0.0))
         with pytest.raises(InputError, match=re.escape(
                 "hidden_widths must be nonempty, each >= 1, got (1, 0)")):
@@ -389,3 +391,55 @@ class TestRangeBoundaries:
         assert CompareConfig(sizes=[8, 12]).sizes == (8, 12)
         with pytest.raises(ValueError):
             KernelSpec(family="laplace")
+
+
+# One instance of each config dataclass, and (instance, field name, key) for
+# every field declared with ``setting``.
+BASES = [DEFAULT_SOURCE, KernelSpec(), TrainConfig(), AdamHyper(), EvalConfig(), CompareConfig(),
+         config_from_tree(dict(MINIMAL))]
+SETTINGS = [(base, f.name, f.metadata["key"] or f.name)
+            for base in BASES for f in fields(base) if "help" in f.metadata]
+
+
+class TestConstruction:
+    """Built in Python, a config dataclass refuses what the config file refuses."""
+
+    def test_every_config_dataclass_is_covered(self):
+        assert {type(base) for base, _, _ in SETTINGS} == {
+            DatasetSpec, KernelSpec, TrainConfig, AdamHyper, EvalConfig, CompareConfig, RunConfig}
+
+    @pytest.mark.parametrize("base,name,key", SETTINGS,
+                             ids=[f"{type(b).__name__}.{k}" for b, _, k in SETTINGS])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_wrong_type_names_the_key(self, base, name, key, data):
+        value = data.draw(wrong_values(getattr(base, name)))
+        with pytest.raises(InputError, match=rf"^{re.escape(key)}: expected "):
+            replace(base, **{name: value})
+
+    @pytest.mark.parametrize("build,key", [
+        (lambda: TrainConfig(shuffle="no"), "shuffle"),
+        (lambda: TrainConfig(hidden_widths=[8.9]), "hidden_widths"),
+        (lambda: CompareConfig(sizes=[200.5]), "sizes"),
+        (lambda: TrainConfig(epochs=2.5), "epochs"),
+        (lambda: DatasetSpec(family="two_moons", n=2.5), "n"),
+        (lambda: KernelSpec(alpha="1"), "alpha"),
+    ], ids=["shuffle", "hidden_widths", "sizes", "epochs", "n", "alpha"])
+    def test_wrong_type_once_accepted_is_refused(self, build, key):
+        with pytest.raises(InputError, match=rf"^{key}: expected "):
+            build()
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        spec = DatasetSpec(family="two_moons", n=np.int64(5), noise=np.float32(0.25))
+        assert type(spec.n) is int and spec.n == 5
+        assert type(spec.noise) is float and spec.noise == 0.25
+        assert type(AdamHyper(learning_rate=1).learning_rate) is float
+        assert TrainConfig(hidden_widths=[np.int32(3)]).hidden_widths == (3,)
+
+    def test_file_messages_keep_their_wording(self):
+        with pytest.raises(InputError, match=re.escape(
+                "train.epochs: expected an integer, got 'many'")):
+            config_from_tree(tree_with("train.epochs", "many"))
+        with pytest.raises(InputError, match=re.escape(
+                "kernel.family: expected one of gaussian, matern, got 'laplace'")):
+            config_from_tree(tree_with("kernel.family", "laplace"))

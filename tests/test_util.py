@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mongemmd.errors import InputError
+from mongemmd.evaluation import evaluate
 from mongemmd.kernel import KernelSpec, kernel_gram, kernel_sum_and_grad_rowsum
 from mongemmd.loss import monge_mmd_loss
 from mongemmd.mmd import mmd2_biased, mmd2_unbiased, mmd2_unbiased_grad_points
@@ -31,6 +32,8 @@ def test_each_set_is_checked_under_its_name():
     pytest.param(squared_distance_matrix, ("X", "Y"), id="squared_distance_matrix"),
     pytest.param(lambda X, Y: train(TrainConfig(epochs=1, batch_size=2), X, Y),
                  ("source", "target"), id="train"),
+    pytest.param(lambda X, Y: evaluate(init_params((2, 3, 2)), X, Y, GAUSS),
+                 ("source_test", "target_test"), id="evaluate"),
 ])
 def test_entry_points_refuse_sets_of_different_dimension(call, names):
     X = np.zeros((4, 2))
