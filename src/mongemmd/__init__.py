@@ -37,14 +37,12 @@ from .kernel import (
 from .loss import (
     LossValues,
     monge_mmd_loss,
-    monge_mmd_loss_grad,
     monge_mmd_loss_with_grad,
 )
 from .mmd import (
     mmd2_biased,
     mmd2_population_gaussian,
     mmd2_unbiased,
-    mmd2_unbiased_grad_points,
 )
 from .nn import (
     Activation,
@@ -52,7 +50,6 @@ from .nn import (
     ParamGrads,
     init_params,
     mlp_backward,
-    mlp_forward,
     mlp_forward_batch,
 )
 from .optim import AdamHyper, AdamState, adam_init, adam_step
@@ -111,14 +108,11 @@ __all__ = [
     "load_train_state",
     "map_deviation",
     "mlp_backward",
-    "mlp_forward",
     "mlp_forward_batch",
     "mmd2_biased",
     "mmd2_population_gaussian",
     "mmd2_unbiased",
-    "mmd2_unbiased_grad_points",
     "monge_mmd_loss",
-    "monge_mmd_loss_grad",
     "monge_mmd_loss_with_grad",
     "points_to_csv",
     "read_points_csv",

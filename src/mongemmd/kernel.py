@@ -19,12 +19,11 @@ All arithmetic is float64. Squared distances come from one routine,
 batched routines, the scalar ``kernel_eval`` and the Sinkhorn cost matrix
 all use it, so their entries agree bit for bit at every dimension.
 
-Every kernel sum (the MMD estimators', the training loss's and
-``kernel_sum_and_grad_rowsum``'s) is one walk, ``_kernel_sum``: it adds the
-Gram matrix one row block at a time in a fixed order, with one block in
-memory, and takes the row-wise gradient sums from the same block when asked.
-A sum therefore has the same bits with or without its gradient, and does
-not depend on how callers parallelize over rows.
+Every kernel sum (the MMD estimators' and the training loss's) is one walk,
+``_kernel_sum``: it adds the Gram matrix one row block at a time in a fixed
+order, with one block in memory, and takes the row-wise gradient sums from
+the same block when asked. A sum therefore has the same bits with or without
+its gradient, and does not depend on how callers parallelize over rows.
 """
 
 from __future__ import annotations
@@ -102,11 +101,8 @@ def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1:
         raise InputError(f"expected 1-d points, got shapes {x.shape} and {y.shape}")
-    if x.shape != y.shape:
-        raise InputError(f"point dimensions differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 1:
-        raise InputError("points must have dimension >= 1")
-    return x, y
+    X, Y = as_point_pair(x[None], y[None], ("x", "y"))
+    return X[0], Y[0]
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -169,35 +165,19 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     return out
 
 
-def kernel_sum_and_grad_rowsum(
-    spec: KernelSpec, X, Y, *, skip_equal_index: bool = False
-) -> tuple[float, np.ndarray]:
-    """Total kernel sum over all pairs together with row-wise gradient sums.
-
-    Returns ``(sum_{ij} K(X_i, Y_j), G)`` with ``G[i] = sum_j dK/dx(X_i, Y_j)``.
-    The sum always runs over every pair (a U-statistic caller subtracts the
-    exact diagonal itself); ``skip_equal_index`` drops the j == i pairs from
-    the gradient sums only (for U-statistic sums where X and Y are the same
-    set). Coincident pairs contribute a zero gradient for the smooth
-    families; Matern order 1/2 raises on any included coincident pair, where
-    its gradient is undefined. One batch step needs both quantities, and
-    they share the distance matrix and exponential, so computing them
-    together nearly halves the kernel work. The sum equals
-    ``kernel_gram(...).sum()`` only within one row block.
-    """
-    X, Y = as_point_pair(X, Y)
-    if skip_equal_index and X.shape[0] != Y.shape[0]:
-        raise InputError("skip_equal_index requires equally sized sets")
-    return _kernel_sum(spec, X, Y, want_grad=True, skip_equal_index=skip_equal_index)
-
-
 def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *, want_grad: bool = False,
                 skip_equal_index: bool = False) -> tuple[float, np.ndarray | None]:
     """``(sum_{ij} K(X_i, Y_j), G or None)`` over validated point sets: the one summing walk.
 
-    ``G`` is computed only with ``want_grad``, under the rules of
-    ``kernel_sum_and_grad_rowsum`` (Matern 1/2 still raises on coincident
-    pairs); the total is the same either way.
+    With ``want_grad``, ``G[i] = sum_j dK/dx(X_i, Y_j)``; otherwise ``G`` is
+    None, and the total has the same bits either way. The total always runs
+    over every pair (a U-statistic caller subtracts the exact diagonal
+    itself). ``skip_equal_index`` drops the j == i pairs from the gradient
+    sums only, for U-statistic sums where X and Y are the same set, so the
+    sets must then be of equal size. Coincident pairs contribute a zero
+    gradient for the smooth families; Matern order 1/2 raises InputError on
+    any included coincident pair, where its gradient is undefined. The
+    total equals ``kernel_gram(...).sum()`` only within one row block.
     """
     half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
     out = np.empty_like(X) if want_grad else None
@@ -223,14 +203,3 @@ def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *, want_grad: bo
             coeff[diag] = 0.0
         out[i0:i1] = coeff.sum(axis=1)[:, None] * block - coeff @ Y
     return total, out
-
-
-def kernel_grad_x_rowsum(
-    spec: KernelSpec, X, Y, *, skip_equal_index: bool = False
-) -> np.ndarray:
-    """Row i of the result is sum_j dK/dx (X[i], Y[j]).
-
-    The gradient half of ``kernel_sum_and_grad_rowsum``, which documents
-    ``skip_equal_index`` and the coincident-point rules.
-    """
-    return kernel_sum_and_grad_rowsum(spec, X, Y, skip_equal_index=skip_equal_index)[1]

@@ -121,15 +121,3 @@ def monge_mmd_loss_with_grad(
     """Loss values together with exact parameter gradients of the objective."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
     return _evaluate(params, X, Y, kernel, inv_lambda, want_grad=True)
-
-
-def monge_mmd_loss_grad(
-    params: MlpParams,
-    X,
-    Y,
-    kernel: KernelSpec,
-    inv_lambda: float,
-) -> ParamGrads:
-    """Parameter gradients of the objective for one batch."""
-    _, grads = monge_mmd_loss_with_grad(params, X, Y, kernel, inv_lambda)
-    return grads

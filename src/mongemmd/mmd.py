@@ -10,8 +10,8 @@ and may be negative; it is never clamped, since unbiasedness is the point.
 The V-statistic (biased) companion keeps all pairs with divisors M^2, N^2,
 is nonnegative, and vanishes exactly on identical multisets.
 
-Every pair sum and gradient is the kernel's one summing walk, ``_kernel_sum``,
-so memory is bounded by one row block of the Gram matrix.
+Every pair sum is the kernel's one summing walk, ``_kernel_sum``, so memory
+is bounded by one row block of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -65,19 +65,6 @@ def mmd2_biased(spec: KernelSpec, X, Y) -> float:
     return max(0.0, val)
 
 
-def mmd2_unbiased_grad_points(spec: KernelSpec, X, Y) -> np.ndarray:
-    """Gradient of mmd2_unbiased with respect to each X_i, holding Y fixed.
-
-    Returns an (M, d) array whose row i is d(mmd2)/d(X_i). The Y-Y term is
-    constant in X and contributes nothing.
-    """
-    X, Y = _check_pair(X, Y, min_size=2)
-    m, n = X.shape[0], Y.shape[0]
-    _, g_xx = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
-    _, g_xy = _kernel_sum(spec, X, Y, want_grad=True)
-    return (2.0 / (m * (m - 1))) * g_xx - (2.0 / (m * n)) * g_xy
-
-
 def mmd2_population_gaussian(spec: KernelSpec, m0, s0: float, m1, s1: float) -> float:
     """Closed-form population squared MMD between isotropic Gaussians.
 
@@ -97,8 +84,10 @@ def mmd2_population_gaussian(spec: KernelSpec, m0, s0: float, m1, s1: float) -> 
     m1 = np.atleast_1d(np.asarray(m1, dtype=np.float64))
     if m0.ndim != 1 or m0.shape != m1.shape:
         raise InputError(f"mean shapes differ: {m0.shape} vs {m1.shape}")
-    if not (s0 > 0 and s1 > 0):
-        raise InputError(f"standard deviations must be positive, got {s0} and {s1}")
+    if not (np.isfinite(m0).all() and np.isfinite(m1).all()):
+        raise InputError(f"means must be finite, got {m0} and {m1}")
+    if not (s0 > 0 and s1 > 0 and np.isfinite([s0, s1]).all()):
+        raise InputError(f"standard deviations must be finite and positive, got {s0} and {s1}")
     d = m0.shape[0]
     alpha = spec.alpha
 

@@ -200,14 +200,6 @@ def mlp_forward_batch(params: MlpParams, X) -> np.ndarray:
     return _forward_checked(params, X)[-1]
 
 
-def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Apply the map to a single d-dimensional point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError(f"expected a 1-d point, got shape {x.shape}")
-    return mlp_forward_batch(params, x[None, :])[0]
-
-
 def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
     """Parameter gradients of sum_i <upstream_i, T(X_i)>.
 

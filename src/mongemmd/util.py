@@ -73,7 +73,10 @@ def _typed(kind, value, key: str):
         raise InputError(f"{key}: expected {name}, got {value!r}")
     if enum and value not in [e.value for e in kind]:
         raise InputError(f"{key}: expected one of {choices(kind)}, got {value!r}")
-    return kind(value) if enum or kind in (int, float) else value
+    try:
+        return kind(value) if enum or kind in (int, float) else value
+    except OverflowError:  # a number too large for a float, e.g. 10**400
+        raise InputError(f"{key} must be finite, got {value!r}") from None
 
 
 def check_settings(obj) -> None:

@@ -13,7 +13,7 @@ import pytest
 import mongemmd as m
 from mongemmd.cli import main as cli_main
 from mongemmd.compare import comparison_to_csv
-from mongemmd.loss import monge_mmd_loss, monge_mmd_loss_grad
+from mongemmd.loss import monge_mmd_loss, monge_mmd_loss_with_grad
 from mongemmd.sinkhorn import (
     default_epsilon,
     sinkhorn_solve,
@@ -84,7 +84,7 @@ def test_criterion_1_gradient_matches_finite_differences():
         params = m.init_params((2, 16, 2), hidden_activation="tanh", seed=seed)
         X = rng.standard_normal((6, 2))
         Y = rng.standard_normal((6, 2)) + 1.0
-        grads = monge_mmd_loss_grad(params, X, Y, spec, inv_lambda)
+        _, grads = monge_mmd_loss_with_grad(params, X, Y, spec, inv_lambda)
         flat_grad = np.concatenate([a.ravel() for a in grads.arrays()])
         # central differences over every parameter, in arrays() order
         fd_blocks = []

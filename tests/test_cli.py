@@ -222,6 +222,12 @@ class TestTrain:
         assert rc == 2
         assert "mystery" in capsys.readouterr().err
 
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        rc = main(["train", str(cfg), "--quiet", "--set", "train.inv_lambda=1" + "0" * 400])
+        assert rc == 2
+        assert "error: train.inv_lambda must be finite, got 10000" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_numeric_blowup_exits_three(self, tmp_path, capsys):

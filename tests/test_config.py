@@ -1,3 +1,4 @@
+import inspect
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -8,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mongemmd
 from mongemmd.config import (
     DEFAULT_SOURCE,
     DEFAULT_TARGET,
@@ -299,6 +301,21 @@ class TestReference:
         block = block.split("\n<!-- config-reference:end -->")[0]
         assert block == reference_markdown()
 
+    def test_readme_python_api_names_only_public_names(self):
+        section = README.read_text(encoding="utf-8").split("## Python API\n")[1].split("\n## ")[0]
+        fence = re.compile(r"```.*?```", re.S)
+        # Names the example calls as ``m.name``, and each `name` or `name(...)` of the prose.
+        named = {n for block in fence.findall(section) for n in re.findall(r"\bm\.(\w+)", block)}
+        named |= {m[1] for token in re.findall(r"`([^`]+)`", fence.sub("", section))
+                  if (m := re.match(r"(\w+)(\(|$)", token))}
+        # The one bare argument name it mentions, which is not a package name.
+        assert "tol" in inspect.signature(mongemmd.sinkhorn_solve).parameters
+        named.discard("tol")
+        assert {"monge_mmd_loss_with_grad", "mlp_forward_batch"} <= named
+        assert [n for n in sorted(named) if not hasattr(mongemmd, n)] == []
+        assert [n for n in mongemmd.__all__ if not hasattr(mongemmd, n)] == []
+        assert len(mongemmd.__all__) == len(set(mongemmd.__all__))
+
     def test_only_the_squared_euclidean_cost_is_accepted(self):
         cfg = config_from_tree({**MINIMAL, "cost": {"family": "squared_euclidean"}})
         assert cfg == config_from_tree(dict(MINIMAL))
@@ -315,6 +332,7 @@ class TestReference:
 TINY = 5e-324  # the smallest positive float
 BELOW_ONE = 0.9999999999999999  # the largest float below 1
 INF, NAN = float("inf"), float("nan")
+HUGE = 10**400  # an integer too large for a float
 
 # (YAML key, last accepted values, first refused values) of every bounded key,
 # read off the ranges that the config dataclasses have always enforced. Only
@@ -322,7 +340,7 @@ INF, NAN = float("inf"), float("nan")
 BOUNDARIES = [
     ("train.epochs", [0], [-1]),
     ("train.batch_size", [2], [1]),
-    ("train.inv_lambda", [0.0], [-1e-300, INF]),
+    ("train.inv_lambda", [0.0], [-1e-300, INF, HUGE]),
     ("train.hidden_widths", [[1]], [[], [0]]),
     ("train.seed", [0], [-1]),
     ("train.learning_rate", [TINY], [0.0]),
@@ -335,7 +353,7 @@ BOUNDARIES = [
     ("source.factor", [TINY, BELOW_ONE], [0.0, 1.0]),
     ("source.mean", [[0.0]], [[], [NAN], [INF]]),
     ("source.variance", [TINY], [0.0]),
-    ("kernel.alpha", [TINY], [0.0, NAN, INF]),
+    ("kernel.alpha", [TINY], [0.0, NAN, INF, HUGE]),
     ("kernel.lengthscale", [TINY], [0.0, NAN, INF]),
     ("eval.n", [2], [1]),
     ("eval.seed_offset", [1], [0]),
@@ -366,7 +384,8 @@ class TestRangeBoundaries:
         config_from_tree(tree_with(key, value))
         construct(key, value)
 
-    @pytest.mark.parametrize("key,value", REFUSED, ids=[f"{k}={v!r}" for k, v in REFUSED])
+    @pytest.mark.parametrize("key,value", REFUSED, ids=[
+        f"{k}={'10**400' if v is HUGE else repr(v)}" for k, v in REFUSED])
     def test_first_refused_value(self, key, value):
         section = key.split(".")[0]
         with pytest.raises(InputError, match=rf"^{section}[.:]"):
@@ -383,6 +402,8 @@ class TestRangeBoundaries:
             TrainConfig(hidden_widths=[1, 0])
         with pytest.raises(InputError, match=re.escape("n must be >= 2, got 1")):
             EvalConfig(n=1)
+        with pytest.raises(InputError, match="^inv_lambda must be finite, got 10{400}$"):
+            TrainConfig(inv_lambda=HUGE)
 
     def test_lists_and_enum_names_are_coerced(self):
         spec = replace(DEFAULT_SOURCE, family="two_moons", mean=[1, 2])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mongemmd import InputError, KernelSpec, kernel_eval, kernel_grad_x, kernel_gram
-from mongemmd.kernel import _sqdist, kernel_grad_x_rowsum, kernel_sum_and_grad_rowsum
+from mongemmd.kernel import _kernel_sum, _sqdist
 
 
 def kernel_oracle(spec, x, y):
@@ -133,6 +133,16 @@ class TestKernelGrad:
             kernel_grad_x(spec, [1.0, 2.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [kernel_eval, kernel_grad_x])
+def test_scalar_entries_refuse_non_finite_points(entry, bad):
+    # Refused before any arithmetic, so no RuntimeWarning either.
+    with pytest.raises(InputError, match="^x contains non-finite values$"):
+        entry(KernelSpec(), [bad, 0.0], [0.0, 0.0])
+    with pytest.raises(InputError, match="^y contains non-finite values$"):
+        entry(KernelSpec(), [0.0, 0.0], [0.0, bad])
+
+
 def point_pairs(max_d: int):
     """Two point sets of a common dimension 1..max_d."""
     coords = st.floats(-1e6, 1e6, allow_nan=False)
@@ -220,31 +230,26 @@ class TestGradRowsum:
         for spec in ALL_SPECS:
             X = rng.standard_normal((8, 2))
             Y = rng.standard_normal((6, 2))
-            got = kernel_grad_x_rowsum(spec, X, Y)
+            _, got = _kernel_sum(spec, X, Y, want_grad=True)
             np.testing.assert_allclose(got, self.brute_rowsum(spec, X, Y, False), rtol=1e-12, atol=1e-14)
 
     def test_skip_equal_index_matches_loop(self):
         rng = np.random.default_rng(13)
         for spec in ALL_SPECS:
             X = rng.standard_normal((7, 3))
-            got = kernel_grad_x_rowsum(spec, X, X, skip_equal_index=True)
+            _, got = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
             np.testing.assert_allclose(got, self.brute_rowsum(spec, X, X, True), rtol=1e-12, atol=1e-14)
 
     def test_duplicate_points_contribute_zero_for_smooth_families(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        got = kernel_grad_x_rowsum(KernelSpec(), X, X, skip_equal_index=True)
+        _, got = _kernel_sum(KernelSpec(), X, X, want_grad=True, skip_equal_index=True)
         assert np.all(np.isfinite(got))
 
     def test_matern_half_raises_on_included_coincidence(self):
         spec = KernelSpec(family="matern", matern_order="half")
         X = np.array([[0.0], [0.0], [2.0]])
         with pytest.raises(InputError):
-            kernel_grad_x_rowsum(spec, X, X, skip_equal_index=True)
-
-    def test_skip_needs_equal_sizes(self):
-        with pytest.raises(InputError):
-            kernel_grad_x_rowsum(KernelSpec(), np.zeros((3, 1)), np.zeros((2, 1)),
-                                 skip_equal_index=True)
+            _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
 
     def test_fused_sum_and_grad_agree_with_parts(self):
         rng = np.random.default_rng(14)
@@ -252,15 +257,15 @@ class TestGradRowsum:
             skip_ok = not (spec.family == "matern" and spec.matern_order == "half")
             X = rng.standard_normal((9, 2))
             Y = rng.standard_normal((9, 2))
-            total, grads = kernel_sum_and_grad_rowsum(spec, X, Y)
+            # The total has the same bits with and without its gradient.
+            total, grads = _kernel_sum(spec, X, Y, want_grad=True)
+            assert _kernel_sum(spec, X, Y) == (total, None)
             assert total == kernel_gram(spec, X, Y).sum()
-            np.testing.assert_array_equal(grads, kernel_grad_x_rowsum(spec, X, Y))
+            assert grads.shape == X.shape
             if skip_ok:
-                total_xx, grads_xx = kernel_sum_and_grad_rowsum(
-                    spec, X, X, skip_equal_index=True)
+                total_xx, _ = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
+                assert _kernel_sum(spec, X, X)[0] == total_xx
                 assert total_xx == kernel_gram(spec, X, X).sum()
-                np.testing.assert_array_equal(
-                    grads_xx, kernel_grad_x_rowsum(spec, X, X, skip_equal_index=True))
 
     def test_fused_blocking_consistency(self, monkeypatch):
         # Block size changes the matmul shapes, so only closeness (not bit
@@ -269,8 +274,8 @@ class TestGradRowsum:
         rng = np.random.default_rng(15)
         X = rng.standard_normal((25, 2))
         spec = KernelSpec()
-        whole = kernel_sum_and_grad_rowsum(spec, X, X, skip_equal_index=True)
+        whole = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
         monkeypatch.setattr(kmod, "_BLOCK_ELEMS", 32)
-        blocked = kernel_sum_and_grad_rowsum(spec, X, X, skip_equal_index=True)
+        blocked = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
         np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-13)
         np.testing.assert_allclose(blocked[1], whole[1], rtol=1e-12, atol=1e-15)

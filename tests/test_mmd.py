@@ -13,7 +13,6 @@ from mongemmd import (
     mmd2_biased,
     mmd2_population_gaussian,
     mmd2_unbiased,
-    mmd2_unbiased_grad_points,
 )
 
 
@@ -26,6 +25,18 @@ def mmd2_unbiased_oracle(spec, X, Y):
              for i in range(n) for j in range(n) if i != j)
     xy = sum(kernel_eval(spec, X[i], Y[j]) for i in range(m) for j in range(n))
     return xx / (m * (m - 1)) - 2.0 * xy / (m * n) + yy / (n * (n - 1))
+
+
+def mmd2_unbiased_grad_points(spec, X, Y):
+    """Gradient of the U-statistic with respect to each X_i, holding Y fixed.
+
+    Row i is d(mmd2)/d(X_i): the X-X and X-Y terms' row-wise gradient sums
+    from the kernel's summing walk; the Y-Y term is constant in X.
+    """
+    m, n = len(X), len(Y)
+    _, g_xx = kernel._kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
+    _, g_xy = kernel._kernel_sum(spec, X, Y, want_grad=True)
+    return (2.0 / (m * (m - 1))) * g_xx - (2.0 / (m * n)) * g_xy
 
 
 def mmd2_biased_oracle(spec, X, Y):
@@ -230,5 +241,9 @@ class TestPopulationGaussian:
                 KernelSpec(family="matern"), [0.0], 1.0, [1.0], 1.0)
 
     def test_bad_scales_rejected(self):
-        with pytest.raises(InputError):
-            mmd2_population_gaussian(KernelSpec(), [0.0], -1.0, [1.0], 1.0)
+        # Non-finite input is refused up front: the final max(0, .) would turn a NaN into 0.0.
+        for m0, s0, m1, s1 in [([0.0], -1.0, [1.0], 1.0), ([0.0], 1.0, [1.0], 0.0),
+                               ([math.nan], 1.0, [1.0], 1.0), ([0.0], 1.0, [-math.inf], 1.0),
+                               ([0.0], math.inf, [1.0], 1.0), ([0.0], 1.0, [1.0], math.nan)]:
+            with pytest.raises(InputError, match="must be finite"):
+                mmd2_population_gaussian(KernelSpec(), m0, s0, m1, s1)

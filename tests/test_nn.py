@@ -8,7 +8,6 @@ from mongemmd.nn import (
     ParamGrads,
     init_params,
     mlp_backward,
-    mlp_forward,
     mlp_forward_batch,
 )
 
@@ -142,7 +141,7 @@ class TestForward:
         x = np.array([0.7])
         h = np.tanh(W1 @ x + b1)
         expected = W2 @ h + b2
-        np.testing.assert_allclose(mlp_forward(params, x), expected, rtol=1e-15)
+        np.testing.assert_allclose(mlp_forward_batch(params, x[None])[0], expected, rtol=1e-15)
 
     def test_single_point_matches_batch_row(self):
         params = init_params((3, 10, 3), seed=11)
@@ -152,15 +151,13 @@ class TestForward:
         for i in range(X.shape[0]):
             # matmul reduction order depends on the row count, so only
             # closeness holds between the 1-row and 6-row paths
-            np.testing.assert_allclose(mlp_forward(params, X[i]), batch[i],
+            np.testing.assert_allclose(mlp_forward_batch(params, X[i:i + 1])[0], batch[i],
                                        rtol=1e-13)
 
     def test_rejects_wrong_dimension(self):
         params = init_params((2, 4, 2))
         with pytest.raises(InputError):
             mlp_forward_batch(params, np.zeros((3, 5)))
-        with pytest.raises(InputError):
-            mlp_forward(params, np.zeros((2, 2)))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_raises_numeric_error(self):

@@ -3,9 +3,9 @@ import pytest
 
 from mongemmd.errors import InputError
 from mongemmd.evaluation import evaluate
-from mongemmd.kernel import KernelSpec, kernel_gram, kernel_sum_and_grad_rowsum
+from mongemmd.kernel import KernelSpec, kernel_gram
 from mongemmd.loss import monge_mmd_loss
-from mongemmd.mmd import mmd2_biased, mmd2_unbiased, mmd2_unbiased_grad_points
+from mongemmd.mmd import mmd2_biased, mmd2_unbiased
 from mongemmd.nn import init_params
 from mongemmd.sinkhorn import squared_distance_matrix
 from mongemmd.train import TrainConfig, train
@@ -21,12 +21,8 @@ def test_each_set_is_checked_under_its_name():
 
 @pytest.mark.parametrize("call, names", [
     pytest.param(lambda X, Y: kernel_gram(GAUSS, X, Y), ("X", "Y"), id="kernel_gram"),
-    pytest.param(lambda X, Y: kernel_sum_and_grad_rowsum(GAUSS, X, Y), ("X", "Y"),
-                 id="kernel_sum_and_grad_rowsum"),
     pytest.param(lambda X, Y: mmd2_unbiased(GAUSS, X, Y), ("X", "Y"), id="mmd2_unbiased"),
     pytest.param(lambda X, Y: mmd2_biased(GAUSS, X, Y), ("X", "Y"), id="mmd2_biased"),
-    pytest.param(lambda X, Y: mmd2_unbiased_grad_points(GAUSS, X, Y), ("X", "Y"),
-                 id="mmd2_unbiased_grad_points"),
     pytest.param(lambda X, Y: monge_mmd_loss(init_params((2, 3, 2)), X, Y, GAUSS, 1.0),
                  ("X", "Y"), id="monge_mmd_loss"),
     pytest.param(squared_distance_matrix, ("X", "Y"), id="squared_distance_matrix"),
