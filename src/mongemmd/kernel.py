@@ -17,7 +17,11 @@ and, when asked, the coefficients, sharing one exponential between them.
 All arithmetic is float64. Squared distances come from one routine,
 ``_sqdist``, which sums one coordinate at a time; the Gram matrix, the
 batched routines, the scalar ``kernel_eval`` and the Sinkhorn cost matrix
-all use it, so their entries agree bit for bit at every dimension.
+all use it, so their entries agree bit for bit at every dimension. Points
+more than ~1.3e154 apart overflow their squared distance to inf, whose kernel
+value 0 is the right limit. The public entries silence that overflow with
+``np.errstate``; the training step's walk below does not, since entering it
+costs microseconds, a noticeable share of a small-batch step.
 
 Every kernel sum (the MMD estimators' and the training loss's) is one walk,
 ``_kernel_sum``: it adds the Gram matrix one row block at a time in a fixed
@@ -119,6 +123,7 @@ def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return sq
 
 
+@np.errstate(over="ignore")
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Evaluate K(x, y) for two points of equal dimension.
 
@@ -130,6 +135,7 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(_eval_from_sqdist(spec, _sqdist(x[None], y[None])[0, 0])[0])
 
 
+@np.errstate(over="ignore")
 def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     """Gradient of K(x, y) with respect to x.
 
@@ -152,6 +158,7 @@ def _row_blocks(n_rows: int, n_cols: int, d: int):
         yield start, min(start + block, n_rows)
 
 
+@np.errstate(over="ignore")
 def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     """Gram matrix with entry (i, j) = kernel_eval(spec, X[i], Y[j]).
 

@@ -1,24 +1,28 @@
 """Entropic-regularization transport baseline.
 
 ``sinkhorn_solve`` scales the Gibbs kernel exp(-cost/epsilon) to the given
-marginals with one solver: the dual potentials iterate in the log domain,
-which does not underflow at small epsilon (Peyre & Cuturi, arXiv:1803.00567,
-section 4.4). Rows and columns reduce with ``_logsumexp``, numpy code with
-the real-input arithmetic of SciPy 1.17's ``logsumexp`` (shift by the
-maximum, set the entries tied with it apart), so its results are SciPy's
-bit for bit. After each g-update the column marginals hold up to rounding
-and the row sums are exp(f/epsilon + lse_r), where lse_r is the row
-log-sum-exp the next f-update needs anyway; the stop test reads that row
-violation, so the plan is built once, after the loop.
+marginals by absorption-stabilised scaling (Schmitzer, arXiv:1610.06519,
+section 3; Peyre & Cuturi, arXiv:1803.00567, section 4.4). The plan is
+diag(u) K diag(v), where K = exp((f + g - cost)/epsilon) is built in one
+n-by-n buffer and an iteration is two mat-vecs: u = a / (K v), v = b / (u^T K).
+The row sums u * (K v) reuse the next u-update's mat-vec, and the stop test
+reads their violation (columns hold after each v-update). When u or v leaves
+[1/_TAU, _TAU], epsilon*log of each is folded into the potentials f, g and K
+is rebuilt in place. Where a denominator is 0 or not finite at a positive
+marginal (a kernel row or column underflowed), that half-step runs in the
+log domain with ``_logsumexp`` (the real-input arithmetic of SciPy 1.17's
+``logsumexp``). The loop starts where the log-domain iteration does, g = 0,
+with f the row minimum of the cost so that no kernel row underflows.
 
 Before iterating, the problem is oriented canonically: if the transposed
 instance (cost.T, marginals swapped) sorts lower by shape, then the cost's
 bytes, then the marginals' bytes, that instance is solved and the result
 transposed back. The order is decided at the first entry where the cost and
-its transpose differ bit for bit, so no copy is made unless the transposed
-instance is solved. Either orientation executes the same arithmetic, which
-makes transposition an exact symmetry of the output; a self-transposed
-instance (symmetric cost, equal marginals) is symmetrized for the same reason.
+its transpose differ bit for bit, found one row block at a time, so no copy
+is made unless the transposed instance is solved. Either orientation
+executes the same arithmetic, which makes transposition an exact symmetry of
+the output; a self-transposed instance (symmetric cost, equal marginals) is
+symmetrized for the same reason.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .util import as_point_pair, as_points
 
 DEFAULT_MAX_ITERS = 10000
 DEFAULT_TOL = 1e-9
+# Scalings u, v are folded into the potentials once they leave [1/_TAU, _TAU].
+_TAU = 1e3
+# Entries of the cost that _orientation compares with its transpose at a time.
+_ORIENT_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -45,16 +53,6 @@ class Coupling:
     n_iters: int
     max_violation: float
     converged: bool
-
-    def transpose(self) -> "Coupling":
-        return Coupling(
-            matrix=np.ascontiguousarray(self.matrix.T),
-            a=self.b,
-            b=self.a,
-            n_iters=self.n_iters,
-            max_violation=self.max_violation,
-            converged=self.converged,
-        )
 
 
 def _check_problem(cost_matrix, a, b, epsilon: float):
@@ -108,20 +106,23 @@ def _logsumexp(A: np.ndarray, axis: int) -> np.ndarray:
 def _orientation(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
     """Compare (C.T, b, a) with (C, a, b) as tuples of shape and ``tobytes()``: -1, 0 or 1.
 
-    Reads only the first entry where C and C.T differ bit for bit, so it
+    Reads only the first entry where C and C.T differ bit for bit, comparing
+    one block of rows with the matching block of columns at a time, so it
     makes neither a transposed copy nor a byte string of C.
     """
     m, n = C.shape
     if m != n:
         return -1 if n < m else 1
     bits = C.view(np.uint64)
-    differ = bits != bits.T
-    k = int(differ.argmax())
-    if differ.flat[k]:
-        i, j = divmod(k, n)
-        here, flipped = C[i, j].tobytes(), C[j, i].tobytes()
-    else:
-        here, flipped = a.tobytes(), b.tobytes()
+    rows = max(1, _ORIENT_BLOCK_ELEMS // n)
+    here, flipped = a.tobytes(), b.tobytes()
+    for i0 in range(0, n, rows):
+        differ = bits[i0:i0 + rows] != bits[:, i0:i0 + rows].T
+        k = int(differ.argmax())
+        if differ.flat[k]:
+            i, j = divmod(k, n)
+            here, flipped = C[i0 + i, j].tobytes(), C[j, i0 + i].tobytes()
+            break
     return (flipped > here) - (flipped < here)
 
 
@@ -136,10 +137,12 @@ def sinkhorn_solve(
 ) -> Coupling:
     """Scale exp(-cost/epsilon) to marginals (a, b); uniform when omitted.
 
-    Runs log-domain double updates, at least one and at most ``max_iters``,
-    until the row marginal violation is below ``tol`` (columns hold after
-    each g-update). ``max_violation`` is measured on the returned plan, rows
-    and columns; ``converged`` says whether the iterated plan met ``tol``.
+    Runs absorption-stabilised scaling iterations (a u-update, then a
+    v-update), at least one and at most ``max_iters``, until the row
+    marginal violation is below ``tol``; columns hold after each v-update.
+    ``max_violation`` is measured on the returned plan, rows and columns;
+    ``converged`` says whether it is below ``tol``. Raises NumericError when
+    the iterated violation is not finite.
     """
     if max_iters < 1:
         raise InputError(f"max_iters must be >= 1, got {max_iters}")
@@ -148,36 +151,91 @@ def sinkhorn_solve(
     C, a, b = _check_problem(cost_matrix, a, b, epsilon)
     sign = _orientation(C, a, b)
     if sign < 0:
-        return _solve_log(np.ascontiguousarray(C.T), b, a, epsilon, max_iters, tol).transpose()
-    coupling = _solve_log(C, a, b, epsilon, max_iters, tol)
+        P, n_iters = _solve(np.ascontiguousarray(C.T), b, a, epsilon, max_iters, tol)
+        P = np.ascontiguousarray(P.T)
+    else:
+        P, n_iters = _solve(C, a, b, epsilon, max_iters, tol)
     if sign == 0:
         # Self-transposed problem: make the result exactly symmetric too.
         # Row and column sums average, so feasibility is preserved.
-        coupling.matrix = (coupling.matrix + coupling.matrix.T) / 2.0
-        coupling.max_violation = _violation(coupling.matrix, a, b)
-    return coupling
+        P = (P + P.T) / 2.0
+    viol = _violation(P, a, b)
+    return Coupling(matrix=P, a=a, b=b, n_iters=n_iters, max_violation=viol,
+                    converged=viol < tol)
 
 
-def _solve_log(C, a, b, epsilon, max_iters, tol) -> Coupling:
+def _gibbs(K, C, f, g, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """Write the stabilised kernel exp((f + g - C) / epsilon) into K; return the
+    unit scalings u, v that go with it."""
+    np.add(f[:, None], g[None, :], out=K)
+    K -= C
+    K /= epsilon
+    np.exp(K, out=K)
+    return np.ones_like(f), np.ones_like(g)
+
+
+def _log_potential(K, C, other, log_w, epsilon, axis) -> np.ndarray:
+    """The log-domain half-step epsilon * (log_w - logsumexp((other - C) / epsilon)),
+    reduced along ``axis``, with ``other`` broadcast against C; K is scratch."""
+    np.subtract(other, C, out=K)
+    K /= epsilon
+    return epsilon * (log_w - _logsumexp(K, axis))
+
+
+def _scaling(w, denom):
+    """w / denom, with 0 where w is 0; None when a positive entry of w gets no
+    finite, positive scaling (its denominator is 0 or not finite)."""
+    positive = w > 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.divide(w, denom, out=np.zeros_like(w), where=positive)
+    return s if s.max() < np.inf and np.array_equal(s > 0.0, positive) else None
+
+
+def _solve(C, a, b, epsilon, max_iters, tol) -> tuple[np.ndarray, int]:
+    """Scale in the given orientation; returns the plan and the iteration count.
+
+    A zero marginal entry has scaling 0, and -inf potential once folded, so
+    its row or column of the plan is exactly 0; the range test skips it.
+    """
     with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
-    g = np.zeros(b.shape[0])
-    lse_r = _logsumexp((g[None, :] - C) / epsilon, axis=1)
+        log_a, log_b = np.log(a), np.log(b)
+    lo_a, lo_b = np.where(a > 0.0, 1.0 / _TAU, 0.0), np.where(b > 0.0, 1.0 / _TAU, 0.0)
+    f, g = C.min(axis=1), np.zeros(b.shape[0])
+    K = np.empty_like(C)
+    u, v = _gibbs(K, C, f, g, epsilon)
+    Kv = K @ v
     for it in range(1, max_iters + 1):
-        f = epsilon * (log_a - lse_r)
-        g = epsilon * (log_b - _logsumexp((f[:, None] - C) / epsilon, axis=0))
-        lse_r = _logsumexp((g[None, :] - C) / epsilon, axis=1)
-        viol = float(np.abs(np.exp(f / epsilon + lse_r) - a).max())
+        u = _scaling(a, Kv)
+        if u is None:
+            # A kernel row underflowed: fold v into g and take this half-step
+            # in the log domain.
+            with np.errstate(divide="ignore"):
+                g += epsilon * np.log(v)
+            f = _log_potential(K, C, g[None, :], log_a, epsilon, 1)
+            u, v = _gibbs(K, C, f, g, epsilon)
+        v = _scaling(b, u @ K)
+        if v is None:
+            with np.errstate(divide="ignore"):
+                f += epsilon * np.log(u)
+            g = _log_potential(K, C, f[:, None], log_b, epsilon, 0)
+            u, v = _gibbs(K, C, f, g, epsilon)
+        Kv = K @ v
+        viol = float(np.abs(u * Kv - a).max())
         if not np.isfinite(viol):
             raise NumericError(
-                f"log-domain iteration broke down at epsilon={epsilon}; increase epsilon"
+                f"scaling iteration broke down at epsilon={epsilon}; increase epsilon"
             )
         if viol < tol:
             break
-    P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-    viol = _violation(P, a, b)
-    return Coupling(matrix=P, a=a, b=b, n_iters=it, max_violation=viol, converged=viol < tol)
+        if np.any(u < lo_a) or np.any(v < lo_b) or max(u.max(), v.max()) > _TAU:
+            with np.errstate(divide="ignore"):
+                f += epsilon * np.log(u)
+                g += epsilon * np.log(v)
+            u, v = _gibbs(K, C, f, g, epsilon)
+            Kv = K @ v
+    K *= u[:, None]
+    K *= v[None, :]
+    return K, it
 
 
 def default_epsilon(cost_matrix) -> float:
@@ -191,8 +249,9 @@ def default_epsilon(cost_matrix) -> float:
     return eps
 
 
+@np.errstate(over="ignore")
 def squared_distance_matrix(X, Y) -> np.ndarray:
-    """Pairwise squared Euclidean costs between two point sets."""
+    """Pairwise squared Euclidean costs between two point sets; inf where they overflow."""
     return _sqdist(*as_point_pair(X, Y))
 
 

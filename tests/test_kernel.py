@@ -143,6 +143,15 @@ def test_scalar_entries_refuse_non_finite_points(entry, bad):
         entry(KernelSpec(), [0.0, 0.0], [0.0, bad])
 
 
+def test_points_too_far_apart_give_kernel_value_zero():
+    # The squared distance overflows to inf without a RuntimeWarning (pytest
+    # turns warnings into errors), and inf gives the limit value 0.
+    assert kernel_eval(KernelSpec(), [1e200], [-1e200]) == 0.0
+    assert kernel_grad_x(KernelSpec(), [1e200], [-1e200])[0] == 0.0
+    np.testing.assert_array_equal(kernel_gram(KernelSpec(), [[1e200], [0.0]], [[-1e200]]),
+                                  [[0.0], [0.0]])
+
+
 def point_pairs(max_d: int):
     """Two point sets of a common dimension 1..max_d."""
     coords = st.floats(-1e6, 1e6, allow_nan=False)

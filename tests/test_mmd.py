@@ -136,6 +136,11 @@ class TestUnbiased:
             tracemalloc.stop()
         assert peak / (8 * n * n) <= 3.5
 
+    def test_sets_too_far_apart_give_no_cross_term(self):
+        X, Y = np.full((2, 1), 1e200), np.full((2, 1), -1e200)
+        assert mmd2_unbiased(KernelSpec(), X, Y) == 2.0
+        assert mmd2_biased(KernelSpec(), X, Y) == 2.0
+
 
 class TestBiased:
     def test_two_singletons(self):
@@ -234,6 +239,11 @@ class TestPopulationGaussian:
         est = mmd2_unbiased(spec, X, Y)
         # crude 3-sigma band from resampled spread at this size
         assert abs(est - pop) < 0.02
+
+    def test_means_too_far_apart_give_no_cross_term(self):
+        # |m0 - m1|^2 overflows to inf without a warning: only 2 / sqrt(5) is left.
+        v = mmd2_population_gaussian(KernelSpec(), [1e200], 1.0, [-1e200], 1.0)
+        assert v == 2.0 / math.sqrt(5.0)
 
     def test_non_gaussian_kernel_rejected(self):
         with pytest.raises(InputError):
