@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ FORMAT_VERSION = 1
 KIND_MAP = "map"
 KIND_TRAIN_STATE = "train_state"
 
-_ADAM_KEYS = ("learning_rate", "beta1", "beta2", "eps")  # AdamHyper's fields, as saved
+_ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))  # as saved in the header
 
 
 def _layer_arrays(layers: MlpParams | ParamGrads, prefix: str = "") -> list[tuple[str, np.ndarray]]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import MISSING, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -31,52 +32,62 @@ from .train import LossHistory, TrainState, train
 from .util import atomic_write_text, field_types, valid_range
 
 
-def _config_keys_help() -> str:
+def _config_command(sub, name: str, func, example: str, switches: dict[str, str], **kw) -> None:
+    """Add subcommand ``name``, run from a YAML config: ``config``, ``--set`` and the
+    store-true ``switches`` (flag -> help), with every config key listed after its help."""
     lines = ["config file keys (YAML; defaults in parentheses):"]
     for key, default, text in config_reference():
         head = f"{key} ({'required' if default is None else default})"
         lines.append(f"  {head:<34} {text}")
-    return "\n".join(lines) + "\n"
+    p = sub.add_parser(name, epilog="\n".join(lines) + "\n",
+                       formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
+    p.add_argument("config", help="YAML config path")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help=f"override a config key, e.g. --set {example}")
+    for flag, text in switches.items():
+        p.add_argument(flag, action="store_true", help=text)
+    p.set_defaults(func=func)
 
 
-def _field_flag(parser, flag: str, cls, name: str, **kw) -> None:
-    """Add ``flag`` for field ``name`` of ``cls``, typed, documented and defaulted by the field."""
-    f = next(f for f in fields(cls) if f.name == name)
-    kind = field_types(cls)[name]
-    if kind in (int, float):
-        kw["type"] = kind
-    elif isinstance(kind, type) and issubclass(kind, Enum):
-        kw["choices"] = [e.value for e in kind]
-    text = "; ".join(filter(None, (f.metadata["help"], valid_range(cls, f))))
-    if f.default is not MISSING:
-        default = f.default
-        if isinstance(default, Enum):
-            default = default.value
-        elif isinstance(default, tuple):
-            default = ",".join(str(v) for v in default)
-        kw["default"] = default
-        text += " (default: %(default)s)"
-    parser.add_argument(flag, help=text, **kw)
+# eval's kernel family flag; its other flags are named after their fields.
+_KERNEL_DESTS = {"family": "kernel_family"}
 
 
-def _mean_arg(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"--mean expects comma-separated numbers, got {text!r}") from exc
+def _spec_flags(parser, cls, dests: dict[str, str] = {}) -> None:
+    """Add a flag per field of spec ``cls``, ``--name`` or ``--`` + ``dests[name]``: typed,
+    documented, ranged and defaulted by the field, and required when it has no default."""
+    for f in fields(cls):
+        kind, default = field_types(cls)[f.name], f.default
+        text = "; ".join(filter(None, (f.metadata["help"], valid_range(cls, f))))
+        kw = {"type": kind} if kind in (int, float) else {}
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            kw["choices"] = [e.value for e in kind]
+        elif typing.get_origin(kind) is tuple:
+            kw["metavar"] = "{0}0,{0}1,...".format(f.name[0].upper())
+        if default is not MISSING:
+            kw["default"] = (",".join(map(str, default)) if isinstance(default, tuple) else
+                             default.value if isinstance(default, Enum) else default)
+            text += " (default: %(default)s)"
+        dest = dests.get(f.name, f.name)
+        parser.add_argument("--" + dest.replace("_", "-"), help=text,
+                            required=default is MISSING, **kw)
+
+
+def _spec_from_flags(args, cls, dests: dict[str, str] = {}):
+    """The ``cls`` that the flags of ``_spec_flags`` describe in ``args``."""
+    values = {f.name: getattr(args, dests.get(f.name, f.name)) for f in fields(cls)}
+    for name, kind in field_types(cls).items():
+        if typing.get_origin(kind) is tuple:  # given as "v0,v1,..."
+            try:
+                values[name] = tuple(map(typing.get_args(kind)[0], values[name].split(",")))
+            except ValueError as exc:
+                raise InputError(f"--{name} expects comma-separated numbers, "
+                                 f"got {values[name]!r}") from exc
+    return cls(**values)
 
 
 def cmd_generate(args) -> int:
-    spec = DatasetSpec(
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        noise=args.noise,
-        factor=args.factor,
-        mean=_mean_arg(args.mean),
-        variance=args.variance,
-    )
-    points = generate(spec)
+    points = generate(_spec_from_flags(args, DatasetSpec))
     write_points_csv(args.out, points)
     print(f"wrote {points.shape[0]} points to {args.out}")
     return 0
@@ -146,20 +157,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _kernel_from_flags(args) -> KernelSpec:
-    return KernelSpec(
-        family=args.kernel_family,
-        alpha=args.alpha,
-        matern_order=args.matern_order,
-        lengthscale=args.lengthscale,
-    )
-
-
 def cmd_eval(args) -> int:
     params = ckpt.load_params(args.checkpoint)
     source = read_points_csv(args.source)
     target = read_points_csv(args.target)
-    report = evaluate(params, source, target, _kernel_from_flags(args))
+    report = evaluate(params, source, target, _spec_from_flags(args, KernelSpec, _KERNEL_DESTS))
     text = report.to_json()
     if args.out:
         atomic_write_text(Path(args.out), text)
@@ -189,36 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "plus a Sinkhorn baseline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    config_keys = _config_keys_help()
 
     p = sub.add_parser(
         "generate", help="draw a synthetic point cloud and write CSV",
         description="Draw a synthetic point cloud and write it as CSV "
                     "(header x0,x1,...; 17 significant digits).",
     )
-    _field_flag(p, "--family", DatasetSpec, "family", required=True)
-    _field_flag(p, "--n", DatasetSpec, "n", required=True)
-    _field_flag(p, "--seed", DatasetSpec, "seed")
-    _field_flag(p, "--noise", DatasetSpec, "noise")
-    _field_flag(p, "--factor", DatasetSpec, "factor")
-    _field_flag(p, "--mean", DatasetSpec, "mean", metavar="M0,M1,...")
-    _field_flag(p, "--variance", DatasetSpec, "variance")
+    _spec_flags(p, DatasetSpec)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser(
-        "train", help="fit the transport map from a YAML config",
-        description="Train the map described by the config; writes loss.csv, "
-                    "model.ckpt and eval.json into out_dir.",
-        epilog=config_keys, formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("config", help="YAML config path")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a config key, e.g. --set train.epochs=100")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from out_dir/model.ckpt if present")
-    p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    p.set_defaults(func=cmd_train)
+    _config_command(sub, "train", cmd_train, "train.epochs=100",
+                    {"--resume": "continue from out_dir/model.ckpt if present",
+                     "--quiet": "suppress progress lines"},
+                    help="fit the transport map from a YAML config",
+                    description="Train the map described by the config; writes loss.csv, "
+                                "model.ckpt and eval.json into out_dir.")
 
     p = sub.add_parser(
         "eval", help="evaluate a checkpoint on CSV data",
@@ -229,23 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source points CSV")
     p.add_argument("--target", required=True, help="target points CSV")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    _field_flag(p, "--kernel-family", KernelSpec, "family")
-    _field_flag(p, "--alpha", KernelSpec, "alpha")
-    _field_flag(p, "--matern-order", KernelSpec, "matern_order")
-    _field_flag(p, "--lengthscale", KernelSpec, "lengthscale")
+    _spec_flags(p, KernelSpec, _KERNEL_DESTS)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser(
-        "compare", help="benchmark neural map vs sinkhorn across sizes",
-        description="Run both methods on the Gaussian translation task at the "
-                    "configured sizes and write comparison.csv into out_dir.",
-        epilog=config_keys, formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("config", help="YAML config path")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a config key, e.g. --set compare.sizes=[200]")
-    p.add_argument("--quiet", action="store_true", help="suppress the table echo")
-    p.set_defaults(func=cmd_compare)
+    _config_command(sub, "compare", cmd_compare, "compare.sizes=[200]",
+                    {"--quiet": "suppress the table echo"},
+                    help="benchmark neural map vs sinkhorn across sizes",
+                    description="Run both methods on the Gaussian translation task at the "
+                                "configured sizes and write comparison.csv into out_dir.")
 
     return parser
 

@@ -2,8 +2,9 @@
 
 A run is described by one YAML file. Each key is a field of a config
 dataclass declared with ``util.setting``, which holds the key's default,
-type, valid range and help line; this module reads every section, and
-builds the ``--help`` and README key tables, from those fields alone. Scalar
+type, valid range and help line, and ``RunConfig``'s field defaults are the
+sections' defaults; this module reads every section, and builds the
+``--help`` and README key tables, from those fields alone. Scalar
 keys can be overridden on the command line with ``--set section.key=value``
 (values parsed as YAML). ``util.check_settings`` checks each value's type
 and range when its dataclass is built, as it does for Python callers; errors
@@ -22,8 +23,6 @@ import yaml
 from .compare import CompareConfig
 from .data import DEFAULT_SOURCE, DEFAULT_TARGET, DatasetSpec
 from .errors import InputError
-from .kernel import KernelSpec
-from .optim import AdamHyper
 from .train import TrainConfig
 from .util import check_settings, choices, field_types, setting, valid_range
 
@@ -41,9 +40,9 @@ class EvalConfig:
 @dataclass(frozen=True)
 class RunConfig:
     out_dir: str = setting(MISSING, "artifact directory")
-    source: DatasetSpec
-    target: DatasetSpec
-    train: TrainConfig
+    source: DatasetSpec = DEFAULT_SOURCE
+    target: DatasetSpec = DEFAULT_TARGET
+    train: TrainConfig = TrainConfig()
     eval: EvalConfig = EvalConfig()
     compare: CompareConfig = CompareConfig()
     label: str = setting("run", "free-form run name")
@@ -51,15 +50,15 @@ class RunConfig:
     __post_init__ = check_settings
 
 
-# Each section's keys and their defaults: the keyed fields of these objects,
-# in table order. The train section also carries the Adam keys.
+# Each YAML section and the RunConfig field path(s) whose keys it sets, in
+# table order. The train section also carries the Adam keys.
 _SECTIONS = {
-    "source": (DEFAULT_SOURCE,),
-    "target": (DEFAULT_TARGET,),
-    "kernel": (KernelSpec(),),
-    "train": (TrainConfig(), AdamHyper()),
-    "eval": (EvalConfig(),),
-    "compare": (CompareConfig(),),
+    "source": ("source",),
+    "target": ("target",),
+    "kernel": ("train.kernel",),
+    "train": ("train", "train.optimizer"),
+    "eval": ("eval",),
+    "compare": ("compare",),
 }
 
 # The only transport cost; the section stays readable for older configs.
@@ -91,17 +90,28 @@ def _reject_unknown(node: dict, allowed, where: str) -> None:
         raise InputError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
-def _keys(cls) -> dict[str, Field]:
-    """YAML key -> field, for the fields of ``cls`` declared with ``setting``."""
-    return {f.metadata["key"] or f.name: f for f in fields(cls) if "help" in f.metadata}
+def _keys(spec) -> dict[str, Field]:
+    """YAML key -> field, for the ``setting`` fields of config class or object ``spec``."""
+    return {f.metadata["key"] or f.name: f for f in fields(spec) if "help" in f.metadata}
 
 
-def _read(base, node: dict, where: str, **fixed):
-    """``base`` with the keys given in ``node`` replaced; unknown keys are refused."""
-    keys = _keys(type(base))
-    _reject_unknown(node, keys, where)
+def _at(obj, path: str):
+    """The value at dotted field ``path`` of ``obj``; on the RunConfig class, its default."""
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _with(obj, path: str, value):
+    """``obj`` with the value at dotted field ``path`` replaced by ``value``."""
+    name, _, rest = path.partition(".")
+    return replace(obj, **{name: _with(getattr(obj, name), rest, value) if rest else value})
+
+
+def _read(base, node: dict, where: str):
+    """``base`` with those of its keys that ``node`` gives replaced."""
     try:
-        return replace(base, **fixed, **{keys[key].name: v for key, v in node.items()})
+        return replace(base, **{f.name: node[k] for k, f in _keys(base).items() if k in node})
     except InputError as exc:
         raise InputError(f"{where}.{exc}") from exc
 
@@ -120,22 +130,14 @@ def config_from_tree(tree: dict) -> RunConfig:
     _reject_unknown(tree, {*top, *_SECTIONS, "cost"}, "config")
     if "out_dir" not in tree:
         raise InputError("config: out_dir is required")
-    scalars = {top[k].name: tree[k] for k in top if k in tree}
     _check_cost(tree.get("cost"))
-    node = {name: _expect_mapping(tree.get(name), name) for name in _SECTIONS}
-    adam_keys = _keys(AdamHyper)
-    optimizer = _read(AdamHyper(), {k: v for k, v in node["train"].items() if k in adam_keys},
-                      "train")
-    train = {k: v for k, v in node["train"].items() if k not in adam_keys}
-    return RunConfig(
-        source=_read(DEFAULT_SOURCE, node["source"], "source"),
-        target=_read(DEFAULT_TARGET, node["target"], "target"),
-        train=_read(TrainConfig(), train, "train",
-                    kernel=_read(KernelSpec(), node["kernel"], "kernel"), optimizer=optimizer),
-        eval=_read(EvalConfig(), node["eval"], "eval"),
-        compare=_read(CompareConfig(), node["compare"], "compare"),
-        **scalars,
-    )
+    cfg = RunConfig(**{top[k].name: tree[k] for k in top if k in tree})
+    for section, paths in _SECTIONS.items():
+        node = _expect_mapping(tree.get(section), section)
+        _reject_unknown(node, [k for p in paths for k in _keys(_at(cfg, p))], section)
+        for path in paths:
+            cfg = _with(cfg, path, _read(_at(cfg, path), node, section))
+    return cfg
 
 
 def _yaml_text(value) -> str:
@@ -171,9 +173,9 @@ def _rows(prefix: str, base) -> list[tuple[str, str | None, str]]:
 def config_reference() -> list[tuple[str, str | None, str]]:
     """(dotted key, default as YAML or None when required, help) for every config key."""
     rows = _rows("", RunConfig)
-    for section, bases in _SECTIONS.items():
-        for base in bases:
-            rows += _rows(section + ".", base)
+    for section, paths in _SECTIONS.items():
+        for path in paths:
+            rows += _rows(section + ".", _at(RunConfig, path))
     rows.append(("cost.family", _COST_FAMILY, "transport cost; the only value"))
     return rows
 

@@ -44,6 +44,9 @@ from .util import as_point_pair, check_settings, setting
 # Row blocks hold about 2**24 (row, column, coordinate) entries; the block
 # edges set the order in which every kernel sum adds up.
 _BLOCK_ELEMS = 1 << 24
+# A Matern argument z beyond which exp(-z) is exactly 0 in float64 (it is from
+# ~745.2 on): capping z there changes no value and keeps an infinite z out of inf * 0.
+_Z_MAX = 1000.0
 
 
 class KernelFamily(str, Enum):
@@ -90,12 +93,11 @@ def _eval_from_sqdist(spec: KernelSpec, sq: np.ndarray, want_coeff: bool = False
         k = np.exp(-r / ell)
         with np.errstate(divide="ignore"):
             return k, -k / (ell * r) if want_coeff else None
-    if spec.matern_order is MaternOrder.THREE_HALVES:
-        z = (math.sqrt(3.0) / ell) * r
-        e = np.exp(-z)
-        return (1.0 + z) * e, -(3.0 / ell**2) * e if want_coeff else None
-    z = (math.sqrt(5.0) / ell) * r
+    three = spec.matern_order is MaternOrder.THREE_HALVES
+    z = np.minimum((math.sqrt(3.0 if three else 5.0) / ell) * r, _Z_MAX)
     e = np.exp(-z)
+    if three:
+        return (1.0 + z) * e, -(3.0 / ell**2) * e if want_coeff else None
     k = (1.0 + z + z * z / 3.0) * e
     return k, -(5.0 / (3.0 * ell**2)) * (1.0 + z) * e if want_coeff else None
 
@@ -144,9 +146,9 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     """
     x, y = _as_vector_pair(x, y)
     sq = _sqdist(x[None], y[None])[0, 0]
-    if sq == 0.0:
-        if spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF:
-            raise InputError("Matern order 1/2 has no gradient at coincident points")
+    if sq == 0.0 and spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF:
+        raise InputError("Matern order 1/2 has no gradient at coincident points")
+    if sq == 0.0 or sq == np.inf:  # the limit at inf, where x - y may overflow too
         return np.zeros_like(x)
     _, coeff = _eval_from_sqdist(spec, sq, want_coeff=True)
     return float(coeff) * (x - y)

@@ -55,10 +55,15 @@ class Coupling:
     converged: bool
 
 
-def _check_problem(cost_matrix, a, b, epsilon: float):
-    C = np.ascontiguousarray(np.asarray(cost_matrix, dtype=np.float64))
+def _as_cost(cost_matrix) -> np.ndarray:
+    C = np.asarray(cost_matrix, dtype=np.float64)
     if C.ndim != 2 or C.size == 0:
         raise InputError(f"cost matrix must be 2-d and nonempty, got shape {C.shape}")
+    return C
+
+
+def _check_problem(cost_matrix, a, b, epsilon: float):
+    C = np.ascontiguousarray(_as_cost(cost_matrix))
     if not np.all(np.isfinite(C)):
         raise InputError("cost matrix has non-finite entries")
     m, n = C.shape
@@ -240,8 +245,7 @@ def _solve(C, a, b, epsilon, max_iters, tol) -> tuple[np.ndarray, int]:
 
 def default_epsilon(cost_matrix) -> float:
     """0.1 times the median cost; the regularization scale used throughout."""
-    C = np.asarray(cost_matrix, dtype=np.float64)
-    eps = 0.1 * float(np.median(C))
+    eps = 0.1 * float(np.median(_as_cost(cost_matrix)))
     if not (np.isfinite(eps) and eps > 0.0):
         raise InputError(
             f"median-based epsilon {eps} is not positive; pass epsilon explicitly"

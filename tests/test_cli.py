@@ -1,12 +1,13 @@
 import argparse
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mongemmd.checkpoint import load_params, load_train_state
-from mongemmd.cli import build_parser, main
+from mongemmd.cli import _KERNEL_DESTS, _spec_from_flags, build_parser, main
 from mongemmd.data import DatasetSpec, generate, read_points_csv, write_points_csv
 from mongemmd.kernel import KernelSpec
 from mongemmd.train import LossHistory
@@ -398,6 +399,20 @@ class TestParser:
                            noise=args.noise, factor=args.factor,
                            variance=args.variance) == DatasetSpec(family="two_moons", n=3)
         assert args.mean == "0.0,0.0"
+        # Each spec field has exactly one flag, and default flags build the default spec.
+        subactions = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        for command, cls, argv, default in [
+                ("generate", DatasetSpec, ["--family", "two_moons", "--n", "3", "--out", "x"],
+                 DatasetSpec(family="two_moons", n=3)),
+                ("eval", KernelSpec, ["--checkpoint", "c", "--source", "s", "--target", "t"],
+                 KernelSpec())]:
+            dests = _KERNEL_DESTS if cls is KernelSpec else {}
+            taken = [a.dest for a in subactions[0].choices[command]._actions]
+            for f in fields(cls):
+                assert taken.count(dests.get(f.name, f.name)) == 1, (command, f.name)
+            args = parser.parse_args([command, *argv])
+            assert _spec_from_flags(args, cls, dests) == default
 
     def test_all_subcommands_present(self):
         parser = build_parser()

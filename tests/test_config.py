@@ -45,6 +45,7 @@ class TestDefaults:
         assert cfg.eval.n == 1000
         assert cfg.eval.seed_offset == 10000
         assert cfg.compare.sizes == (200, 1000, 2000)
+        assert RunConfig(out_dir="x") == config_from_tree({"out_dir": "x"})
 
     def test_default_task_is_the_gaussian_translation(self):
         cfg = config_from_tree(dict(MINIMAL))
@@ -315,6 +316,13 @@ class TestReference:
         assert [n for n in sorted(named) if not hasattr(mongemmd, n)] == []
         assert [n for n in mongemmd.__all__ if not hasattr(mongemmd, n)] == []
         assert len(mongemmd.__all__) == len(set(mongemmd.__all__))
+
+    def test_readme_layout_names_every_module(self):
+        block = README.read_text(encoding="utf-8").split("## Layout\n")[1].split("```")[1]
+        named = re.findall(r"^  (\w+\.py) ", block, re.M)
+        package = Path(mongemmd.__file__).parent
+        assert sorted(named) == sorted(p.name for p in package.glob("*.py")
+                                       if p.name != "__init__.py")
 
     def test_only_the_squared_euclidean_cost_is_accepted(self):
         cfg = config_from_tree({**MINIMAL, "cost": {"family": "squared_euclidean"}})

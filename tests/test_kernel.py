@@ -143,13 +143,23 @@ def test_scalar_entries_refuse_non_finite_points(entry, bad):
         entry(KernelSpec(), [0.0, 0.0], [0.0, bad])
 
 
+# The Gaussian and each Matern order.
+FAMILY_SPECS = [KernelSpec()] + [KernelSpec(family="matern", matern_order=order)
+                                 for order in ("half", "three_halves", "five_halves")]
+
+
 def test_points_too_far_apart_give_kernel_value_zero():
     # The squared distance overflows to inf without a RuntimeWarning (pytest
     # turns warnings into errors), and inf gives the limit value 0.
-    assert kernel_eval(KernelSpec(), [1e200], [-1e200]) == 0.0
-    assert kernel_grad_x(KernelSpec(), [1e200], [-1e200])[0] == 0.0
-    np.testing.assert_array_equal(kernel_gram(KernelSpec(), [[1e200], [0.0]], [[-1e200]]),
-                                  [[0.0], [0.0]])
+    for spec in FAMILY_SPECS:
+        assert kernel_eval(spec, [1e200], [-1e200]) == 0.0
+        # A finite squared distance whose Matern 5/2 term z * z overflows.
+        assert kernel_eval(spec, [5e153], [-5e153]) == 0.0
+        assert kernel_grad_x(spec, [1e200], [-1e200])[0] == 0.0
+        # Here x - y overflows too; the gradient's limit is the zero vector.
+        np.testing.assert_array_equal(kernel_grad_x(spec, [1e308, 1.0], [-1e308, 0.0]), [0, 0])
+        np.testing.assert_array_equal(kernel_gram(spec, [[1e200], [0.0]], [[-1e200]]),
+                                      [[0.0], [0.0]])
 
 
 def point_pairs(max_d: int):

@@ -138,8 +138,10 @@ class TestUnbiased:
 
     def test_sets_too_far_apart_give_no_cross_term(self):
         X, Y = np.full((2, 1), 1e200), np.full((2, 1), -1e200)
-        assert mmd2_unbiased(KernelSpec(), X, Y) == 2.0
-        assert mmd2_biased(KernelSpec(), X, Y) == 2.0
+        for spec in [KernelSpec()] + [KernelSpec(family="matern", matern_order=order)
+                                      for order in ("half", "three_halves", "five_halves")]:
+            assert mmd2_unbiased(spec, X, Y) == 2.0
+            assert mmd2_biased(spec, X, Y) == 2.0
 
 
 class TestBiased:

@@ -394,6 +394,14 @@ class TestHelpers:
         with pytest.raises(InputError):
             default_epsilon(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("cost", [np.zeros((0, 3)), np.zeros(0), [1.0, 2.0],
+                                      np.ones((2, 2, 2)), 1.0],
+                             ids=["no-rows", "empty", "vector", "3-d", "scalar"])
+    def test_default_epsilon_refuses_a_cost_that_is_not_a_nonempty_matrix(self, cost):
+        # Refused before the median, whose empty-slice warning pytest turns into an error.
+        with pytest.raises(InputError, match="cost matrix must be 2-d and nonempty"):
+            default_epsilon(cost)
+
     def test_squared_distance_matrix(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         Y = np.array([[3.0, 4.0]])
