@@ -90,7 +90,8 @@ def compare_runs(
     (two coordinates each, as the rows report two) and variances, their own
     sizes and seeds are replaced per run. Rows report per-coordinate mean and
     SD of the mapped points. The neural rows time training; the Sinkhorn rows
-    time the solve (epsilon defaults to 0.1 * median cost, recorded per row).
+    time the whole method: the cost matrix, epsilon (0.1 * median cost unless
+    given, recorded per row), the solve and the barycentric map.
     """
     worst = max(compare.sizes)
     if worst > compare.size_cap:
@@ -123,9 +124,9 @@ def compare_runs(
             sd0=float(sd[0]), sd1=float(sd[1]), runtime_seconds=neural_time,
         ))
 
+        t0 = time.perf_counter()
         C = squared_distance_matrix(src, tgt)
         eps = default_epsilon(C) if compare.epsilon is None else float(compare.epsilon)
-        t0 = time.perf_counter()
         coupling = sinkhorn_solve(C, epsilon=eps, max_iters=compare.max_iters, tol=compare.tol)
         images = barycentric_map(coupling, tgt)
         sink_time = time.perf_counter() - t0

@@ -27,7 +27,14 @@ Every kernel sum (the MMD estimators' and the training loss's) is one walk,
 ``_kernel_sum``: it adds the Gram matrix one row block at a time in a fixed
 order, with one block in memory, and takes the row-wise gradient sums from
 the same block when asked. A sum therefore has the same bits with or without
-its gradient, and does not depend on how callers parallelize over rows.
+its gradient, and does not depend on how callers parallelize over rows. When
+both arguments are one set (``Y is X``) the walk is triangular: a row block
+visits only the columns from its own first row on, adds its diagonal
+sub-block once and the rest twice, and mirrors the rest into the gradient
+rows below it, so each pair is computed once. A block holds at most
+``_BLOCK_ELEMS`` (row, column) entries, so its float64 temporaries fit in L2
+and stay below glibc's 128 KiB mmap threshold: they are reused from the heap
+instead of being mapped and faulted in afresh on every block.
 """
 
 from __future__ import annotations
@@ -41,9 +48,11 @@ import numpy as np
 from .errors import InputError
 from .util import as_point_pair, check_settings, setting
 
-# Row blocks hold about 2**24 (row, column, coordinate) entries; the block
-# edges set the order in which every kernel sum adds up.
-_BLOCK_ELEMS = 1 << 24
+# Row blocks hold at most this many (row, column) entries. One float64 block
+# (125 KiB) fits in L2 and stays under glibc's default 128 KiB mmap threshold,
+# so a block's temporaries come from the heap, not from fresh page faults.
+# The block edges set the order in which every kernel sum adds up.
+_BLOCK_ELEMS = 16000
 # A Matern argument z beyond which exp(-z) is exactly 0 in float64 (it is from
 # ~745.2 on): capping z there changes no value and keeps an infinite z out of inf * 0.
 _Z_MAX = 1000.0
@@ -154,10 +163,15 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     return float(coeff) * (x - y)
 
 
-def _row_blocks(n_rows: int, n_cols: int, d: int):
-    block = max(1, _BLOCK_ELEMS // max(1, n_cols * d))
-    for start in range(0, n_rows, block):
-        yield start, min(start + block, n_rows)
+def _row_blocks(n_rows: int, n_cols: int, triangular: bool = False):
+    """Row ranges [i0, i1) of at most _BLOCK_ELEMS entries each; a triangular
+    block spans only the columns from i0 on, so its rows grow as they narrow."""
+    i0 = 0
+    while i0 < n_rows:
+        width = n_cols - i0 if triangular else n_cols
+        i1 = min(n_rows, i0 + max(1, _BLOCK_ELEMS // max(1, width)))
+        yield i0, i1
+        i0 = i1
 
 
 @np.errstate(over="ignore")
@@ -169,38 +183,48 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     """
     X, Y = as_point_pair(X, Y)
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
-    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
+    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0]):
         out[i0:i1] = _eval_from_sqdist(spec, _sqdist(X[i0:i1], Y))[0]
     return out
 
 
-def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *, want_grad: bool = False,
-                skip_equal_index: bool = False) -> tuple[float, np.ndarray | None]:
+def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *,
+                want_grad: bool = False) -> tuple[float, np.ndarray | None]:
     """``(sum_{ij} K(X_i, Y_j), G or None)`` over validated point sets: the one summing walk.
 
     With ``want_grad``, ``G[i] = sum_j dK/dx(X_i, Y_j)``; otherwise ``G`` is
     None, and the total has the same bits either way. The total always runs
     over every pair (a U-statistic caller subtracts the exact diagonal
-    itself). ``skip_equal_index`` drops the j == i pairs from the gradient
-    sums only, for U-statistic sums where X and Y are the same set, so the
-    sets must then be of equal size. Coincident pairs contribute a zero
-    gradient for the smooth families; Matern order 1/2 raises InputError on
-    any included coincident pair, where its gradient is undefined. The
+    itself). When ``Y is X`` the walk is triangular: block [i0, i1) computes
+    the columns j >= i0 only, the total adds its diagonal sub-block once and
+    the columns j >= i1 twice, and their coefficients feed both rows i0..i1
+    and, mirrored, rows i1.. of ``G``; the j == i pairs are then dropped from
+    ``G``, as a U-statistic's gradient needs. A set that fits in one block
+    runs the rectangular arithmetic exactly. Coincident pairs contribute a
+    zero gradient for the smooth families; Matern order 1/2 raises InputError
+    on any included coincident pair, where its gradient is undefined. The
     total equals ``kernel_gram(...).sum()`` only within one row block.
     """
     half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
-    out = np.empty_like(X) if want_grad else None
+    same = Y is X
+    out = np.zeros_like(X) if want_grad else None
     total = 0.0
-    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0], X.shape[1]):
-        block = X[i0:i1]
-        sq = _sqdist(block, Y)
+    n = Y.shape[0]
+    for i0, i1 in _row_blocks(X.shape[0], n, same):
+        rows = X[i0:i1]
+        cols = X[i0:] if same else Y
+        w = i1 - i0  # with same, columns [0, w) of the block are its diagonal sub-block
+        mirror = same and i1 < n  # the pairs (i, j >= i1) stand for (j, i) too
+        sq = _sqdist(rows, cols)
         k, coeff = _eval_from_sqdist(spec, sq, want_grad)
         total += float(k.sum())
+        if mirror:
+            total += float(k[:, w:].sum())
         if not want_grad:
             continue
-        diag = (np.arange(i1 - i0), np.arange(i0, i1))
         zero = sq == 0.0
-        if skip_equal_index:
+        if same:
+            diag = (np.arange(w), np.arange(w))
             zero[diag] = False
         if half and zero.any():
             raise InputError("Matern order 1/2 has no gradient at coincident points")
@@ -208,7 +232,13 @@ def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *, want_grad: bo
         # families) or the pair is excluded; either way the coefficient must
         # not pollute the row sums.
         coeff[zero] = 0.0
-        if skip_equal_index:
+        if same:
             coeff[diag] = 0.0
-        out[i0:i1] = coeff.sum(axis=1)[:, None] * block - coeff @ Y
+        g = coeff.sum(axis=1)[:, None] * rows - coeff @ cols
+        if same and i0:
+            g += out[i0:i1]  # the pairs mirrored down from the blocks above
+        out[i0:i1] = g
+        if mirror:
+            rest = coeff[:, w:]
+            out[i1:] += rest.sum(axis=0)[:, None] * X[i1:] - rest.T @ rows
     return total, out

@@ -74,7 +74,7 @@ def _evaluate(
     T = outs[-1]
     mean_cost = float(cost_values(X, T).mean())
     try:
-        sxx_full, gxx = _kernel_sum(kernel, T, T, want_grad=want_grad, skip_equal_index=True)
+        sxx_full, gxx = _kernel_sum(kernel, T, T, want_grad=want_grad)
         sxy, gxy = _kernel_sum(kernel, T, Y, want_grad=want_grad)
     except InputError as exc:
         # Shapes were checked above, so the kernel can only refuse coincident

@@ -11,8 +11,10 @@ The V-statistic (biased) companion keeps all pairs with divisors M^2, N^2,
 is nonnegative, and vanishes exactly on identical multisets.
 
 Every pair sum is the kernel's one summing walk, ``_kernel_sum``, so memory
-is bounded by one row block of the Gram matrix. Sets too far apart for a
-finite squared distance get kernel value 0 without an overflow warning.
+is bounded by one cache-sized row block of the Gram matrix, whatever the set
+sizes. The X-X and Y-Y sums pass one set twice, so the walk is triangular
+and computes each pair once. Sets too far apart for a finite squared
+distance get kernel value 0 without an overflow warning.
 """
 
 from __future__ import annotations

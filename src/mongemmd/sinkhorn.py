@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernel import _sqdist
+from .kernel import _row_blocks, _sqdist
 from .util import as_point_pair, as_points
 
 DEFAULT_MAX_ITERS = 10000
@@ -255,8 +255,16 @@ def default_epsilon(cost_matrix) -> float:
 
 @np.errstate(over="ignore")
 def squared_distance_matrix(X, Y) -> np.ndarray:
-    """Pairwise squared Euclidean costs between two point sets; inf where they overflow."""
-    return _sqdist(*as_point_pair(X, Y))
+    """Pairwise squared Euclidean costs between two point sets; inf where they overflow.
+
+    Filled one cache-sized row block at a time, as ``kernel_gram`` is, so the
+    distance temporaries stay small; the entries have the same bits.
+    """
+    X, Y = as_point_pair(X, Y)
+    C = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
+    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0]):
+        C[i0:i1] = _sqdist(X[i0:i1], Y)
+    return C
 
 
 def barycentric_map(coupling: Coupling, Y) -> np.ndarray:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mongemmd.kernel as kmod
 from mongemmd import InputError, KernelSpec, kernel_eval, kernel_grad_x, kernel_gram
-from mongemmd.kernel import _kernel_sum, _sqdist
+from mongemmd.kernel import _kernel_sum, _row_blocks, _sqdist
 
 
 def kernel_oracle(spec, x, y):
@@ -220,60 +221,62 @@ class TestKernelGram:
             assert w.min() > -1e-10
 
     def test_row_blocking_does_not_change_values(self, monkeypatch):
-        import mongemmd.kernel as kmod
         rng = np.random.default_rng(6)
         X = rng.standard_normal((23, 3))
         Y = rng.standard_normal((17, 3))
         spec = KernelSpec(alpha=0.5)
         whole = kernel_gram(spec, X, Y)
-        monkeypatch.setattr(kmod, "_BLOCK_ELEMS", 64)
+        monkeypatch.setattr(kmod, "_BLOCK_ELEMS", 17)  # one row of 17 columns per block
         np.testing.assert_array_equal(kernel_gram(spec, X, Y), whole)
 
 
-class TestGradRowsum:
-    def brute_rowsum(self, spec, X, Y, skip):
-        out = np.zeros_like(X)
-        for i in range(X.shape[0]):
-            for j in range(Y.shape[0]):
-                if skip and i == j:
-                    continue
-                if np.array_equal(X[i], Y[j]):
-                    if spec.family == "matern" and spec.matern_order == "half":
-                        raise AssertionError("oracle hit an invalid pair")
-                    continue
-                out[i] += kernel_grad_x(spec, X[i], Y[j])
-        return out
+def brute_rowsum(spec, X, Y, skip):
+    """Per-pair gradient row sums; ``skip`` drops the j == i pairs, and
+    coincident pairs contribute nothing."""
+    out = np.zeros_like(X)
+    for i in range(X.shape[0]):
+        for j in range(Y.shape[0]):
+            if skip and i == j:
+                continue
+            if np.array_equal(X[i], Y[j]):
+                if spec.family == "matern" and spec.matern_order == "half":
+                    raise AssertionError("oracle hit an invalid pair")
+                continue
+            out[i] += kernel_grad_x(spec, X[i], Y[j])
+    return out
 
+
+class TestGradRowsum:
     def test_matches_per_pair_loop(self):
         rng = np.random.default_rng(12)
         for spec in ALL_SPECS:
             X = rng.standard_normal((8, 2))
             Y = rng.standard_normal((6, 2))
             _, got = _kernel_sum(spec, X, Y, want_grad=True)
-            np.testing.assert_allclose(got, self.brute_rowsum(spec, X, Y, False), rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(got, brute_rowsum(spec, X, Y, False), rtol=1e-12, atol=1e-14)
 
     def test_skip_equal_index_matches_loop(self):
+        # One set passed twice: the walk drops the j == i pairs from the gradient.
         rng = np.random.default_rng(13)
         for spec in ALL_SPECS:
             X = rng.standard_normal((7, 3))
-            _, got = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
-            np.testing.assert_allclose(got, self.brute_rowsum(spec, X, X, True), rtol=1e-12, atol=1e-14)
+            _, got = _kernel_sum(spec, X, X, want_grad=True)
+            np.testing.assert_allclose(got, brute_rowsum(spec, X, X, True), rtol=1e-12, atol=1e-14)
 
     def test_duplicate_points_contribute_zero_for_smooth_families(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        _, got = _kernel_sum(KernelSpec(), X, X, want_grad=True, skip_equal_index=True)
+        _, got = _kernel_sum(KernelSpec(), X, X, want_grad=True)
         assert np.all(np.isfinite(got))
 
     def test_matern_half_raises_on_included_coincidence(self):
         spec = KernelSpec(family="matern", matern_order="half")
         X = np.array([[0.0], [0.0], [2.0]])
         with pytest.raises(InputError):
-            _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
+            _kernel_sum(spec, X, X, want_grad=True)
 
     def test_fused_sum_and_grad_agree_with_parts(self):
         rng = np.random.default_rng(14)
         for spec in ALL_SPECS:
-            skip_ok = not (spec.family == "matern" and spec.matern_order == "half")
             X = rng.standard_normal((9, 2))
             Y = rng.standard_normal((9, 2))
             # The total has the same bits with and without its gradient.
@@ -281,20 +284,94 @@ class TestGradRowsum:
             assert _kernel_sum(spec, X, Y) == (total, None)
             assert total == kernel_gram(spec, X, Y).sum()
             assert grads.shape == X.shape
-            if skip_ok:
-                total_xx, _ = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
-                assert _kernel_sum(spec, X, X)[0] == total_xx
-                assert total_xx == kernel_gram(spec, X, X).sum()
+            # One set drops its j == i pairs, so Matern 1/2 has a gradient too.
+            total_xx, _ = _kernel_sum(spec, X, X, want_grad=True)
+            assert _kernel_sum(spec, X, X)[0] == total_xx
+            assert total_xx == kernel_gram(spec, X, X).sum()
 
     def test_fused_blocking_consistency(self, monkeypatch):
         # Block size changes the matmul shapes, so only closeness (not bit
         # equality) can hold across different block layouts.
-        import mongemmd.kernel as kmod
         rng = np.random.default_rng(15)
         X = rng.standard_normal((25, 2))
         spec = KernelSpec()
-        whole = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
-        monkeypatch.setattr(kmod, "_BLOCK_ELEMS", 32)
-        blocked = _kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
+        whole = _kernel_sum(spec, X, X, want_grad=True)
+        monkeypatch.setattr(kmod, "_BLOCK_ELEMS", 1)  # one row per block
+        blocked = _kernel_sum(spec, X, X, want_grad=True)
         np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-13)
         np.testing.assert_allclose(blocked[1], whole[1], rtol=1e-12, atol=1e-15)
+
+
+def grid_points(max_n: int, max_d: int = 3):
+    """2..max_n points on a grid of spacing 1/4, so that two points either
+    coincide or lie >= 1/4 apart (Matern 1/2's coefficient stays <= 4)."""
+    coords = st.integers(-8, 8).map(lambda v: v / 4.0)
+    return st.tuples(st.integers(2, max_n), st.integers(1, max_d)).flatmap(
+        lambda s: arrays(np.float64, s, elements=coords))
+
+
+def distinct_grid_points(max_n: int, max_d: int = 3):
+    """Like ``grid_points``, but no two points coincide."""
+    coords = st.integers(-8, 8).map(lambda v: v / 4.0)
+    return st.tuples(st.integers(2, max_n), st.integers(1, max_d)).flatmap(
+        lambda s: st.lists(st.tuples(*[coords] * s[1]), min_size=s[0], max_size=s[0],
+                           unique=True)).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+def is_half(spec) -> bool:
+    return spec.family == "matern" and spec.matern_order == "half"
+
+
+class TestTriangularWalk:
+    """``_kernel_sum(spec, X, X)`` walks the upper triangle; a shrunken block
+    budget makes one set span several row blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=grid_points(14), data=st.data())
+    def test_matches_the_gram_and_the_pair_loop(self, X, data):
+        n = X.shape[0]
+        # At most n // 2 rows in the first block, so the walk has >= 2 blocks.
+        budget = data.draw(st.integers(1, n * n // 2), label="budget")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmod, "_BLOCK_ELEMS", budget)
+            assert len(list(_row_blocks(n, n, True))) >= 2
+            for spec in FAMILY_SPECS:
+                total = _kernel_sum(spec, X, X)[0]
+                assert total == pytest.approx(kernel_gram(spec, X, X).sum(), rel=1e-13)
+                distinct = len(np.unique(X, axis=0)) == n
+                if is_half(spec) and not distinct:
+                    with pytest.raises(InputError):
+                        _kernel_sum(spec, X, X, want_grad=True)
+                    continue
+                total_g, grads = _kernel_sum(spec, X, X, want_grad=True)
+                # The total has the same bits with and without the gradient.
+                assert total_g == total
+                # n <= 14 pair terms per row, each |c (x - y)| <= 4 * 4 here.
+                np.testing.assert_allclose(grads, brute_rowsum(spec, X, X, True),
+                                           rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(X=distinct_grid_points(12), data=st.data())
+    def test_duplicates_in_different_blocks(self, X, data):
+        """A duplicate pair whose rows sit in different blocks is reached only
+        through the mirrored coefficients: zero for the smooth families, an
+        InputError for Matern 1/2."""
+        n = X.shape[0]
+        budget = data.draw(st.integers(1, n * n // 2), label="budget")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmod, "_BLOCK_ELEMS", budget)
+            blocks = list(_row_blocks(n, n, True))
+            b = data.draw(st.integers(0, len(blocks) - 2), label="block of i")
+            i = data.draw(st.integers(blocks[b][0], blocks[b][1] - 1), label="i")
+            j = data.draw(st.integers(blocks[b][1], n - 1), label="j")
+            X = X.copy()
+            X[j] = X[i]
+            for spec in FAMILY_SPECS:
+                if is_half(spec):
+                    with pytest.raises(InputError):
+                        _kernel_sum(spec, X, X, want_grad=True)
+                    continue
+                _, grads = _kernel_sum(spec, X, X, want_grad=True)
+                assert np.all(np.isfinite(grads))
+                np.testing.assert_allclose(grads, brute_rowsum(spec, X, X, True),
+                                           rtol=1e-12, atol=1e-12)

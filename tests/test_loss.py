@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mongemmd import kernel
+from mongemmd import loss as loss_module
 from mongemmd.errors import InputError, NumericError
 from mongemmd.kernel import KernelSpec
 from mongemmd.config import config_from_tree
@@ -20,6 +21,27 @@ from mongemmd.nn import Activation, MlpParams, init_params, mlp_forward_batch
 GAUSS = KernelSpec(family="gaussian", alpha=1.0)
 ALL_FAMILIES = [GAUSS] + [KernelSpec(family="matern", matern_order=order)
                           for order in ("half", "three_halves", "five_halves")]
+
+
+def frozen_one_block_sum(spec, X, Y, *, want_grad=False):
+    """The kernel sum of sets that fit in one row block, frozen as it was
+    computed before the walk became triangular: the whole Gram block, with
+    the j == i pairs of one set dropped from the gradient."""
+    sq = kernel._sqdist(X, Y)
+    k, coeff = kernel._eval_from_sqdist(spec, sq, want_grad)
+    total = float(k.sum())
+    if not want_grad:
+        return total, None
+    diag = (np.arange(X.shape[0]), np.arange(X.shape[0]))
+    zero = sq == 0.0
+    if Y is X:
+        zero[diag] = False
+    if spec.family == "matern" and spec.matern_order == "half" and zero.any():
+        raise InputError("Matern order 1/2 has no gradient at coincident points")
+    coeff[zero] = 0.0
+    if Y is X:
+        coeff[diag] = 0.0
+    return total, coeff.sum(axis=1)[:, None] * X - coeff @ Y
 
 
 def constant_map_params(value, dim=1):
@@ -165,6 +187,24 @@ class TestConsistency:
                 plain = monge_mmd_loss(params, X, Y, spec, 1e-3)
                 fused, _ = monge_mmd_loss_with_grad(params, X, Y, spec, 1e-3)
                 assert plain == fused, spec
+
+    def test_batch_of_60_keeps_the_one_block_arithmetic(self, monkeypatch):
+        """A 60-point batch fits in one row block, so its values and gradients
+        equal the frozen one-block walk bit for bit; this is what keeps
+        batch-60 training artifacts byte-identical."""
+        assert len(list(kernel._row_blocks(60, 60, True))) == 1
+        for spec in ALL_FAMILIES:
+            for seed, act in enumerate([Activation.TANH, Activation.RELU] * 2):
+                params = init_params((2, 64, 2), hidden_activation=act, seed=seed)
+                rng = np.random.default_rng(300 + seed)
+                X = rng.standard_normal((60, 2))
+                Y = rng.standard_normal((60, 2)) + 5.0
+                got, got_grads = loss_module._evaluate(params, X, Y, spec, 1e-6, True)
+                with monkeypatch.context() as mp:
+                    mp.setattr(loss_module, "_kernel_sum", frozen_one_block_sum)
+                    want, want_grads = loss_module._evaluate(params, X, Y, spec, 1e-6, True)
+                assert got == want, spec
+                np.testing.assert_array_equal(got_grads.flat, want_grads.flat)
 
     def test_reported_mmd2_equals_unbiased_estimator(self):
         for seed in range(5):

@@ -34,7 +34,7 @@ def mmd2_unbiased_grad_points(spec, X, Y):
     from the kernel's summing walk; the Y-Y term is constant in X.
     """
     m, n = len(X), len(Y)
-    _, g_xx = kernel._kernel_sum(spec, X, X, want_grad=True, skip_equal_index=True)
+    _, g_xx = kernel._kernel_sum(spec, X, X, want_grad=True)
     _, g_xy = kernel._kernel_sum(spec, X, Y, want_grad=True)
     return (2.0 / (m * (m - 1))) * g_xx - (2.0 / (m * n)) * g_xy
 
@@ -46,6 +46,16 @@ def mmd2_biased_oracle(spec, X, Y):
     yy = sum(kernel_eval(spec, Y[i], Y[j]) for i in range(n) for j in range(n))
     xy = sum(kernel_eval(spec, X[i], Y[j]) for i in range(m) for j in range(n))
     return xx / (m * m) - 2.0 * xy / (m * n) + yy / (n * n)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 SPECS = [
@@ -118,23 +128,32 @@ class TestUnbiased:
         full = ((kernel_gram(spec, X, X).sum() - m) / (m * (m - 1))
                 - 2.0 * kernel_gram(spec, X, Y).sum() / (m * n)
                 + (kernel_gram(spec, Y, Y).sum() - n) / (n * (n - 1)))
-        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 8 * 40 * 2)  # 8 rows of 40 2-d columns
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 8 * 40)  # 8 rows of 40 columns
         streamed = mmd2_unbiased(spec, X, Y)
         np.testing.assert_allclose(streamed, full, rtol=1e-13)
 
     def test_memory_is_one_row_block(self):
-        """No Gram matrix is kept: the peak, in n-by-n float64 matrices, is one row block's work."""
+        """No Gram matrix is kept: the peak, in n-by-n float64 matrices, is one row block's work
+        (about five temporaries of one cache-sized block, well under one matrix)."""
         n = 400
         rng = np.random.default_rng(29)
         X = rng.standard_normal((n, 2))
         Y = rng.standard_normal((n, 2))
-        tracemalloc.start()
-        try:
-            mmd2_unbiased(KernelSpec(), X, Y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / (8 * n * n) <= 3.5
+        peak = traced_peak(lambda: mmd2_unbiased(KernelSpec(), X, Y))
+        assert peak / (8 * n * n) <= 0.6
+
+    def test_memory_does_not_grow_with_n(self):
+        """At n = 2000 a Gram matrix is 32 MB; the walk holds under 1 MiB, with or without
+        the gradient and for one set or two."""
+        n = 2000
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((n, 2))
+        Y = rng.standard_normal((n, 2))
+        spec = KernelSpec()
+        for call in (lambda: mmd2_unbiased(spec, X, Y),
+                     lambda: kernel._kernel_sum(spec, X, X, want_grad=True),
+                     lambda: kernel._kernel_sum(spec, X, Y, want_grad=True)):
+            assert traced_peak(call) < 1 << 20
 
     def test_sets_too_far_apart_give_no_cross_term(self):
         X, Y = np.full((2, 1), 1e200), np.full((2, 1), -1e200)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import mongemmd
-from mongemmd import compare, sinkhorn
+from mongemmd import compare, kernel, sinkhorn
 from mongemmd.compare import (
     COMPARISON_HEADER,
     CompareConfig,
@@ -421,6 +422,28 @@ class TestHelpers:
                                            ((X[i] - Y[j]) ** 2).sum(),
                                            rtol=1e-12)
 
+    def test_distance_matrix_row_blocks_keep_the_bits(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((23, 3))
+        Y = rng.standard_normal((17, 3))
+        whole = kernel._sqdist(X, Y)
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 17)  # one row of 17 columns per block
+        np.testing.assert_array_equal(squared_distance_matrix(X, Y), whole)
+
+    def test_distance_matrix_holds_one_matrix_and_one_block(self):
+        n = 1000
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((n, 2))
+        Y = rng.standard_normal((n, 2))
+        tracemalloc.start()
+        try:
+            squared_distance_matrix(X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The result, plus a few temporaries of one 125 KiB row block.
+        assert peak < 8 * n * n + (1 << 20)
+
 
 class TestBarycentricMap:
     def make_coupling(self, P, a=None, b=None):
@@ -500,6 +523,18 @@ class TestComparison:
             assert (a.method, a.data_size) == (b.method, b.data_size)
             assert (a.mean0, a.mean1, a.sd0, a.sd1) == (b.mean0, b.mean1,
                                                         b.sd0, b.sd1)
+
+    def test_sinkhorn_runtime_includes_the_cost_matrix(self, monkeypatch):
+        """The Sinkhorn row times the whole method, as the neural row does:
+        the distance matrix and epsilon count too."""
+        def slow_distances(X, Y):
+            time.sleep(0.2)
+            return squared_distance_matrix(X, Y)
+
+        monkeypatch.setattr(compare, "squared_distance_matrix", slow_distances)
+        rows = compare_runs(self.tiny_config(), CompareConfig(sizes=(12,), seed=3))
+        assert rows[1].method == "sinkhorn"
+        assert rows[1].runtime_seconds >= 0.2
 
     def test_compare_runs_refuses_oversized_sizes_before_drawing(self, monkeypatch):
         def no_draws(spec):
