@@ -6,7 +6,7 @@ mean discrepancy penalty, and ships an entropic-regularization Sinkhorn
 baseline for comparison. See the README for the CLI and file formats.
 """
 
-from .checkpoint import load_params, load_train_state, save_params, save_train_state
+from .checkpoint import load_params, load_train_state, save_train_state
 from .compare import CompareConfig, ComparisonRow, compare_runs, comparison_to_csv
 from .config import EvalConfig, RunConfig, load_config
 from .data import (
@@ -47,7 +47,6 @@ from .mmd import (
 from .nn import (
     Activation,
     MlpParams,
-    ParamGrads,
     init_params,
     mlp_backward,
     mlp_forward_batch,
@@ -83,7 +82,6 @@ __all__ = [
     "MaternOrder",
     "MlpParams",
     "NumericError",
-    "ParamGrads",
     "RunConfig",
     "TrainConfig",
     "TrainState",
@@ -116,7 +114,6 @@ __all__ = [
     "monge_mmd_loss_with_grad",
     "points_to_csv",
     "read_points_csv",
-    "save_params",
     "save_train_state",
     "sinkhorn_solve",
     "squared_distance_matrix",

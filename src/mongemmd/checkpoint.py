@@ -1,4 +1,4 @@
-"""Versioned binary checkpoints for maps and full training state.
+"""Versioned binary checkpoints of the full training state.
 
 Layout, all little-endian:
 
@@ -9,11 +9,13 @@ Layout, all little-endian:
     then          raw float64 array payloads, C order, in header order
 
 The header's ``arrays`` list gives each payload array's name and shape, so
-the payload offsets are implied. ``kind`` is ``map`` (parameters only) or
-``train_state`` (parameters, Adam moments, step counter, epoch). Identical
-inputs produce byte-identical files, and loading restores every float
-bit-exactly, which is what makes checkpoint-resume reproduce an
-uninterrupted run.
+the payload offsets are implied. There is one kind, ``train_state``: the
+network's ``w0, b0, w1, b1, ...``, then the first Adam moment's ``m_w0,
+m_b0, ...`` and the second's ``v_w0, ...``, each moment per layer shaped
+like its parameter, plus the activations, step counter and epoch. The
+reader refuses any other array list. Identical inputs produce
+byte-identical files, and loading restores every float bit-exactly, which
+is what makes checkpoint-resume reproduce an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -27,36 +29,31 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .nn import MlpParams, ParamGrads
+from .nn import MlpParams
 from .optim import AdamHyper, AdamState
 from .util import atomic_write_bytes
 
 MAGIC = b"MMDCKPT\n"
 FORMAT_VERSION = 1
 
-KIND_MAP = "map"
 KIND_TRAIN_STATE = "train_state"
 
 _ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))  # as saved in the header
 
 
-def _layer_arrays(layers: MlpParams | ParamGrads, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-    """Named per-layer views in payload order: w0, b0, w1, b1, ..."""
-    out = []
-    for l, (w, b) in enumerate(zip(layers.weights, layers.biases)):
-        out += [(f"{prefix}w{l}", w), (f"{prefix}b{l}", b)]
-    return out
+def _array_names(n_layers: int) -> list[str]:
+    """The payload's array names in order: parameters, then first and second moments."""
+    return [f"{p}{a}{l}" for p in ("", "m_", "v_") for l in range(n_layers) for a in "wb"]
 
 
-def _layer_lists(arrays: dict[str, np.ndarray], n_layers: int, prefix: str = ""):
-    """The weight and bias lists that ``_layer_arrays`` named; KeyError if one is missing."""
-    return ([arrays[f"{prefix}w{l}"] for l in range(n_layers)],
-            [arrays[f"{prefix}b{l}"] for l in range(n_layers)])
+def _per_layer(params: MlpParams, vec: np.ndarray) -> list[np.ndarray]:
+    """The views of ``params.split(vec)`` in payload order: w0, b0, w1, b1, ..."""
+    return [a for pair in params.split(vec) for a in pair]
 
 
-def _encode(kind: str, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
+def _encode(meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
     header = dict(meta)
-    header["kind"] = kind
+    header["kind"] = KIND_TRAIN_STATE
     header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes]
@@ -65,7 +62,7 @@ def _encode(kind: str, meta: dict, arrays: list[tuple[str, np.ndarray]]) -> byte
     return b"".join(parts)
 
 
-def _decode(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+def _decode(path: Path) -> tuple[dict, list[np.ndarray]]:
     try:
         blob = path.read_bytes()
     except OSError as exc:
@@ -90,46 +87,18 @@ def _decode(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise InputError(f"{path}: corrupt checkpoint header: expected an object naming each array "
                          "and its shape of non-negative ints")
     offset = start + header_len
-    arrays: dict[str, np.ndarray] = {}
+    arrays = []
     for entry in entries:
         shape = tuple(entry["shape"])
         end = offset + 8 * math.prod(shape)
         if end > len(blob):
             raise InputError(f"{path}: truncated checkpoint payload")
         arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64, copy=True)
+        arrays.append(arr.astype(np.float64, copy=True))
         offset = end
     if offset != len(blob):
         raise InputError(f"{path}: {len(blob) - offset} trailing bytes after payload")
     return header, arrays
-
-
-def _params_from(path, header: dict, arrays: dict[str, np.ndarray]) -> MlpParams:
-    acts = header.get("activations")
-    if not isinstance(acts, list) or not acts:
-        raise InputError(f"{path}: checkpoint header lacks activations")
-    try:
-        weights, biases = _layer_lists(arrays, len(acts))
-    except KeyError as exc:
-        raise InputError(f"{path}: checkpoint payload missing array {exc}") from exc
-    try:
-        return MlpParams(weights, biases, acts)
-    except (InputError, ValueError) as exc:
-        raise InputError(f"{path}: checkpoint holds an inconsistent network: {exc}") from exc
-
-
-def save_params(path, params: MlpParams) -> None:
-    """Write a map-only checkpoint."""
-    meta = {"activations": [a.value for a in params.activations]}
-    atomic_write_bytes(Path(path), _encode(KIND_MAP, meta, _layer_arrays(params)))
-
-
-def load_params(path) -> MlpParams:
-    """Read the network from a checkpoint of either kind."""
-    header, arrays = _decode(Path(path))
-    if header.get("kind") not in (KIND_MAP, KIND_TRAIN_STATE):
-        raise InputError(f"{path}: unknown checkpoint kind {header.get('kind')!r}")
-    return _params_from(path, header, arrays)
 
 
 def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> None:
@@ -140,17 +109,29 @@ def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> Non
         "step_count": int(opt.step_count),
         "adam": {k: getattr(opt.hyper, k) for k in _ADAM_KEYS},
     }
-    arrays = (_layer_arrays(params) + _layer_arrays(opt.first_moment, "m_")
-              + _layer_arrays(opt.second_moment, "v_"))
-    atomic_write_bytes(Path(path), _encode(KIND_TRAIN_STATE, meta, arrays))
+    arrays = [a for vec in (params.flat, opt.first_moment, opt.second_moment)
+              for a in _per_layer(params, vec)]
+    atomic_write_bytes(Path(path), _encode(meta, list(zip(_array_names(params.n_layers), arrays))))
 
 
 def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
     """Read back (params, optimizer state, completed epoch count)."""
     header, arrays = _decode(Path(path))
     if header.get("kind") != KIND_TRAIN_STATE:
-        raise InputError(f"{path}: not a training-state checkpoint")
-    params = _params_from(path, header, arrays)
+        raise InputError(f"{path}: not a training-state checkpoint (kind {header.get('kind')!r})")
+    acts = header.get("activations")
+    if not isinstance(acts, list) or not acts:
+        raise InputError(f"{path}: checkpoint header lacks activations")
+    n = len(acts)
+    shapes = [a.shape for a in arrays]
+    if ([e["name"] for e in header.get("arrays", [])] != _array_names(n)
+            or shapes[2 * n:] != shapes[:2 * n] * 2):
+        raise InputError(f"{path}: checkpoint arrays are not w0, b0, ..., m_w0, ..., v_w0, ... of "
+                         f"a {n}-layer network, each moment shaped like its parameter")
+    try:
+        params = MlpParams(arrays[0:2 * n:2], arrays[1:2 * n:2], acts)
+    except InputError as exc:
+        raise InputError(f"{path}: checkpoint holds an inconsistent network: {exc}") from exc
     adam_cfg = header.get("adam")
     if not (isinstance(adam_cfg, dict) and sorted(adam_cfg) == sorted(_ADAM_KEYS)
             and all(type(v) in (int, float) for v in adam_cfg.values())):
@@ -164,13 +145,14 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
         hyper = AdamHyper(**adam_cfg)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    try:
-        first = ParamGrads(*_layer_lists(arrays, params.n_layers, "m_"))
-        second = ParamGrads(*_layer_lists(arrays, params.n_layers, "v_"))
-    except KeyError as exc:
-        raise InputError(f"{path}: checkpoint payload missing array {exc}") from exc
-    if not first.layout == second.layout == params.layout:
-        raise InputError(f"{path}: moment arrays do not match parameters")
+    first, second = np.empty_like(params.flat), np.empty_like(params.flat)
+    for view, a in zip(_per_layer(params, first) + _per_layer(params, second), arrays[2 * n:]):
+        view[...] = a
     opt = AdamState(hyper=hyper, first_moment=first, second_moment=second,
                     step_count=header["step_count"])
     return params, opt, header["epoch"]
+
+
+def load_params(path) -> MlpParams:
+    """Read the network from a training-state checkpoint."""
+    return load_train_state(path)[0]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import KernelSpec, _kernel_sum
-from .nn import MlpParams, ParamGrads, _backward, _forward_checked
+from .nn import MlpParams, _backward, _forward_checked
 from .util import as_point_pair
 
 
@@ -66,7 +66,7 @@ def _evaluate(
     kernel: KernelSpec,
     inv_lambda: float,
     want_grad: bool,
-) -> tuple[LossValues, ParamGrads | None]:
+) -> tuple[LossValues, np.ndarray | None]:
     """Loss values (and gradients if ``want_grad``) of a batch that passed ``_check_batch``."""
     m = X.shape[0]
     # One forward pass serves the loss and, through its layer outputs, the backward pass.
@@ -94,7 +94,7 @@ def _evaluate(
     upstream = (inv_lambda / m) * cost_grad_images(X, T)
     upstream = upstream + (2.0 / (m * (m - 1))) * gxx - (2.0 / (m * m)) * gxy
     grads = _backward(params, outs, upstream)
-    if not np.isfinite(grads.flat).all():
+    if not np.isfinite(grads).all():
         raise NumericError("non-finite loss gradient")
     return values, grads
 
@@ -117,7 +117,8 @@ def monge_mmd_loss_with_grad(
     Y,
     kernel: KernelSpec,
     inv_lambda: float,
-) -> tuple[LossValues, ParamGrads]:
-    """Loss values together with exact parameter gradients of the objective."""
+) -> tuple[LossValues, np.ndarray]:
+    """Loss values together with exact parameter gradients of the objective, as a
+    vector shaped like ``params.flat`` (``params.split`` unpacks it per layer)."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
     return _evaluate(params, X, Y, kernel, inv_lambda, want_grad=True)

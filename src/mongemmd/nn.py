@@ -6,9 +6,11 @@ map can reach arbitrary targets. Input and output dimension are equal by
 construction. Reverse-mode gradients are computed by the standard chain rule
 with batch contributions accumulated in fixed index order.
 
-Parameters, gradients and Adam moments share one layout: one float64 vector
-``flat`` with per-layer views. Public constructors and functions validate;
-the private ``_wrap``, ``_forward_checked`` and ``_backward`` do not.
+``MlpParams`` is the only type that knows the layer layout. Parameters live
+in one float64 vector ``flat``; gradients and Adam moments are plain vectors
+of the same shape, and ``MlpParams.split`` gives any of them per-layer views.
+Public constructors and functions validate; the private ``_with_flat``,
+``_forward_checked`` and ``_backward`` do not.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ class Activation(str, Enum):
     IDENTITY = "identity"
 
 
+def _activation(name) -> Activation:
+    try:
+        return Activation(name)
+    except ValueError as exc:
+        raise InputError(f"unknown activation {name!r}; expected relu, tanh or identity") from exc
+
+
 def _apply(act: Activation, a: np.ndarray) -> np.ndarray:
     if act is Activation.RELU:
         return np.maximum(a, 0.0)
@@ -48,65 +57,25 @@ def _derivative(act: Activation, post: np.ndarray) -> np.ndarray | None:
     return None
 
 
-class _FlatLayers:
-    """Per-layer arrays copied into one contiguous float64 vector ``flat`` (w0, b0, w1, ...).
+class MlpParams:
+    """Transport-map network parameters, and the one owner of the layer layout.
 
-    ``layout`` holds each layer's (weight shape, bias shape); ``weights`` and
-    ``biases`` are views of ``flat``, built on first read.
-    """
-
-    def __init__(self, weights, biases):
-        pairs = zip(weights, biases, strict=True)
-        self.layout = tuple((np.shape(w), np.shape(b)) for w, b in pairs)
-        self.flat = np.empty(sum(math.prod(ws) + math.prod(bs) for ws, bs in self.layout))
-        for view, a in zip(self.weights + self.biases, list(weights) + list(biases)):
-            view[...] = a
-
-    @classmethod
-    def _wrap(cls, flat: np.ndarray, layout, **fields):
-        """An instance over an existing flat vector, without any check."""
-        obj = cls.__new__(cls)
-        obj.__dict__.update(fields, flat=flat, layout=layout)
-        return obj
-
-    @functools.cached_property
-    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        weights, biases, end = [], [], 0
-        for w_shape, b_shape in self.layout:
-            start, mid = end, end + math.prod(w_shape)
-            end = mid + math.prod(b_shape)
-            weights.append(self.flat[start:mid].reshape(w_shape))
-            biases.append(self.flat[mid:end].reshape(b_shape))
-        return tuple(weights), tuple(biases)
-
-    @property
-    def weights(self) -> tuple[np.ndarray, ...]:
-        return self._views[0]
-
-    @property
-    def biases(self) -> tuple[np.ndarray, ...]:
-        return self._views[1]
-
-    def arrays(self):
-        """All arrays in a fixed order (weights then bias, layer by layer)."""
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
-
-
-class MlpParams(_FlatLayers):
-    """Transport-map network parameters.
-
-    ``weights[l]`` has shape (m_l, m_{l-1}) and ``biases[l]`` shape (m_l,);
-    ``activations[l]`` is applied after layer l's affine map. The final
-    activation is identity when built through ``init_params``. The
-    constructor validates and copies the arrays into ``flat``.
+    ``flat`` is one contiguous float64 vector holding w0, b0, w1, b1, ... in
+    C order; ``layout`` gives each layer's (weight shape, bias shape).
+    ``weights[l]`` has shape (m_l, m_{l-1}) and ``biases[l]`` shape (m_l,),
+    both views of ``flat``; ``activations[l]`` is applied after layer l's
+    affine map (identity on the output layer when built by ``init_params``).
+    Gradients and Adam moments are plain vectors shaped like ``flat``, and
+    ``split`` unpacks any of them per layer. The constructor validates and
+    copies the arrays into ``flat``.
     """
 
     def __init__(self, weights, biases, activations):
         if not (len(weights) == len(biases) == len(activations) >= 1):
             raise InputError("weights, biases and activations must align, one entry per layer")
-        self.activations = [Activation(a) for a in activations]
+        self.activations = [_activation(a) for a in activations]
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
         prev = None
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
@@ -116,11 +85,42 @@ class MlpParams(_FlatLayers):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise InputError(f"layer {i}: non-finite parameter entries")
             prev = w.shape[0]
-        super().__init__(weights, biases)
+        self.layout = tuple((w.shape, b.shape) for w, b in zip(weights, biases))
+        self.flat = np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
         if self.output_dim != self.input_dim:
             raise InputError(
                 f"transport map must preserve dimension, got {self.input_dim} -> {self.output_dim}"
             )
+
+    def _with_flat(self, flat: np.ndarray) -> "MlpParams":
+        """This network's layout and activations over another flat vector, without any check."""
+        obj = MlpParams.__new__(MlpParams)
+        obj.__dict__.update(flat=flat, layout=self.layout, activations=list(self.activations))
+        return obj
+
+    def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weights, biases) views of ``vec``, a vector laid out like ``flat``."""
+        if np.shape(vec) != self.flat.shape:
+            raise InputError(f"expected a vector of {self.flat.size} parameters, "
+                             f"got shape {np.shape(vec)}")
+        views, end = [], 0
+        for w_shape, b_shape in self.layout:
+            start, mid = end, end + math.prod(w_shape)
+            end = mid + math.prod(b_shape)
+            views.append((vec[start:mid].reshape(w_shape), vec[mid:end].reshape(b_shape)))
+        return views
+
+    @functools.cached_property
+    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        return tuple(zip(*self.split(self.flat)))
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._views[0]
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._views[1]
 
     @property
     def input_dim(self) -> int:
@@ -139,15 +139,7 @@ class MlpParams(_FlatLayers):
         return (self.input_dim,) + tuple(ws[0] for ws, _ in self.layout)
 
     def copy(self) -> "MlpParams":
-        return MlpParams._wrap(self.flat.copy(), self.layout, activations=list(self.activations))
-
-
-class ParamGrads(_FlatLayers):
-    """Per-parameter gradients (or any parameter-shaped accumulator), laid out as ``MlpParams``."""
-
-    @classmethod
-    def zeros_like(cls, params: MlpParams) -> "ParamGrads":
-        return cls._wrap(np.zeros_like(params.flat), params.layout)
+        return self._with_flat(self.flat.copy())
 
 
 def init_params(
@@ -169,7 +161,7 @@ def init_params(
         raise InputError(f"all widths must be >= 1, got {widths}")
     if widths[0] != widths[-1]:
         raise InputError(f"input and output dimension must match, got {widths}")
-    hidden_activation = Activation(hidden_activation)
+    hidden_activation = _activation(hidden_activation)
     rng = np.random.default_rng(seed)
     weights, biases, acts = [], [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -200,12 +192,13 @@ def mlp_forward_batch(params: MlpParams, X) -> np.ndarray:
     return _forward_checked(params, X)[-1]
 
 
-def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
-    """Parameter gradients of sum_i <upstream_i, T(X_i)>.
+def mlp_backward(params: MlpParams, X, upstream) -> np.ndarray:
+    """Parameter gradients of sum_i <upstream_i, T(X_i)>, as a vector shaped like ``params.flat``.
 
     ``upstream`` holds one d-vector per input point (the loss gradient with
-    respect to that point's image); the result accumulates over the batch.
-    A forward pass with a non-finite output raises NumericError.
+    respect to that point's image); the result accumulates over the batch,
+    and ``params.split`` unpacks it per layer. A forward pass with a
+    non-finite output raises NumericError.
     """
     X = as_points(X, "X")
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -219,16 +212,17 @@ def mlp_backward(params: MlpParams, X, upstream) -> ParamGrads:
     return _backward(params, _forward_checked(params, X), upstream)
 
 
-def _backward(params: MlpParams, outs: list[np.ndarray], upstream: np.ndarray) -> ParamGrads:
+def _backward(params: MlpParams, outs: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
     """``mlp_backward`` from the ``_forward_checked`` result of the same points."""
-    grads = ParamGrads._wrap(np.empty_like(params.flat), params.layout)
+    grads = np.empty_like(params.flat)
+    layers = params.split(grads)
     delta = upstream
     for l in range(params.n_layers - 1, -1, -1):
         dact = _derivative(params.activations[l], outs[l + 1])
         if dact is not None:
             delta = delta * dact
-        np.matmul(delta.T, outs[l], out=grads.weights[l])
-        np.sum(delta, axis=0, out=grads.biases[l])
+        np.matmul(delta.T, outs[l], out=layers[l][0])
+        np.sum(delta, axis=0, out=layers[l][1])
         if l > 0:
             delta = delta @ params.weights[l]
     return grads

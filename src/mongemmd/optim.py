@@ -4,8 +4,9 @@ Stateless-style API: ``adam_step`` returns a new (state, params) pair and
 never mutates its arguments, so training can be checkpointed and resumed
 bit-exactly by serializing the state.
 
-The moments share the parameters' flat layout (see ``nn``): an update is a
-few whole-vector operations, bit-equal to a loop over layers (Adam is element-wise).
+Adam is element-wise, so the gradient and both moments are plain float64 vectors
+shaped like the parameters' ``flat``: an update is a few whole-vector operations,
+bit-equal to a loop over the layers that ``MlpParams.split`` gives.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .nn import MlpParams, ParamGrads
+from .nn import MlpParams
 from .util import check_settings, setting
 
 
@@ -31,11 +32,11 @@ class AdamHyper:
 
 @dataclass
 class AdamState:
-    """Moment estimates plus the update counter; shapes mirror the parameters."""
+    """Moment estimates plus the update counter; each moment is shaped like ``params.flat``."""
 
     hyper: AdamHyper
-    first_moment: ParamGrads
-    second_moment: ParamGrads
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
 
 
@@ -44,35 +45,34 @@ def adam_init(params: MlpParams, hyper: AdamHyper | None = None) -> AdamState:
         hyper = AdamHyper()
     return AdamState(
         hyper=hyper,
-        first_moment=ParamGrads.zeros_like(params),
-        second_moment=ParamGrads.zeros_like(params),
+        first_moment=np.zeros_like(params.flat),
+        second_moment=np.zeros_like(params.flat),
         step_count=0,
     )
 
 
-def adam_step(state: AdamState, params: MlpParams, grads: ParamGrads) -> tuple[AdamState, MlpParams]:
+def adam_step(state: AdamState, params: MlpParams, grads: np.ndarray) -> tuple[AdamState, MlpParams]:
     """One Adam update with bias correction, over the whole flat parameter vector.
 
-    Raises InputError if the gradient or moment layout differs from the
-    parameters', and NumericError on a non-finite gradient or an update that
-    overflows a parameter; in either numeric case nothing is consumed and
-    the caller still holds the previous state and parameters.
+    Raises InputError unless the gradient and both moments are shaped like
+    ``params.flat``, and NumericError on a non-finite gradient or an update
+    that overflows a parameter; in either numeric case nothing is consumed
+    and the caller still holds the previous state and parameters.
     """
-    if not (grads.layout == state.first_moment.layout == state.second_moment.layout
-            == params.layout):
-        raise InputError("grads and optimizer state must match the parameter layout")
-    g = grads.flat
+    g = np.asarray(grads, dtype=np.float64)
+    if not (g.shape == np.shape(state.first_moment) == np.shape(state.second_moment)
+            == params.flat.shape):
+        raise InputError(f"gradient and optimizer moments must be vectors of "
+                         f"{params.flat.size} parameters")
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient; optimizer state left unchanged")
     h = state.hyper
     t = state.step_count + 1
     bc1 = 1.0 - h.beta1 ** t
     bc2 = 1.0 - h.beta2 ** t
-    m = h.beta1 * state.first_moment.flat + (1.0 - h.beta1) * g
-    v = h.beta2 * state.second_moment.flat + (1.0 - h.beta2) * (g * g)
+    m = h.beta1 * state.first_moment + (1.0 - h.beta1) * g
+    v = h.beta2 * state.second_moment + (1.0 - h.beta2) * (g * g)
     p = params.flat - h.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + h.eps)
     if not np.isfinite(p).all():
         raise NumericError("update overflowed the parameters; optimizer state left unchanged")
-    layout = params.layout
-    next_state = AdamState(h, ParamGrads._wrap(m, layout), ParamGrads._wrap(v, layout), t)
-    return next_state, MlpParams._wrap(p, layout, activations=list(params.activations))
+    return AdamState(h, m, v, t), params._with_flat(p)

@@ -108,11 +108,14 @@ class LossHistory:
         for lineno, line in enumerate(lines[1:], start=2):
             try:
                 e, o, m, c = line.split(",")
-                hist.append(int(e), LossValues(float(o), float(m), float(c)))
+                epoch, values = int(e), LossValues(float(o), float(m), float(c))
             except ValueError as exc:
                 raise InputError(
                     f"loss history line {lineno}: expected 4 numbers, got {line!r}"
                 ) from exc
+            if not np.isfinite(values).all():
+                raise InputError(f"loss history line {lineno}: non-finite value in {line!r}")
+            hist.append(epoch, values)
         return hist
 
 

@@ -85,8 +85,8 @@ def test_criterion_1_gradient_matches_finite_differences():
         X = rng.standard_normal((6, 2))
         Y = rng.standard_normal((6, 2)) + 1.0
         _, grads = monge_mmd_loss_with_grad(params, X, Y, spec, inv_lambda)
-        flat_grad = np.concatenate([a.ravel() for a in grads.arrays()])
-        # central differences over every parameter, in arrays() order
+        flat_grad = np.concatenate([a.ravel() for wb in params.split(grads) for a in wb])
+        # central differences over every parameter, in w0, b0, w1, b1, ... order
         fd_blocks = []
         for arr in (a for wb in zip(params.weights, params.biases) for a in wb):
             block = np.empty_like(arr)

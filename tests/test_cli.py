@@ -132,6 +132,20 @@ class TestTrain:
         assert rc == 2
         assert "loss history line 3" in capsys.readouterr().err
 
+    def test_non_finite_loss_history_on_resume_is_usage_error(self, tmp_path, capsys):
+        """A corrupted row is refused, not copied into the rewritten loss.csv."""
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
+        lines = loss.read_text().splitlines()
+        lines[1] = "1,nan,inf,1"
+        loss.write_text("\n".join(lines) + "\n")
+        before = loss.read_bytes(), ckpt.read_bytes()
+        capsys.readouterr()
+        assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
+        assert "loss history line 2: non-finite value in '1,nan,inf,1'" in capsys.readouterr().err
+        assert (loss.read_bytes(), ckpt.read_bytes()) == before
+
     def test_resume_refuses_a_loss_history_with_a_gap(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet"]) == 0
@@ -287,6 +301,16 @@ class TestEval:
         rc = main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                    "--source", str(src), "--target", str(tgt)])
         assert rc == 2
+
+    def test_map_kind_checkpoint_is_usage_error(self, tmp_path, capsys):
+        """Only training-state checkpoints exist; a file of the old map-only kind is refused."""
+        ckpt, src, tgt = self.make_artifacts(tmp_path)
+        edit_checkpoint_header(ckpt, lambda h: h.update(kind="map"))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--source", str(src),
+                   "--target", str(tgt)])
+        assert rc == 2
+        assert f"{ckpt}: not a training-state checkpoint (kind 'map')" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         ckpt, src, _ = self.make_artifacts(tmp_path)

@@ -120,12 +120,13 @@ class TestWorkedExample:
         """
         _, grads = monge_mmd_loss_with_grad(self.params, self.X, self.Y,
                                             GAUSS, self.inv_lambda)
+        [(grad_w, grad_b)] = self.params.split(grads)
         upstream = 1e-6 * np.array([5.5 - 0.0, 5.5 - 1.0])
         # the cross-term cancellation is exact in real arithmetic but leaves
         # a ~1e-15 rounding residue in floating point
-        np.testing.assert_allclose(grads.biases[0], [upstream.sum()],
+        np.testing.assert_allclose(grad_b, [upstream.sum()],
                                    rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(grads.weights[0],
+        np.testing.assert_allclose(grad_w,
                                    [[upstream[0] * 0.0 + upstream[1] * 1.0]],
                                    rtol=1e-12, atol=1e-13)
 
@@ -153,7 +154,8 @@ class TestGradientAgainstFiniteDifferences:
             inv_lambda = 0.5
             _, got = monge_mmd_loss_with_grad(params, X, Y, kernel, inv_lambda)
             fd_w, fd_b = loss_oracle_fd(params, X, Y, kernel, inv_lambda)
-            for g, f in zip(got.weights + got.biases, fd_w + fd_b):
+            got_w, got_b = zip(*params.split(got))
+            for g, f in zip(got_w + got_b, fd_w + fd_b):
                 scale = max(1.0, np.abs(f).max())
                 np.testing.assert_allclose(g, f, rtol=0, atol=1e-5 * scale)
 
@@ -204,7 +206,7 @@ class TestConsistency:
                     mp.setattr(loss_module, "_kernel_sum", frozen_one_block_sum)
                     want, want_grads = loss_module._evaluate(params, X, Y, spec, 1e-6, True)
                 assert got == want, spec
-                np.testing.assert_array_equal(got_grads.flat, want_grads.flat)
+                np.testing.assert_array_equal(got_grads, want_grads)
 
     def test_reported_mmd2_equals_unbiased_estimator(self):
         for seed in range(5):

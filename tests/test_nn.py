@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongemmd.errors import InputError, NumericError
 from mongemmd.nn import (
     Activation,
     MlpParams,
-    ParamGrads,
     init_params,
     mlp_backward,
     mlp_forward_batch,
 )
 
 
+def layer_arrays(params):
+    """The network's weights and biases in the order w0, b0, w1, b1, ..."""
+    return [a for w, b in zip(params.weights, params.biases) for a in (w, b)]
+
+
+def split_arrays(params, vec):
+    """The views of ``params.split(vec)`` in the order w0, b0, w1, b1, ..."""
+    return [a for pair in params.split(vec) for a in pair]
+
+
 def flatten_params(params):
-    return np.concatenate([a.ravel() for a in
-                           ParamGrads(params.weights, params.biases).arrays()])
+    return np.concatenate([a.ravel() for a in layer_arrays(params)])
 
 
 def set_flat_params(params, flat):
@@ -78,8 +88,10 @@ class TestInitParams:
             init_params((2, 4, 3))  # dimension must be preserved
         with pytest.raises(InputError):
             init_params((2, 0, 2))
-        with pytest.raises((InputError, ValueError)):
+        with pytest.raises(InputError, match="softplus"):
             init_params((2, 4, 2), hidden_activation="softplus")
+        with pytest.raises(InputError, match="softplus"):
+            init_params((2, 2), hidden_activation="softplus")
 
 
 class TestMlpParamsValidation:
@@ -99,6 +111,18 @@ class TestMlpParamsValidation:
         w[0, 0] = np.inf
         with pytest.raises(InputError):
             MlpParams([w], [np.zeros(2)], [Activation.IDENTITY])
+
+    def test_unknown_activation_is_input_error(self):
+        with pytest.raises(InputError, match="unknown activation 'softplus'"):
+            MlpParams([np.eye(2)], [np.zeros(2)], ["softplus"])
+
+    def test_nested_lists_are_taken_as_float_arrays(self):
+        params = MlpParams([[[2.0]]], [[0.5]], ["identity"])
+        assert params.weights[0].dtype == np.float64
+        np.testing.assert_array_equal(params.flat, [2.0, 0.5])
+        np.testing.assert_array_equal(mlp_forward_batch(params, [[1.0], [3.0]]), [[2.5], [6.5]])
+        with pytest.raises(InputError, match="do not align"):
+            MlpParams([[1.0]], [[0.0]], ["identity"])
 
     def test_rejects_dimension_change(self):
         with pytest.raises(InputError):
@@ -177,9 +201,9 @@ class TestBackward:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((7, 2))
         U = rng.standard_normal((7, 2))
-        grads = mlp_backward(params, X, U)
-        np.testing.assert_allclose(grads.weights[0], U.T @ X, rtol=1e-14)
-        np.testing.assert_allclose(grads.biases[0], U.sum(axis=0), rtol=1e-14)
+        [(grad_w, grad_b)] = params.split(mlp_backward(params, X, U))
+        np.testing.assert_allclose(grad_w, U.T @ X, rtol=1e-14)
+        np.testing.assert_allclose(grad_b, U.sum(axis=0), rtol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         """Central differences on sum <u_i, T(x_i)> across widths and activations."""
@@ -197,7 +221,7 @@ class TestBackward:
                 X = rng.standard_normal((n_pts, widths[0]))
                 U = rng.standard_normal((n_pts, widths[-1]))
                 grads = mlp_backward(params, X, U)
-                flat_g = np.concatenate([a.ravel() for a in grads.arrays()])
+                flat_g = np.concatenate([a.ravel() for a in split_arrays(params, grads)])
                 flat_p = flatten_params(params)
 
                 def objective(vec):
@@ -223,10 +247,8 @@ class TestBackward:
         X = np.zeros((4, 2))
         U = np.ones((4, 2))
         grads = mlp_backward(params, X, U)
-        for g, p in zip(grads.weights, params.weights):
+        for g, p in zip(split_arrays(params, grads), layer_arrays(params)):
             assert g.shape == p.shape
-        for g, b in zip(grads.biases, params.biases):
-            assert g.shape == b.shape
 
     def test_upstream_shape_checked(self):
         params = init_params((2, 4, 2))
@@ -253,15 +275,16 @@ class TestBackward:
         gu = mlp_backward(params, X, U)
         gv = mlp_backward(params, X, V)
         gsum = mlp_backward(params, X, U + V)
-        for a, b, c in zip(gsum.arrays(), gu.arrays(), gv.arrays()):
+        for a, b, c in zip(*(split_arrays(params, g) for g in (gsum, gu, gv))):
             np.testing.assert_allclose(a, b + c, rtol=1e-12, atol=1e-14)
 
 
 class TestParamGrads:
+    """Parameter gradients are plain vectors shaped like ``flat``; ``split`` lays them out."""
+
     def test_zeros_like_layout(self):
         params = init_params((2, 3, 2))
-        grads = ParamGrads.zeros_like(params)
-        arrays = list(grads.arrays())
+        arrays = split_arrays(params, np.zeros_like(params.flat))
         assert [a.shape for a in arrays] == [(3, 2), (3,), (2, 3), (2,)]
         for a in arrays:
             np.testing.assert_array_equal(a, np.zeros_like(a))
@@ -271,9 +294,9 @@ class TestFlatLayout:
     def test_flat_holds_layers_in_order_and_views_alias_it(self):
         params = init_params((3, 5, 4, 3), seed=4)
         np.testing.assert_array_equal(
-            params.flat, np.concatenate([a.ravel() for a in params.arrays()]))
+            params.flat, np.concatenate([a.ravel() for a in layer_arrays(params)]))
         assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
-        for a in params.arrays():
+        for a in layer_arrays(params):
             assert np.shares_memory(a, params.flat)
         params.biases[1][2] = 7.0
         assert params.flat[3 * 5 + 5 + 5 * 4 + 2] == 7.0
@@ -294,7 +317,32 @@ class TestFlatLayout:
     def test_backward_gradient_shares_the_parameter_layout(self):
         params = init_params((2, 5, 3, 2), seed=1)
         grads = mlp_backward(params, np.ones((4, 2)), np.ones((4, 2)))
-        assert grads.layout == params.layout
-        assert grads.flat.shape == params.flat.shape
-        for g in grads.arrays():
-            assert np.shares_memory(g, grads.flat)
+        assert grads.dtype == np.float64 and grads.shape == params.flat.shape
+        for g, p in zip(split_arrays(params, grads), layer_arrays(params)):
+            assert g.shape == p.shape and np.shares_memory(g, grads)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_split_tiles_the_vector_once_in_layer_order(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        hidden = data.draw(st.lists(st.integers(1, 8), min_size=0, max_size=3), label="hidden")
+        params = init_params((d, *hidden, d), seed=data.draw(st.integers(0, 99), label="seed"))
+        v = np.arange(params.flat.size, dtype=np.float64)
+        views = split_arrays(params, v)
+        assert [a.shape for a in views] == [a.shape for a in layer_arrays(params)]
+        base, offset = v.__array_interface__["data"][0], 0
+        for a in views:
+            assert np.shares_memory(a, v)
+            assert a.__array_interface__["data"][0] == base + 8 * offset
+            np.testing.assert_array_equal(a.ravel(), np.arange(offset, offset + a.size))
+            offset += a.size
+        assert offset == v.size
+        a = views[data.draw(st.integers(0, len(views) - 1), label="written")]
+        a.flat[0] = -1.0
+        assert (v == -1.0).sum() == 1
+
+    def test_split_refuses_a_vector_of_another_length(self):
+        params = init_params((2, 3, 2))
+        for bad in (np.zeros(params.flat.size + 1), np.zeros((1, params.flat.size)), np.zeros(0)):
+            with pytest.raises(InputError, match=f"{params.flat.size} parameters"):
+                params.split(bad)

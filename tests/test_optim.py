@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mongemmd.errors import InputError, NumericError
-from mongemmd.nn import Activation, MlpParams, ParamGrads, init_params
+from mongemmd.nn import Activation, MlpParams, init_params
 from mongemmd.optim import AdamHyper, AdamState, adam_init, adam_step
 
 
@@ -13,9 +13,22 @@ def scalar_params(value):
 
 
 def grads_like(params, arrays):
-    k = len(params.weights)
-    return ParamGrads([np.asarray(a, dtype=np.float64) for a in arrays[:k]],
-                      [np.asarray(a, dtype=np.float64) for a in arrays[k:]])
+    """A gradient vector for ``params`` from its weight arrays followed by its bias arrays."""
+    g = np.empty_like(params.flat)
+    for l, (w, b) in enumerate(params.split(g)):
+        w[...], b[...] = arrays[l], arrays[len(params.weights) + l]
+    return g
+
+
+def random_grads(params, rng):
+    """A standard-normal gradient drawn layer by layer, weights before biases."""
+    return grads_like(params, [rng.standard_normal(a.shape)
+                               for a in list(params.weights) + list(params.biases)])
+
+
+def layer_arrays(params, vec):
+    """The views of ``params.split(vec)`` in the order w0, b0, w1, b1, ..."""
+    return [a for pair in params.split(vec) for a in pair]
 
 
 def adam_oracle(hyper, params_flat, grad_seq):
@@ -86,13 +99,11 @@ class TestAdamStep:
         params = init_params((2, 4, 2), seed=5)
         state = adam_init(params)
         rng = np.random.default_rng(3)
-        grads = ParamGrads([rng.standard_normal(w.shape) for w in params.weights],
-                           [rng.standard_normal(b.shape) for b in params.biases])
+        grads = random_grads(params, rng)
         _, new_params = adam_step(state, params, grads)
-        for p_old, p_new, g in zip(
-                list(params.weights) + list(params.biases),
-                list(new_params.weights) + list(new_params.biases),
-                list(grads.weights) + list(grads.biases)):
+        for p_old, p_new, g in zip(layer_arrays(params, params.flat),
+                                   layer_arrays(params, new_params.flat),
+                                   layer_arrays(params, grads)):
             moved = p_new - p_old
             nonzero = np.abs(g) > 1e-12
             assert np.all(np.sign(moved[nonzero]) == -np.sign(g[nonzero]))
@@ -112,14 +123,13 @@ class TestAdamStep:
         params = init_params((2, 4, 2), seed=8)
         state = adam_init(params)
         before_w = [w.copy() for w in params.weights]
-        before_m = [m.copy() for m in state.first_moment.arrays()]
-        grads = ParamGrads([np.ones_like(w) for w in params.weights],
-                           [np.ones_like(b) for b in params.biases])
+        before_m = state.first_moment.copy()
+        grads = np.ones_like(params.flat)
         adam_step(state, params, grads)
         for w, w0 in zip(params.weights, before_w):
             np.testing.assert_array_equal(w, w0)
-        for m, m0 in zip(state.first_moment.arrays(), before_m):
-            np.testing.assert_array_equal(m, m0)
+        np.testing.assert_array_equal(state.first_moment, before_m)
+        np.testing.assert_array_equal(grads, np.ones_like(params.flat))
         assert state.step_count == 0
 
     def test_non_finite_gradient_raises_and_preserves_state(self):
@@ -129,7 +139,7 @@ class TestAdamStep:
         with pytest.raises(NumericError):
             adam_step(state, params, bad)
         assert state.step_count == 0
-        np.testing.assert_array_equal(state.first_moment.weights[0],
+        np.testing.assert_array_equal(params.split(state.first_moment)[0][0],
                                       np.zeros((1, 1)))
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -141,16 +151,28 @@ class TestAdamStep:
             adam_step(state, params, grads_like(params, [[[-1.0]], [0.0]]))
         assert state.step_count == 0
         np.testing.assert_array_equal(params.flat, [1.7e308, 0.0])
-        np.testing.assert_array_equal(state.first_moment.flat, [0.0, 0.0])
-        np.testing.assert_array_equal(state.second_moment.flat, [0.0, 0.0])
+        np.testing.assert_array_equal(state.first_moment, [0.0, 0.0])
+        np.testing.assert_array_equal(state.second_moment, [0.0, 0.0])
 
     def test_shape_mismatch_rejected(self):
+        """A gradient or moment of another length or shape is refused, and nothing changes."""
         params = init_params((2, 4, 2))
         state = adam_init(params)
-        wrong = ParamGrads([np.zeros((4, 2)), np.zeros((2, 5))],
-                           [np.zeros(4), np.zeros(2)])
-        with pytest.raises(InputError):
-            adam_step(state, params, wrong)
+        size = params.flat.size
+        before = params.flat.copy()
+        for wrong in (np.zeros(size + 1), np.zeros(size - 1), np.zeros((1, size)),
+                      np.zeros((size, 1))):
+            with pytest.raises(InputError, match=f"{size} parameters"):
+                adam_step(state, params, wrong)
+            for moments in ((wrong, state.second_moment), (state.first_moment, wrong)):
+                bad = AdamState(state.hyper, *moments, step_count=3)
+                with pytest.raises(InputError, match=f"{size} parameters"):
+                    adam_step(bad, params, np.zeros(size))
+                assert bad.step_count == 3
+        assert state.step_count == 0
+        np.testing.assert_array_equal(params.flat, before)
+        np.testing.assert_array_equal(state.first_moment, np.zeros(size))
+        np.testing.assert_array_equal(state.second_moment, np.zeros(size))
 
     def test_two_steps_accumulate_moments(self):
         """Second-step update uses the blended moments, not the raw gradient."""
@@ -162,7 +184,7 @@ class TestAdamStep:
         expected = adam_oracle(h, np.array([0.0]),
                                [np.array([1.0]), np.array([-1.0])])
         np.testing.assert_allclose(p.weights[0][0, 0], expected[0], rtol=1e-12)
-        m = state.first_moment.weights[0][0, 0]
+        m = p.split(state.first_moment)[0][0][0, 0]
         np.testing.assert_allclose(m, 0.9 * 0.1 + 0.1 * (-1.0), rtol=1e-12)
 
 
@@ -172,23 +194,22 @@ class TestAdamStep:
         params = init_params((3, 5, 4, 3), seed=2)
         state = adam_init(params, h)
         rng = np.random.default_rng(6)
-        ps = [a.copy() for a in params.arrays()]
+        ps = [a.copy() for a in layer_arrays(params, params.flat)]
         ms = [np.zeros_like(a) for a in ps]
         vs = [np.zeros_like(a) for a in ps]
         for t in range(1, 6):
-            grads = ParamGrads([rng.standard_normal(w.shape) for w in params.weights],
-                               [rng.standard_normal(b.shape) for b in params.biases])
+            grads = random_grads(params, rng)
             state, params = adam_step(state, params, grads)
-            for i, g in enumerate(grads.arrays()):
+            for i, g in enumerate(layer_arrays(params, grads)):
                 ms[i] = h.beta1 * ms[i] + (1.0 - h.beta1) * g
                 vs[i] = h.beta2 * vs[i] + (1.0 - h.beta2) * (g * g)
                 ps[i] = ps[i] - h.learning_rate * (ms[i] / (1.0 - h.beta1 ** t)) / (
                     np.sqrt(vs[i] / (1.0 - h.beta2 ** t)) + h.eps)
-        for got, want in zip(params.arrays(), ps):
+        for got, want in zip(layer_arrays(params, params.flat), ps):
             assert got.tobytes() == want.tobytes()
-        for got, want in zip(state.first_moment.arrays(), ms):
+        for got, want in zip(layer_arrays(params, state.first_moment), ms):
             assert got.tobytes() == want.tobytes()
-        for got, want in zip(state.second_moment.arrays(), vs):
+        for got, want in zip(layer_arrays(params, state.second_moment), vs):
             assert got.tobytes() == want.tobytes()
 
 
@@ -198,10 +219,10 @@ class TestAdamInit:
         state = adam_init(params)
         assert state.step_count == 0
         assert isinstance(state, AdamState)
-        for a in state.first_moment.arrays():
-            np.testing.assert_array_equal(a, np.zeros_like(a))
-        for a in state.second_moment.arrays():
-            np.testing.assert_array_equal(a, np.zeros_like(a))
+        for moment in (state.first_moment, state.second_moment):
+            assert moment.dtype == np.float64 and moment.shape == params.flat.shape
+            np.testing.assert_array_equal(moment, np.zeros_like(params.flat))
+        assert not np.shares_memory(state.first_moment, state.second_moment)
 
     def test_default_hyper_attached(self):
         state = adam_init(scalar_params(0.0))

@@ -177,8 +177,8 @@ def reference_train(config, source, target):
 
 
 def state_bytes(state):
-    return (state.params.flat.tobytes(), state.optimizer.first_moment.flat.tobytes(),
-            state.optimizer.second_moment.flat.tobytes(), state.optimizer.step_count,
+    return (state.params.flat.tobytes(), state.optimizer.first_moment.tobytes(),
+            state.optimizer.second_moment.tobytes(), state.optimizer.step_count,
             state.epoch)
 
 
@@ -205,8 +205,8 @@ class TestEquivalence:
         params, opt, rows = reference_train(cfg, src, tgt)
         state, history = train(cfg, src, tgt)
         assert state.params.flat.tobytes() == params.flat.tobytes()
-        assert state.optimizer.first_moment.flat.tobytes() == opt.first_moment.flat.tobytes()
-        assert state.optimizer.second_moment.flat.tobytes() == opt.second_moment.flat.tobytes()
+        assert state.optimizer.first_moment.tobytes() == opt.first_moment.tobytes()
+        assert state.optimizer.second_moment.tobytes() == opt.second_moment.tobytes()
         assert state.optimizer.step_count == opt.step_count
         assert list(zip(history.objective, history.mmd2, history.cost)) == rows
 
@@ -322,6 +322,12 @@ class TestLossHistory:
     def test_from_csv_rejects_wrong_header(self):
         with pytest.raises(InputError):
             LossHistory.from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("row", ["2,nan,0.1,1", "2,0.5,inf,1", "2,0.5,0.1,-inf",
+                                     "2,1e999,0.1,1"])
+    def test_from_csv_rejects_non_finite_values(self, row):
+        with pytest.raises(InputError, match=f"loss history line 3: non-finite value in '{row}'"):
+            LossHistory.from_csv(f"epoch,objective,mmd2,cost\n1,0.5,0.1,1\n{row}\n")
 
     def test_extend_concatenates(self):
         a, b = self.sample(), self.sample()
