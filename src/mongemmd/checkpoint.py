@@ -13,9 +13,11 @@ the payload offsets are implied. There is one kind, ``train_state``: the
 network's ``w0, b0, w1, b1, ...``, then the first Adam moment's ``m_w0,
 m_b0, ...`` and the second's ``v_w0, ...``, each moment per layer shaped
 like its parameter, plus the activations, step counter and epoch. The
-reader refuses any other array list. Identical inputs produce
-byte-identical files, and loading restores every float bit-exactly, which
-is what makes checkpoint-resume reproduce an uninterrupted run.
+reader refuses any other array list, and reader and writer both refuse a
+non-finite parameter or moment entry and a negative second moment.
+Identical inputs produce byte-identical files, and loading restores every
+float bit-exactly, which is what makes checkpoint-resume reproduce an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -49,6 +51,18 @@ def _array_names(n_layers: int) -> list[str]:
 def _per_layer(params: MlpParams, vec: np.ndarray) -> list[np.ndarray]:
     """The views of ``params.split(vec)`` in payload order: w0, b0, w1, b1, ..."""
     return [a for pair in params.split(vec) for a in pair]
+
+
+def _check_values(path, params: MlpParams, opt: AdamState) -> None:
+    """Refuse a state Adam cannot continue from: a non-finite parameter or moment
+    entry, or a negative second moment (its square root is taken)."""
+    for name, vec in (("parameters", params.flat), ("first moment", opt.first_moment),
+                      ("second moment", opt.second_moment)):
+        # min is NaN when any entry is: two reductions, no boolean temporary.
+        if not (np.isfinite(vec.min()) and np.isfinite(vec.max())):
+            raise InputError(f"{path}: non-finite entries in the checkpoint's {name}")
+    if opt.second_moment.min() < 0.0:
+        raise InputError(f"{path}: negative entries in the checkpoint's second moment")
 
 
 def _encode(meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
@@ -111,6 +125,7 @@ def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> Non
     }
     arrays = [a for vec in (params.flat, opt.first_moment, opt.second_moment)
               for a in _per_layer(params, vec)]
+    _check_values(path, params, opt)
     atomic_write_bytes(Path(path), _encode(meta, list(zip(_array_names(params.n_layers), arrays))))
 
 
@@ -150,6 +165,7 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
         view[...] = a
     opt = AdamState(hyper=hyper, first_moment=first, second_moment=second,
                     step_count=header["step_count"])
+    _check_values(path, params, opt)
     return params, opt, header["epoch"]
 
 

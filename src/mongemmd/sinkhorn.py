@@ -16,13 +16,14 @@ with f the row minimum of the cost so that no kernel row underflows.
 
 Before iterating, the problem is oriented canonically: if the transposed
 instance (cost.T, marginals swapped) sorts lower by shape, then the cost's
-bytes, then the marginals' bytes, that instance is solved and the result
-transposed back. The order is decided at the first entry where the cost and
-its transpose differ bit for bit, found one row block at a time, so no copy
-is made unless the transposed instance is solved. Either orientation
-executes the same arithmetic, which makes transposition an exact symmetry of
-the output; a self-transposed instance (symmetric cost, equal marginals) is
-symmetrized for the same reason.
+bytes, then the marginals' bytes, that instance is solved and its plan
+returned as a transposed (Fortran-ordered) view, without a second copy. The
+order is decided at the first entry where the cost and its transpose differ
+bit for bit, found one row block at a time, so no copy is made unless the
+transposed instance is solved. Either orientation executes the same
+arithmetic on the same plan buffer, down to the reported violation, which
+makes transposition an exact symmetry of the output; a self-transposed
+instance (symmetric cost, equal marginals) is symmetrized for the same reason.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _as_cost(cost_matrix) -> np.ndarray:
 
 def _check_problem(cost_matrix, a, b, epsilon: float):
     C = np.ascontiguousarray(_as_cost(cost_matrix))
-    if not np.all(np.isfinite(C)):
+    # min is NaN when any entry is, so two reductions cover NaN and both infinities.
+    if not (np.isfinite(C.min()) and np.isfinite(C.max())):
         raise InputError("cost matrix has non-finite entries")
     m, n = C.shape
     if a is None:
@@ -157,7 +159,7 @@ def sinkhorn_solve(
     sign = _orientation(C, a, b)
     if sign < 0:
         P, n_iters = _solve(np.ascontiguousarray(C.T), b, a, epsilon, max_iters, tol)
-        P = np.ascontiguousarray(P.T)
+        P = P.T
     else:
         P, n_iters = _solve(C, a, b, epsilon, max_iters, tol)
     if sign == 0:
@@ -172,7 +174,9 @@ def sinkhorn_solve(
 def _gibbs(K, C, f, g, epsilon) -> tuple[np.ndarray, np.ndarray]:
     """Write the stabilised kernel exp((f + g - C) / epsilon) into K; return the
     unit scalings u, v that go with it."""
-    np.add(f[:, None], g[None, :], out=K)
+    # f_i + g_j as a row fill and a contiguous add: the outer add's bits, faster.
+    K[...] = f[:, None]
+    K += g
     K -= C
     K /= epsilon
     np.exp(K, out=K)
@@ -244,8 +248,23 @@ def _solve(C, a, b, epsilon, max_iters, tol) -> tuple[np.ndarray, int]:
 
 
 def default_epsilon(cost_matrix) -> float:
-    """0.1 times the median cost; the regularization scale used throughout."""
-    eps = 0.1 * float(np.median(_as_cost(cost_matrix)))
+    """0.1 times the median cost; the regularization scale used throughout.
+
+    The median is selected, not sorted: one partitioned copy of the cost, at
+    index k = size // 2. The upper middle is entry k and, for an even size,
+    the lower middle is the maximum below it; their mean is formed as
+    ``np.median`` forms it, so the value has its bits. NaN sorts last, so
+    the maximum from k on is NaN exactly when the cost holds one.
+    """
+    C = _as_cost(cost_matrix)
+    k = C.size // 2
+    part = np.partition(C, k, axis=None)
+    median = float(part[k])
+    if C.size % 2 == 0:
+        median = (float(part[:k].max()) + median) / 2
+    if np.isnan(part[k:].max()):
+        median = np.nan
+    eps = 0.1 * median
     if not (np.isfinite(eps) and eps > 0.0):
         raise InputError(
             f"median-based epsilon {eps} is not positive; pass epsilon explicitly"

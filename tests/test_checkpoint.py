@@ -215,6 +215,37 @@ class TestCorruption:
             with pytest.raises(InputError, match="each moment shaped like its parameter"):
                 load_train_state(path)
 
+    @pytest.mark.parametrize("vector, value, message", [
+        (2, -1.0, "negative entries in the checkpoint's second moment"),
+        (2, np.inf, "non-finite entries in the checkpoint's second moment"),
+        (1, np.nan, "non-finite entries in the checkpoint's first moment"),
+        (0, np.nan, "non-finite"),
+    ], ids=["negative-second-moment", "infinite-second-moment", "nan-first-moment",
+            "nan-parameter"])
+    def test_state_adam_cannot_continue_from_is_refused(self, tmp_path, vector, value, message):
+        """Writer and reader both refuse a non-finite parameter or moment entry and a
+        negative second moment, naming the file; the writer writes nothing."""
+        params, state = trained_state()
+        n = params.flat.size
+        vectors = [params.flat.copy(), state.first_moment.copy(), state.second_moment.copy()]
+        vectors[vector][1] = value
+        bad_params = MlpParams(params.weights, params.biases, params.activations)
+        bad_params.flat[...] = vectors[0]
+        bad_state = AdamState(state.hyper, vectors[1], vectors[2], state.step_count)
+        path = tmp_path / "state.ckpt"
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
+            save_train_state(path, bad_params, bad_state, epoch=3)
+        assert not path.exists()
+        # The same entry written into a valid file's payload: parameters, m, then v.
+        save_train_state(path, params, state, epoch=3)
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 8 * n * (3 - vector)
+        blob[start:start + 8 * n] = vectors[vector].astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        for load in (load_train_state, load_params):
+            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
+                load(path)
+
     @pytest.mark.parametrize("edit, payload", [
         (lambda h: {**h, "arrays": h["arrays"] + [{"name": "m_w0", "shape": [5, 2]}]},
          lambda data: data + np.full(10, 7.0).tobytes()),

@@ -146,6 +146,27 @@ class TestTrain:
         assert "loss history line 2: non-finite value in '1,nan,inf,1'" in capsys.readouterr().err
         assert (loss.read_bytes(), ckpt.read_bytes()) == before
 
+    @pytest.mark.parametrize("vector, value", [(2, -1.0), (2, np.inf), (1, np.nan), (0, np.nan)],
+                             ids=["negative-second-moment", "infinite-second-moment",
+                                  "nan-first-moment", "nan-parameter"])
+    def test_checkpoint_adam_cannot_continue_from_is_usage_error(self, tmp_path, capsys,
+                                                                  vector, value):
+        """Train 2 epochs, overwrite the saved parameters (0), first moment (1) or
+        second moment (2) with ``value``, resume to 4: refused before any step."""
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
+        n = load_params(ckpt).flat.size
+        blob = bytearray(ckpt.read_bytes())
+        start = len(blob) - 8 * n * (3 - vector)
+        blob[start:start + 8 * n] = np.full(n, value, dtype="<f8").tobytes()
+        ckpt.write_bytes(bytes(blob))
+        before = loss.read_bytes(), ckpt.read_bytes()
+        capsys.readouterr()
+        assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
+        assert f"{ckpt}: " in capsys.readouterr().err
+        assert (loss.read_bytes(), ckpt.read_bytes()) == before
+
     def test_resume_refuses_a_loss_history_with_a_gap(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet"]) == 0

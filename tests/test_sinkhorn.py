@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import mongemmd
 from mongemmd import compare, kernel, sinkhorn
@@ -22,6 +26,7 @@ from mongemmd.compare import (
 from mongemmd.errors import InputError, NumericError
 from mongemmd.sinkhorn import (
     _ORIENT_BLOCK_ELEMS,
+    Coupling,
     _logsumexp,
     _orientation,
     _violation,
@@ -135,6 +140,26 @@ class TestTransposeSymmetry:
                                      epsilon=0.7)
             np.testing.assert_array_equal(flipped.matrix, direct.matrix.T)
             assert flipped.n_iters == direct.n_iters
+            assert flipped.max_violation == direct.max_violation
+
+    @pytest.mark.parametrize("shape, seed", [((14, 9), 0), ((40, 40), 0)], ids=["wide", "square"])
+    def test_transposed_orientation_returns_a_view_of_the_flipped_plan(self, shape, seed):
+        """A problem whose canonical orientation is its transpose gets the flipped
+        problem's plan as a transposed view: the same bits, no second copy, and
+        barycentric images equal to a C-ordered copy's to rounding."""
+        C, a, b = random_problem(*shape, seed)
+        assert _orientation(C, a, b) == -1
+        direct = sinkhorn_solve(C, a, b, epsilon=0.5)
+        flipped = sinkhorn_solve(np.ascontiguousarray(C.T), b, a, epsilon=0.5)
+        np.testing.assert_array_equal(direct.matrix, flipped.matrix.T)
+        assert direct.matrix.flags.f_contiguous and not direct.matrix.flags.owndata
+        assert (direct.n_iters, direct.converged) == (flipped.n_iters, flipped.converged)
+        assert direct.max_violation == flipped.max_violation
+        Y = np.random.default_rng(seed).normal(size=(shape[1], 3))
+        copied = Coupling(np.ascontiguousarray(direct.matrix), a, b, direct.n_iters,
+                          direct.max_violation, direct.converged)
+        np.testing.assert_allclose(barycentric_map(direct, Y), barycentric_map(copied, Y),
+                                   rtol=1e-12, atol=0.0)
 
     def test_self_transposed_result_is_exactly_symmetric(self):
         rng = np.random.default_rng(5)
@@ -288,7 +313,9 @@ class TestMemory:
         """Peak traced allocation of a solve, in n-by-n float64 matrices."""
         n = 400
         C = np.random.default_rng(61).uniform(0.0, 4.0, size=(n, n))
-        # One of C and C.T is solved as given, the other through a transposed copy.
+        a = np.full(n, 1.0 / n)
+        # One of C and C.T is solved as given, in one kernel buffer; the other
+        # through a transposed copy of the cost as well, returning a view.
         for cost in (C, np.ascontiguousarray(C.T)):
             tracemalloc.start()
             try:
@@ -296,7 +323,18 @@ class TestMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak / cost.nbytes <= 2.5
+            assert peak / cost.nbytes <= (2.25 if _orientation(cost, a, a) < 0 else 1.25)
+
+    def test_default_epsilon_holds_one_copy(self):
+        C = np.random.default_rng(62).uniform(0.0, 4.0, size=(300, 300))
+        for cost in (C, C.T):
+            tracemalloc.start()
+            try:
+                default_epsilon(cost)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / C.nbytes <= 1.05
 
 
 class TestLogSumExp:
@@ -337,6 +375,23 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+
+    def test_solver_imports_only_errors_kernel_and_util(self):
+        """The baseline stays independent of the trainer: sinkhorn.py's package
+        imports are a subset of errors, kernel and util, all of them relative."""
+        tree = ast.parse(Path(sinkhorn.__file__).read_text(encoding="utf-8"))
+        relative, absolute = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                relative.update([node.module.split(".")[0]] if node.module
+                                else [alias.name for alias in node.names])
+            elif isinstance(node, ast.ImportFrom):
+                absolute.add(node.module.split(".")[0])
+            elif isinstance(node, ast.Import):
+                absolute.update(alias.name.split(".")[0] for alias in node.names)
+        assert "mongemmd" not in absolute
+        assert relative and relative <= {"errors", "kernel", "util"}
 
 
 class TestKernelUnderflow:
@@ -390,6 +445,24 @@ class TestHelpers:
     def test_default_epsilon_is_tenth_of_median(self):
         C = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(default_epsilon(C), 0.25, rtol=1e-15)
+
+    @settings(max_examples=400, deadline=None)
+    @given(C=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=7),
+                    elements=st.one_of(
+                        st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, np.inf, -np.inf, np.nan]),
+                        st.floats(allow_nan=False))))
+    def test_default_epsilon_is_a_tenth_of_numpys_median_bit_for_bit(self, C):
+        """Odd and even sizes, ties, signed zeros, infinities and overflowing middles:
+        an accepted cost gives np.median's bits, and a cost whose median is NaN, zero
+        or negative is refused without a warning (pytest turns warnings into errors)."""
+        with np.errstate(all="ignore"):
+            expected = 0.1 * float(np.median(C))
+        for cost in (C, C.T):
+            if np.isfinite(expected) and expected > 0.0:
+                assert default_epsilon(cost).hex() == expected.hex()
+            else:
+                with pytest.raises(InputError, match="median-based epsilon"):
+                    default_epsilon(cost)
 
     def test_default_epsilon_rejects_degenerate_costs(self):
         with pytest.raises(InputError):
