@@ -15,9 +15,14 @@ For every family the spatial gradient factors as
 and, when asked, the coefficients, sharing one exponential between them.
 
 All arithmetic is float64. Squared distances come from one routine,
-``_sqdist``, which sums one coordinate at a time; the Gram matrix, the
+``_sqdist_blocks``, which forms every coordinate's differences X_ij - Y_kj as
+one matrix product of the factors [X[:, j], 1] and [1; -Y[:, j]], squares
+them in place and sums one coordinate at a time; the Gram matrix, the
 batched routines, the scalar ``kernel_eval`` and the Sinkhorn cost matrix
-all use it, so their entries agree bit for bit at every dimension. Points
+all use it, so their entries agree bit for bit at every dimension. Each
+product entry is x * 1 + 1 * (-y), two exact products whose sum is rounded
+once in any order, with or without FMA, so it is fl(x - y), the broadcast
+subtraction's bits; a zero may come out as -0.0, which squaring erases. Points
 more than ~1.3e154 apart overflow their squared distance to inf, whose kernel
 value 0 is the right limit. The public entries silence that overflow with
 ``np.errstate``; the training step's walk below does not, since entering it
@@ -34,7 +39,9 @@ sub-block once and the rest twice, and mirrors the rest into the gradient
 rows below it, so each pair is computed once. A block holds at most
 ``_BLOCK_ELEMS`` (row, column) entries, so its float64 temporaries fit in L2
 and stay below glibc's 128 KiB mmap threshold: they are reused from the heap
-instead of being mapped and faulted in afresh on every block.
+instead of being mapped and faulted in afresh on every block. A walk builds
+the difference factors once and forms every block's differences and squared
+distances in one workspace of at most d * max(_BLOCK_ELEMS, N) floats.
 """
 
 from __future__ import annotations
@@ -120,18 +127,49 @@ def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return X[0], Y[0]
 
 
+def _sqdist_blocks(X: np.ndarray, Y: np.ndarray, triangular: bool = False):
+    """``(i0, i1, sq)`` for each row block of ``_row_blocks``: the squared distances of
+    rows X[i0:i1] to the columns Y[i0:] (triangular) or Y.
+
+    The per-coordinate factors L[j] = [X[:, j], 1] (M x 2) and R[j] = [1; -Y[:, j]]
+    (2 x N) are built once; one ``np.matmul`` of their slices gives a block's
+    differences for every coordinate, which are squared in place and added
+    one coordinate at a time, in index order. Every block is formed in one
+    workspace, large enough for any block (a later triangular block can
+    outgrow the first), so ``sq`` is overwritten by the next block.
+    """
+    d, m, n = X.shape[1], X.shape[0], Y.shape[0]
+    L = np.empty((d, m, 2))
+    L[:, :, 0] = X.T
+    L[:, :, 1] = 1.0
+    R = np.empty((d, 2, n))
+    R[:, 0] = 1.0
+    np.negative(Y.T, out=R[:, 1])
+    ws = np.empty(d * min(m * n, max(_BLOCK_ELEMS, n)))
+    for i0, i1 in _row_blocks(m, n, triangular):
+        c0 = i0 if triangular else 0
+        D = ws[:d * (i1 - i0) * (n - c0)].reshape(d, i1 - i0, n - c0)
+        np.matmul(L[:, i0:i1], R[:, :, c0:], out=D)
+        np.square(D, out=D)
+        sq = D[0]
+        for j in range(1, d):
+            sq += D[j]
+        yield i0, i1, sq
+
+
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Squared distances between every row of X and every row of Y.
 
-    Computed from explicit differences (not the dot-product identity) so that
-    coincident points give exactly 0. Coordinates are summed one at a time in
-    index order: no (M, N, d) temporary is formed, and for d <= 5 the result
-    has the same bits as numpy's reduction of the differences over d.
+    Each difference is the product entry x * 1 + 1 * (-y), two exact products
+    whose sum is rounded once in any order, with or without FMA, so it has the
+    bits of x - y and coincident points give exactly 0. Coordinates are summed
+    in index order, which for d <= 5 has the bits of numpy's reduction of the
+    squared differences over d.
     """
-    sq = (X[:, None, 0] - Y[None, :, 0]) ** 2
-    for j in range(1, X.shape[1]):
-        sq += (X[:, None, j] - Y[None, :, j]) ** 2
-    return sq
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for i0, i1, sq in _sqdist_blocks(X, Y):
+        out[i0:i1] = sq
+    return out
 
 
 @np.errstate(over="ignore")
@@ -183,8 +221,8 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     """
     X, Y = as_point_pair(X, Y)
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
-    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0]):
-        out[i0:i1] = _eval_from_sqdist(spec, _sqdist(X[i0:i1], Y))[0]
+    for i0, i1, sq in _sqdist_blocks(X, Y):
+        out[i0:i1] = _eval_from_sqdist(spec, sq)[0]
     return out
 
 
@@ -210,12 +248,11 @@ def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *,
     out = np.zeros_like(X) if want_grad else None
     total = 0.0
     n = Y.shape[0]
-    for i0, i1 in _row_blocks(X.shape[0], n, same):
+    for i0, i1, sq in _sqdist_blocks(X, Y, same):
         rows = X[i0:i1]
         cols = X[i0:] if same else Y
         w = i1 - i0  # with same, columns [0, w) of the block are its diagonal sub-block
         mirror = same and i1 < n  # the pairs (i, j >= i1) stand for (j, i) too
-        sq = _sqdist(rows, cols)
         k, coeff = _eval_from_sqdist(spec, sq, want_grad)
         total += float(k.sum())
         if mirror:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernel import _row_blocks, _sqdist
+from .kernel import _sqdist
 from .util import as_point_pair, as_points
 
 DEFAULT_MAX_ITERS = 10000
@@ -280,10 +280,7 @@ def squared_distance_matrix(X, Y) -> np.ndarray:
     distance temporaries stay small; the entries have the same bits.
     """
     X, Y = as_point_pair(X, Y)
-    C = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
-    for i0, i1 in _row_blocks(X.shape[0], Y.shape[0]):
-        C[i0:i1] = _sqdist(X[i0:i1], Y)
-    return C
+    return _sqdist(X, Y)
 
 
 def barycentric_map(coupling: Coupling, Y) -> np.ndarray:
@@ -295,4 +292,6 @@ def barycentric_map(coupling: Coupling, Y) -> np.ndarray:
     row_mass = P.sum(axis=1)
     if np.any(row_mass <= 0.0) or not np.all(np.isfinite(row_mass)):
         raise NumericError("coupling has rows without mass; cannot form barycentric images")
-    return (P @ Y) / row_mass[:, None]
+    # A transposed-orientation plan is a Fortran-ordered view: multiply in its order.
+    PY = (Y.T @ P.T).T if P.flags.f_contiguous else P @ Y
+    return PY / row_mass[:, None]

@@ -15,7 +15,7 @@ unbiased squared MMD, and mean transport cost.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -131,6 +131,20 @@ def init_state(config: TrainConfig, dim: int) -> TrainState:
     return TrainState(params=params, optimizer=adam_init(params, config.optimizer), epoch=0)
 
 
+def _contradictions(config: TrainConfig, state: TrainState) -> list[str]:
+    """The settings the state was built under that ``config`` changes, one
+    ``key: checkpoint ..., config ...`` entry each; empty when it may continue."""
+    acts = sorted({a.value for a in state.params.activations[:-1]})
+    want = config.hidden_activation.value
+    held = {"hidden_widths": (list(state.params.widths[1:-1]), list(config.hidden_widths)),
+            "hidden_activation": ("/".join(acts) or want, want)}
+    for f in fields(config.optimizer):
+        held[f.metadata["key"] or f.name] = (getattr(state.optimizer.hyper, f.name),
+                                             getattr(config.optimizer, f.name))
+    return [f"train.{key}: checkpoint {ours}, config {theirs}"
+            for key, (ours, theirs) in held.items() if ours != theirs]
+
+
 def train(
     config: TrainConfig,
     source,
@@ -141,9 +155,11 @@ def train(
     """Run epochs ``state.epoch + 1 .. config.epochs`` and return the final state.
 
     Pass ``state`` from a loaded checkpoint to resume; the default starts
-    from freshly initialized parameters. ``progress``, if given, is called
-    after every epoch with its index and averaged loss values. The inputs
-    are validated here, once; every batch then goes to the unchecked loss.
+    from freshly initialized parameters. A state whose network or Adam
+    settings ``config`` changes is refused with InputError naming each key.
+    ``progress``, if given, is called after every epoch with its index and
+    averaged loss values. The inputs are validated here, once; every batch
+    then goes to the unchecked loss.
     """
     source, target = as_point_pair(source, target, ("source", "target"))
     n_pairs = min(source.shape[0], target.shape[0])
@@ -159,6 +175,10 @@ def train(
         )
     if state.epoch > config.epochs:
         raise InputError(f"state is already past epoch {config.epochs} (at {state.epoch})")
+    changed = _contradictions(config, state)
+    if changed:
+        raise InputError("cannot resume: the config changes settings the checkpoint was"
+                         " trained with (" + "; ".join(changed) + ")")
 
     params = state.params
     opt = state.optimizer

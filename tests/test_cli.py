@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import struct
 from dataclasses import fields
@@ -166,6 +167,41 @@ class TestTrain:
         assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
         assert f"{ckpt}: " in capsys.readouterr().err
         assert (loss.read_bytes(), ckpt.read_bytes()) == before
+
+    @pytest.mark.parametrize("key, value, held", [
+        ("hidden_widths", "[8]", "checkpoint [6], config [8]"),
+        ("hidden_activation", "tanh", "checkpoint relu, config tanh"),
+        ("learning_rate", "0.001", "checkpoint 0.0001, config 0.001"),
+        ("beta1", "0.8", "checkpoint 0.9, config 0.8"),
+        ("beta2", "0.99", "checkpoint 0.999, config 0.99"),
+        ("adam_eps", "1e-7", "checkpoint 1e-08, config 1e-07"),
+    ])
+    def test_resume_refuses_a_setting_the_checkpoint_contradicts(
+            self, tmp_path, capsys, monkeypatch, key, value, held):
+        """Train 2 epochs, resume to 4 with one network or Adam key changed: exit 2
+        naming the key and both values, before any step, with both files as they were."""
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
+        before = loss.read_bytes(), ckpt.read_bytes()
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(importlib.import_module("mongemmd.train"), "_evaluate", no_step)
+        capsys.readouterr()
+        rc = main(["train", str(cfg), "--quiet", "--resume", "--set", f"train.{key}={value}"])
+        assert rc == 2
+        assert f"train.{key}: {held}" in capsys.readouterr().err
+        assert (loss.read_bytes(), ckpt.read_bytes()) == before
+
+    def test_resume_accepts_a_changed_epoch_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        assert main(["train", str(cfg), "--quiet", "--resume", "--set", "train.epochs=3"]) == 0
+        hist = LossHistory.from_csv((tmp_path / "out" / "loss.csv").read_text())
+        assert hist.epochs == [1, 2, 3]
+        assert load_train_state(tmp_path / "out" / "model.ckpt")[2] == 3
 
     def test_resume_refuses_a_loss_history_with_a_gap(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")

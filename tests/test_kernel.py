@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mongemmd.kernel as kmod
-from mongemmd import InputError, KernelSpec, kernel_eval, kernel_grad_x, kernel_gram
-from mongemmd.kernel import _kernel_sum, _row_blocks, _sqdist
+from mongemmd import (InputError, KernelSpec, kernel_eval, kernel_grad_x, kernel_gram,
+                      squared_distance_matrix)
+from mongemmd.kernel import KernelFamily, MaternOrder, _kernel_sum, _row_blocks, _sqdist
 
 
 def kernel_oracle(spec, x, y):
@@ -163,21 +164,134 @@ def test_points_too_far_apart_give_kernel_value_zero():
                                       [[0.0], [0.0]])
 
 
-def point_pairs(max_d: int):
-    """Two point sets of a common dimension 1..max_d."""
-    coords = st.floats(-1e6, 1e6, allow_nan=False)
-    return st.tuples(st.integers(1, max_d), st.integers(1, 6), st.integers(1, 6)).flatmap(
-        lambda s: st.tuples(arrays(np.float64, (s[1], s[0]), elements=coords),
-                            arrays(np.float64, (s[2], s[0]), elements=coords)))
+# Signed zeros, subnormals and magnitudes whose differences overflow, besides any finite float.
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308,
+                     np.finfo(np.float64).max, -np.finfo(np.float64).max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def layout(A, how):
+    """``A`` as a C-ordered array, a Fortran-ordered copy, or a strided slice of a larger array."""
+    if how == "fortran":
+        return np.asfortranarray(A)
+    if how == "sliced":
+        big = np.zeros((2 * A.shape[0], A.shape[1] + 1))
+        big[::2, 1:] = A
+        return big[::2, 1:]
+    return A
+
+
+@st.composite
+def point_pairs(draw, max_d: int):
+    """Two point sets of a common dimension 1..max_d with edge-case coordinates, some
+    rows of Y copied from X, and either set laid out in any of the orders of ``layout``."""
+    d, m, n = draw(st.integers(1, max_d)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    X = draw(arrays(np.float64, (m, d), elements=COORDS))
+    Y = draw(arrays(np.float64, (n, d), elements=COORDS))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)):
+        Y[j] = X[draw(st.integers(0, m - 1))]
+    hows = st.sampled_from(["c", "fortran", "sliced"])
+    return layout(X, draw(hows)), layout(Y, draw(hows))
 
 
 class TestSqdist:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(pair=point_pairs(5))
     def test_equals_the_broadcast_sum_bitwise(self, pair):
         X, Y = pair
-        expected = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(_sqdist(X, Y), expected)
+        with np.errstate(over="ignore"):
+            got = _sqdist(X, Y)
+            expected = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.signbit(got).any()
+
+
+def frozen_sqdist(X, Y):
+    """The per-coordinate broadcast sum the product form replaced, kept as a reference."""
+    sq = (X[:, None, 0] - Y[None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        sq += (X[:, None, j] - Y[None, :, j]) ** 2
+    return sq
+
+
+def frozen_kernel_sum(spec, X, Y, want_grad):
+    """The row-block walk of ``_kernel_sum`` over ``frozen_sqdist``, statement for statement."""
+    half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
+    same = Y is X
+    out = np.zeros_like(X) if want_grad else None
+    total = 0.0
+    n = Y.shape[0]
+    for i0, i1 in _row_blocks(X.shape[0], n, same):
+        rows = X[i0:i1]
+        cols = X[i0:] if same else Y
+        w = i1 - i0
+        mirror = same and i1 < n
+        sq = frozen_sqdist(rows, cols)
+        k, coeff = kmod._eval_from_sqdist(spec, sq, want_grad)
+        total += float(k.sum())
+        if mirror:
+            total += float(k[:, w:].sum())
+        if not want_grad:
+            continue
+        zero = sq == 0.0
+        if same:
+            diag = (np.arange(w), np.arange(w))
+            zero[diag] = False
+        if half and zero.any():
+            raise InputError("Matern order 1/2 has no gradient at coincident points")
+        coeff[zero] = 0.0
+        if same:
+            coeff[diag] = 0.0
+        g = coeff.sum(axis=1)[:, None] * rows - coeff @ cols
+        if same and i0:
+            g += out[i0:i1]
+        out[i0:i1] = g
+        if mirror:
+            rest = coeff[:, w:]
+            out[i1:] += rest.sum(axis=0)[:, None] * X[i1:] - rest.T @ rows
+    return total, out
+
+
+FAMILY_SPECS = [KernelSpec(alpha=0.7)] + [
+    KernelSpec(family="matern", matern_order=order, lengthscale=1.3)
+    for order in ("half", "three_halves", "five_halves")]
+
+
+class TestProductFormIsExact:
+    """The walks over the product-form differences have the broadcast walks' bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda s: s.matern_order.value
+                             if s.family == "matern" else "gaussian")
+    def test_kernel_sum_at_n_500(self, spec, d):
+        rng = np.random.default_rng(40 + d)
+        X = rng.standard_normal((500, d))
+        Y = rng.standard_normal((500, d)) + 0.5
+        Y[::7] = X[::7]  # coincident pairs across the sets
+        for other in (X, Y):
+            for want_grad in (False, True):
+                if want_grad and other is Y and spec.matern_order is MaternOrder.HALF:
+                    continue  # its gradient is undefined at the coincident pairs
+                total, grad = _kernel_sum(spec, X, other, want_grad=want_grad)
+                ref_total, ref_grad = frozen_kernel_sum(spec, X, other, want_grad)
+                assert total == ref_total
+                if want_grad:
+                    assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_gram_and_cost_matrix_across_row_blocks(self, d):
+        rng = np.random.default_rng(50 + d)
+        X = rng.standard_normal((300, d)) * 3
+        Y = rng.standard_normal((700, d))
+        Y[:300:11] = X[::11]
+        assert len(list(_row_blocks(300, 700))) > 10
+        expected = frozen_sqdist(X, Y)
+        assert squared_distance_matrix(X, Y).tobytes() == expected.tobytes()
+        for spec in FAMILY_SPECS:
+            ref = np.concatenate([kmod._eval_from_sqdist(spec, frozen_sqdist(X[i0:i1], Y))[0]
+                                  for i0, i1 in _row_blocks(300, 700)])
+            assert kernel_gram(spec, X, Y).tobytes() == ref.tobytes()
 
 
 class TestKernelGram:

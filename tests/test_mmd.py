@@ -155,6 +155,19 @@ class TestUnbiased:
                      lambda: kernel._kernel_sum(spec, X, Y, want_grad=True)):
             assert traced_peak(call) < 1 << 20
 
+    def test_memory_does_not_grow_with_the_number_of_blocks(self):
+        """At n = 6000 a walk has ~9 times the row blocks of n = 2000 and still one
+        workspace: it holds under 1 MiB plus its per-call difference factors, 4 n d floats."""
+        n = 6000
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((n, 2))
+        Y = rng.standard_normal((n, 2))
+        spec = KernelSpec()
+        for call in (lambda: mmd2_unbiased(spec, X, Y),
+                     lambda: kernel._kernel_sum(spec, X, X, want_grad=True),
+                     lambda: kernel._kernel_sum(spec, X, Y, want_grad=True)):
+            assert traced_peak(call) < (1 << 20) + 8 * 4 * n * 2
+
     def test_sets_too_far_apart_give_no_cross_term(self):
         X, Y = np.full((2, 1), 1e200), np.full((2, 1), -1e200)
         for spec in [KernelSpec()] + [KernelSpec(family="matern", matern_order=order)

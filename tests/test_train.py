@@ -12,7 +12,7 @@ from mongemmd.errors import InputError, NumericError
 from mongemmd.kernel import KernelSpec
 from mongemmd.loss import monge_mmd_loss, monge_mmd_loss_with_grad
 from mongemmd.nn import mlp_forward_batch
-from mongemmd.optim import adam_step
+from mongemmd.optim import AdamHyper, adam_step
 from mongemmd.train import (
     LossHistory,
     TrainConfig,
@@ -269,6 +269,16 @@ class TestTrainingErrors:
         shorter = TrainConfig(**{**SMALL, "epochs": 3})
         with pytest.raises(InputError):
             train(shorter, src, tgt, state=state)
+
+    def test_state_built_under_other_settings_names_each_key(self):
+        src, tgt = clouds()
+        cfg = TrainConfig(**SMALL)
+        state, _ = train(cfg, src, tgt)
+        changed = replace(cfg, epochs=8, hidden_widths=(4,), optimizer=AdamHyper(beta1=0.5))
+        with pytest.raises(InputError) as info:
+            train(changed, src, tgt, state=state)
+        assert str(info.value).endswith("(train.hidden_widths: checkpoint [8], config [4];"
+                                        " train.beta1: checkpoint 0.9, config 0.5)")
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_error_reports_epoch_and_batch(self):
