@@ -3,27 +3,24 @@
 Layout, all little-endian:
 
     bytes 0..7    magic b"MMDCKPT\\n"
-    bytes 8..11   format version (uint32), currently 1
+    bytes 8..11   format version (uint32), currently 2
     bytes 12..15  JSON header length H (uint32)
-    bytes 16..    H bytes of UTF-8 JSON with sorted keys
-    then          raw float64 array payloads, C order, in header order
+    bytes 16..    H bytes of UTF-8 JSON with sorted keys, exactly: activations,
+                  adam, epoch, step_count and widths
+    then          three float64 vectors of P = nn.n_params(widths) entries each:
+                  the network's ``flat``, then Adam's first and second moments
 
-The header's ``arrays`` list gives each payload array's name and shape, so
-the payload offsets are implied. There is one kind, ``train_state``: the
-network's ``w0, b0, w1, b1, ...``, then the first Adam moment's ``m_w0,
-m_b0, ...`` and the second's ``v_w0, ...``, each moment per layer shaped
-like its parameter, plus the activations, step counter and epoch. The
-reader refuses any other array list, and reader and writer both refuse a
-non-finite parameter or moment entry and a negative second moment.
-Identical inputs produce byte-identical files, and loading restores every
-float bit-exactly, which is what makes checkpoint-resume reproduce an
+Only ``nn.MlpParams`` knows how a vector tiles into layers. The reader refuses
+a payload of any length but 24·P bytes before allocating it, and reader and
+writer both refuse a non-finite parameter or moment entry and a negative
+second moment. Identical inputs produce byte-identical files, and loading
+restores every float bit-exactly, so checkpoint-resume reproduces an
 uninterrupted run.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -31,52 +28,45 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .nn import MlpParams
+from .nn import MlpParams, n_params
 from .optim import AdamHyper, AdamState
 from .util import atomic_write_bytes
 
 MAGIC = b"MMDCKPT\n"
-FORMAT_VERSION = 1
-
-KIND_TRAIN_STATE = "train_state"
+FORMAT_VERSION = 2
 
 _ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))  # as saved in the header
+_HEADER_KEYS = ["activations", "adam", "epoch", "step_count", "widths"]
 
 
-def _array_names(n_layers: int) -> list[str]:
-    """The payload's array names in order: parameters, then first and second moments."""
-    return [f"{p}{a}{l}" for p in ("", "m_", "v_") for l in range(n_layers) for a in "wb"]
-
-
-def _per_layer(params: MlpParams, vec: np.ndarray) -> list[np.ndarray]:
-    """The views of ``params.split(vec)`` in payload order: w0, b0, w1, b1, ..."""
-    return [a for pair in params.split(vec) for a in pair]
-
-
-def _check_values(path, params: MlpParams, opt: AdamState) -> None:
-    """Refuse a state Adam cannot continue from: a non-finite parameter or moment
+def _check_values(path, flat: np.ndarray, first, second) -> None:
+    """Refuse a state Adam cannot continue from: moments not shaped like ``flat``, a non-finite
     entry, or a negative second moment (its square root is taken)."""
-    for name, vec in (("parameters", params.flat), ("first moment", opt.first_moment),
-                      ("second moment", opt.second_moment)):
+    if not np.shape(first) == np.shape(second) == flat.shape:
+        raise InputError(f"{path}: the Adam moments must be vectors of {flat.size} parameters")
+    for name, vec in (("parameters", flat), ("first moment", first), ("second moment", second)):
         # min is NaN when any entry is: two reductions, no boolean temporary.
         if not (np.isfinite(vec.min()) and np.isfinite(vec.max())):
             raise InputError(f"{path}: non-finite entries in the checkpoint's {name}")
-    if opt.second_moment.min() < 0.0:
+    if second.min() < 0.0:
         raise InputError(f"{path}: negative entries in the checkpoint's second moment")
 
 
-def _encode(meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
-    header = dict(meta)
-    header["kind"] = KIND_TRAIN_STATE
-    header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
+def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> None:
+    """Write a resumable checkpoint: parameters, Adam moments, counters."""
+    vectors = (params.flat, opt.first_moment, opt.second_moment)
+    _check_values(path, *vectors)
+    header = {"activations": [a.value for a in params.activations], "epoch": int(epoch),
+              "adam": {k: getattr(opt.hyper, k) for k in _ADAM_KEYS},
+              "step_count": int(opt.step_count), "widths": list(params.widths)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes]
-    for _, a in arrays:
-        parts.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return b"".join(parts)
+    parts += [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in vectors]
+    atomic_write_bytes(Path(path), b"".join(parts))
 
 
-def _decode(path: Path) -> tuple[dict, list[np.ndarray]]:
+def _read(path: Path) -> tuple[dict, memoryview]:
+    """The file's checked JSON header, and a view of the payload bytes after it."""
     try:
         blob = path.read_bytes()
     except OSError as exc:
@@ -93,80 +83,46 @@ def _decode(path: Path) -> tuple[dict, list[np.ndarray]]:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    entries = header.get("arrays", []) if isinstance(header, dict) else None
-    well_formed = isinstance(entries, list) and all(
-        isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
-        and all(type(v) is int and v >= 0 for v in e["shape"]) for e in entries)
-    if not well_formed:
-        raise InputError(f"{path}: corrupt checkpoint header: expected an object naming each array "
-                         "and its shape of non-negative ints")
-    offset = start + header_len
-    arrays = []
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        end = offset + 8 * math.prod(shape)
-        if end > len(blob):
-            raise InputError(f"{path}: truncated checkpoint payload")
-        arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
-        arrays.append(arr.astype(np.float64, copy=True))
-        offset = end
-    if offset != len(blob):
-        raise InputError(f"{path}: {len(blob) - offset} trailing bytes after payload")
-    return header, arrays
-
-
-def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> None:
-    """Write a resumable checkpoint: parameters, Adam moments, counters."""
-    meta = {
-        "activations": [a.value for a in params.activations],
-        "epoch": int(epoch),
-        "step_count": int(opt.step_count),
-        "adam": {k: getattr(opt.hyper, k) for k in _ADAM_KEYS},
-    }
-    arrays = [a for vec in (params.flat, opt.first_moment, opt.second_moment)
-              for a in _per_layer(params, vec)]
-    _check_values(path, params, opt)
-    atomic_write_bytes(Path(path), _encode(meta, list(zip(_array_names(params.n_layers), arrays))))
+    if not (isinstance(header, dict) and sorted(header) == _HEADER_KEYS):
+        raise InputError(f"{path}: corrupt checkpoint header: expected an object of exactly "
+                         f"the keys {', '.join(_HEADER_KEYS)}")
+    widths, acts, adam = header["widths"], header["activations"], header["adam"]
+    layers = len(widths) - 1 if isinstance(widths, list) else None
+    rules = {  # key: (holds, what it must be), checked in this order
+        "widths": (layers is not None and layers >= 1 and all(
+            type(v) is int and v >= 1 for v in widths), "a list of at least two ints >= 1"),
+        "activations": (isinstance(acts, list) and len(acts) == layers, "one entry per layer"),
+        "adam": (isinstance(adam, dict) and sorted(adam) == sorted(_ADAM_KEYS) and all(
+            type(v) in (int, float) for v in adam.values()),
+            f"an object of four real numbers ({', '.join(_ADAM_KEYS)})"),
+        **{key: (type(header[key]) is int and header[key] >= 0, "an integer >= 0")
+           for key in ("epoch", "step_count")}}
+    for key, (holds, want) in rules.items():
+        if not holds:
+            raise InputError(f"{path}: corrupt checkpoint header: {key} must be {want}, "
+                             f"got {header[key]!r}")
+    return header, memoryview(blob)[start + header_len:]
 
 
 def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
     """Read back (params, optimizer state, completed epoch count)."""
-    header, arrays = _decode(Path(path))
-    if header.get("kind") != KIND_TRAIN_STATE:
-        raise InputError(f"{path}: not a training-state checkpoint (kind {header.get('kind')!r})")
-    acts = header.get("activations")
-    if not isinstance(acts, list) or not acts:
-        raise InputError(f"{path}: checkpoint header lacks activations")
-    n = len(acts)
-    shapes = [a.shape for a in arrays]
-    if ([e["name"] for e in header.get("arrays", [])] != _array_names(n)
-            or shapes[2 * n:] != shapes[:2 * n] * 2):
-        raise InputError(f"{path}: checkpoint arrays are not w0, b0, ..., m_w0, ..., v_w0, ... of "
-                         f"a {n}-layer network, each moment shaped like its parameter")
+    header, payload = _read(Path(path))
+    size = n_params(header["widths"])  # a Python int: no wrap, and checked before any array
+    extra = len(payload) - 24 * size
+    if extra:
+        raise InputError(f"{path}: " + ("truncated checkpoint payload" if extra < 0
+                                        else f"{extra} trailing bytes after payload"))
+    flat, first, second = np.frombuffer(payload, "<f8").astype(np.float64).reshape(3, size)
+    _check_values(path, flat, first, second)
     try:
-        params = MlpParams(arrays[0:2 * n:2], arrays[1:2 * n:2], acts)
+        params = MlpParams.from_flat(header["widths"], header["activations"], flat)
     except InputError as exc:
         raise InputError(f"{path}: checkpoint holds an inconsistent network: {exc}") from exc
-    adam_cfg = header.get("adam")
-    if not (isinstance(adam_cfg, dict) and sorted(adam_cfg) == sorted(_ADAM_KEYS)
-            and all(type(v) in (int, float) for v in adam_cfg.values())):
-        raise InputError(f"{path}: corrupt checkpoint header: adam must be an object of four "
-                         f"real numbers ({', '.join(_ADAM_KEYS)})")
-    for key in ("epoch", "step_count"):
-        if type(header.get(key)) is not int or header[key] < 0:
-            raise InputError(f"{path}: corrupt checkpoint header: {key} must be an integer "
-                             f">= 0, got {header.get(key)!r}")
     try:
-        hyper = AdamHyper(**adam_cfg)
+        hyper = AdamHyper(**header["adam"])
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    first, second = np.empty_like(params.flat), np.empty_like(params.flat)
-    for view, a in zip(_per_layer(params, first) + _per_layer(params, second), arrays[2 * n:]):
-        view[...] = a
-    opt = AdamState(hyper=hyper, first_moment=first, second_moment=second,
-                    step_count=header["step_count"])
-    _check_values(path, params, opt)
-    return params, opt, header["epoch"]
+    return params, AdamState(hyper, first, second, header["step_count"]), header["epoch"]
 
 
 def load_params(path) -> MlpParams:

@@ -9,6 +9,7 @@ with batch contributions accumulated in fixed index order.
 ``MlpParams`` is the only type that knows the layer layout. Parameters live
 in one float64 vector ``flat``; gradients and Adam moments are plain vectors
 of the same shape, and ``MlpParams.split`` gives any of them per-layer views.
+Layer widths alone fix the layout, so ``n_params`` and ``from_flat`` take only widths.
 Public constructors and functions validate; the private ``_with_flat``,
 ``_forward_checked`` and ``_backward`` do not.
 """
@@ -16,7 +17,6 @@ Public constructors and functions validate; the private ``_with_flat``,
 from __future__ import annotations
 
 import functools
-import math
 from enum import Enum
 from typing import Sequence
 
@@ -61,7 +61,7 @@ class MlpParams:
     """Transport-map network parameters, and the one owner of the layer layout.
 
     ``flat`` is one contiguous float64 vector holding w0, b0, w1, b1, ... in
-    C order; ``layout`` gives each layer's (weight shape, bias shape).
+    C order; ``widths`` runs input, hidden..., output, and fixes every shape.
     ``weights[l]`` has shape (m_l, m_{l-1}) and ``biases[l]`` shape (m_l,),
     both views of ``flat``; ``activations[l]`` is applied after layer l's
     affine map (identity on the output layer when built by ``init_params``).
@@ -76,39 +76,38 @@ class MlpParams:
         self.activations = [_activation(a) for a in activations]
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        prev = None
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise InputError(f"layer {i}: weight {w.shape} and bias {b.shape} do not align")
-            if prev is not None and w.shape[1] != prev:
-                raise InputError(f"layer {i}: expected {prev} input columns, got {w.shape[1]}")
+            if min(w.shape) < 1:
+                raise InputError(f"layer {i}: weight {w.shape} has a dimension < 1")
+            if i and w.shape[1] != weights[i - 1].shape[0]:
+                raise InputError(f"layer {i}: expected {weights[i - 1].shape[0]} input columns, "
+                                 f"got {w.shape[1]}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise InputError(f"layer {i}: non-finite parameter entries")
-            prev = w.shape[0]
-        self.layout = tuple((w.shape, b.shape) for w, b in zip(weights, biases))
+        self.widths = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
         self.flat = np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
         if self.output_dim != self.input_dim:
             raise InputError(
                 f"transport map must preserve dimension, got {self.input_dim} -> {self.output_dim}"
             )
 
+    @classmethod
+    def from_flat(cls, widths: Sequence[int], activations, flat) -> "MlpParams":
+        """The network of layer ``widths`` over a copy of ``flat``, checked by the constructor."""
+        views = _tile(widths, np.asarray(flat, dtype=np.float64), n_params(widths))
+        return cls([w for w, _ in views], [b for _, b in views], activations)
+
     def _with_flat(self, flat: np.ndarray) -> "MlpParams":
-        """This network's layout and activations over another flat vector, without any check."""
+        """This network's widths and activations over another flat vector, without any check."""
         obj = MlpParams.__new__(MlpParams)
-        obj.__dict__.update(flat=flat, layout=self.layout, activations=list(self.activations))
+        obj.__dict__.update(flat=flat, widths=self.widths, activations=list(self.activations))
         return obj
 
     def split(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weights, biases) views of ``vec``, a vector laid out like ``flat``."""
-        if np.shape(vec) != self.flat.shape:
-            raise InputError(f"expected a vector of {self.flat.size} parameters, "
-                             f"got shape {np.shape(vec)}")
-        views, end = [], 0
-        for w_shape, b_shape in self.layout:
-            start, mid = end, end + math.prod(w_shape)
-            end = mid + math.prod(b_shape)
-            views.append((vec[start:mid].reshape(w_shape), vec[mid:end].reshape(b_shape)))
-        return views
+        return _tile(self.widths, vec, self.flat.size)
 
     @functools.cached_property
     def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -124,22 +123,35 @@ class MlpParams:
 
     @property
     def input_dim(self) -> int:
-        return self.layout[0][0][1]
+        return self.widths[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layout[-1][0][0]
+        return self.widths[-1]
 
     @property
     def n_layers(self) -> int:
-        return len(self.layout)
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.input_dim,) + tuple(ws[0] for ws, _ in self.layout)
+        return len(self.widths) - 1
 
     def copy(self) -> "MlpParams":
         return self._with_flat(self.flat.copy())
+
+
+def n_params(widths: Sequence[int]) -> int:
+    """The length of ``flat`` for layer widths input, hidden..., output (exact for any ints)."""
+    return sum(m * (k + 1) for k, m in zip(widths[:-1], widths[1:]))
+
+
+def _tile(widths: Sequence[int], vec: np.ndarray, size: int) -> list[tuple[np.ndarray, ...]]:
+    """Per-layer (weights, biases) views of ``vec``, laid out w0, b0, w1, b1, ... in C order;
+    ``size`` is ``n_params(widths)``, the only length ``vec`` may have."""
+    if np.shape(vec) != (size,):
+        raise InputError(f"expected a vector of {size} parameters, got shape {np.shape(vec)}")
+    views, end = [], 0
+    for k, m in zip(widths[:-1], widths[1:]):
+        start, mid, end = end, end + m * k, end + m * (k + 1)
+        views.append((vec[start:mid].reshape(m, k), vec[mid:end]))
+    return views
 
 
 def init_params(

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import _sqdist
-from .util import as_point_pair, as_points
+from .util import _typed, as_point_pair, as_points
 
 DEFAULT_MAX_ITERS = 10000
 DEFAULT_TOL = 1e-9
@@ -149,8 +149,10 @@ def sinkhorn_solve(
     marginal violation is below ``tol``; columns hold after each v-update.
     ``max_violation`` is measured on the returned plan, rows and columns;
     ``converged`` says whether it is below ``tol``. Raises NumericError when
-    the iterated violation is not finite.
+    the iterated violation is not finite. Settings are typed as in the config.
     """
+    max_iters = _typed(int, max_iters, "max_iters")
+    tol, epsilon = _typed(float, tol, "tol"), _typed(float, epsilon, "epsilon")
     if max_iters < 1:
         raise InputError(f"max_iters must be >= 1, got {max_iters}")
     if not (np.isfinite(tol) and tol > 0.0):

@@ -1,12 +1,16 @@
+import ast
 import json
 import re
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mongemmd import checkpoint
 from mongemmd.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -15,7 +19,7 @@ from mongemmd.checkpoint import (
     save_train_state,
 )
 from mongemmd.errors import InputError
-from mongemmd.nn import Activation, MlpParams, init_params
+from mongemmd.nn import Activation, MlpParams, init_params, n_params
 from mongemmd.optim import AdamHyper, AdamState, adam_init, adam_step
 
 
@@ -39,14 +43,20 @@ def trained_state(seed=0, steps=3, widths=(2, 5, 2), activation=Activation.TANH,
     return params, state
 
 
+def read_parts(path):
+    """The checkpoint's JSON header, parsed, and its payload bytes."""
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, 12)[0]
+    return json.loads(blob[16:16 + header_len]), blob[16 + header_len:]
+
+
 def rewrite(path, edit, payload=lambda data: data):
     """Replace the checkpoint's JSON header by ``edit(header)`` and its payload bytes
     by ``payload(data)``, keeping the magic and version."""
     blob = path.read_bytes()
-    header_len = struct.unpack_from("<I", blob, 12)[0]
-    header = json.dumps(edit(json.loads(blob[16:16 + header_len]))).encode()
-    path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
-                     + payload(blob[16 + header_len:]))
+    header, data = read_parts(path)
+    raw = json.dumps(edit(header)).encode()
+    path.write_bytes(blob[:12] + struct.pack("<I", len(raw)) + raw + payload(data))
 
 
 def assert_params_equal(a, b):
@@ -141,17 +151,30 @@ class TestTrainStateCheckpoint:
         save_train_state(path, params, state, epoch=1)
         assert_params_equal(load_params(path), params)
 
-    def test_load_train_state_rejects_map_files(self, tmp_path):
-        """The map-only kind is gone: a file of that kind is refused by both readers."""
+    def test_load_train_state_rejects_map_files(self, tmp_path, rewrite_as_v1):
+        """The map-only kind existed only in format version 1: both readers refuse such a
+        file by its version."""
         params = init_params((2, 2))
         path = tmp_path / "map.ckpt"
         save_train_state(path, params, adam_init(params), epoch=0)
-        rewrite(path, lambda h: {"kind": "map", "activations": h["activations"],
-                                 "arrays": h["arrays"][:2]},
-                lambda data: data[:8 * params.flat.size])
+        rewrite_as_v1(path, kind="map")
+        assert read_parts(path)[0]["kind"] == "map"
         for load in (load_train_state, load_params):
             with pytest.raises(InputError, match=re.escape(
-                    f"{path}: not a training-state checkpoint (kind 'map')")):
+                    f"{path}: unsupported checkpoint version 1")):
+                load(path)
+
+    def test_format_1_training_state_is_refused(self, tmp_path, rewrite_as_v1):
+        """No reader of format version 1 is kept, though its payload bytes equal version 2's."""
+        params, state = trained_state()
+        path = tmp_path / "state.ckpt"
+        save_train_state(path, params, state, epoch=2)
+        payload = read_parts(path)[1]
+        rewrite_as_v1(path)
+        assert read_parts(path)[1] == payload
+        for load in (load_train_state, load_params):
+            with pytest.raises(InputError, match=re.escape(
+                    f"{path}: unsupported checkpoint version 1")):
                 load(path)
 
     def test_flat_state_saves_like_per_layer_copies(self, tmp_path):
@@ -166,6 +189,58 @@ class TestTrainStateCheckpoint:
         save_train_state(a, params, state, epoch=5)
         save_train_state(b, params2, state2, epoch=5)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFormat:
+    """Version 2: a header of exactly five keys, then ``flat``, first moment, second moment."""
+
+    def test_header_holds_widths_and_counters_only(self, tmp_path):
+        params, state = trained_state(widths=(2, 5, 3, 2))
+        path = tmp_path / "state.ckpt"
+        save_train_state(path, params, state, epoch=9)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, 8)[0] == FORMAT_VERSION == 2
+        header, _ = read_parts(path)
+        assert header == {"activations": ["tanh", "tanh", "identity"],
+                          "adam": {"learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999,
+                                   "eps": 1e-08},
+                          "epoch": 9, "step_count": 3, "widths": [2, 5, 3, 2]}
+        raw = blob[16:16 + struct.unpack_from("<I", blob, 12)[0]]
+        assert raw == json.dumps(header, sort_keys=True).encode()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        hidden=st.lists(st.integers(1, 6), max_size=3),
+        steps=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        change=st.integers(1, 64),
+        longer=st.booleans(),
+    )
+    def test_payload_is_flat_then_moments_and_nothing_else(self, tmp_path_factory, d, hidden,
+                                                           steps, seed, change, longer):
+        """The payload is exactly the three vectors; any payload 1-64 bytes shorter or
+        longer is refused, before any vector is read."""
+        params, state = trained_state(seed, steps, (d, *hidden, d))
+        path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
+        save_train_state(path, params, state, epoch=1)
+        _, payload = read_parts(path)
+        expected = np.concatenate([params.flat, state.first_moment, state.second_moment])
+        assert payload == expected.astype("<f8").tobytes()
+        assert len(payload) == 24 * n_params(params.widths)
+        blob = path.read_bytes()
+        path.write_bytes(blob + bytes(change) if longer else blob[:-change])
+        message = f"{change} trailing bytes after payload" if longer else "truncated checkpoint"
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}"):
+            load_train_state(path)
+
+    def test_checkpoint_touches_no_per_layer_attribute(self):
+        """``nn.MlpParams`` alone knows how a vector tiles into layers: checkpoint.py reads
+        no ``split``, ``weights``, ``biases`` or ``layout`` of any object."""
+        tree = ast.parse(Path(checkpoint.__file__).read_text(encoding="utf-8"))
+        touched = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "flat" in touched
+        assert not touched & {"split", "weights", "biases", "layout"}
 
 
 class TestCorruption:
@@ -199,20 +274,21 @@ class TestCorruption:
             load_params(path)
 
     def test_moment_layouts_must_match_parameters(self, tmp_path):
-        """A moment vector of another length is refused when saving, and a file whose
-        moment arrays are shaped unlike the parameters is refused when loading."""
+        """A moment vector not shaped like ``flat`` is refused when saving, and a file whose
+        moments hold one entry fewer or more than the parameters is refused when loading."""
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
         for wrong in (np.zeros(params.flat.size + 1), np.zeros((1, params.flat.size))):
             for first, second in ((wrong, state.second_moment), (state.first_moment, wrong)):
-                with pytest.raises(InputError):
+                with pytest.raises(InputError, match=re.escape(
+                        f"{path}: the Adam moments must be vectors of {params.flat.size}")):
                     save_train_state(path, params, AdamState(state.hyper, first, second, 3), 1)
                 assert not path.exists()
-        # each new shape keeps the array's size, so the payload still parses
-        for name, shape in (("m_w0", [2, 5]), ("v_w1", [5, 2]), ("m_b1", [2, 1])):
-            path = self.write_edited_header(tmp_path, lambda h: {**h, "arrays": [
-                {**a, "shape": shape} if a["name"] == name else a for a in h["arrays"]]})
-            with pytest.raises(InputError, match="each moment shaped like its parameter"):
+        for payload, message in ((lambda data: data[:-8], "truncated checkpoint payload"),
+                                 (lambda data: data + data[-8:], "8 trailing bytes")):
+            path = self.write_state(tmp_path)
+            rewrite(path, lambda h: h, payload)
+            with pytest.raises(InputError, match=message):
                 load_train_state(path)
 
     @pytest.mark.parametrize("vector, value, message", [
@@ -246,25 +322,6 @@ class TestCorruption:
             with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
                 load(path)
 
-    @pytest.mark.parametrize("edit, payload", [
-        (lambda h: {**h, "arrays": h["arrays"] + [{"name": "m_w0", "shape": [5, 2]}]},
-         lambda data: data + np.full(10, 7.0).tobytes()),
-        (lambda h: {**h, "arrays": h["arrays"] + [{"name": "extra", "shape": [3]}]},
-         lambda data: data + np.full(3, 7.0).tobytes()),
-        (lambda h: {**h, "arrays": [{**a, "name": {"m_w0": "v_w0", "v_w0": "m_w0"}.get(
-            a["name"], a["name"])} for a in h["arrays"]]}, lambda data: data),
-        (lambda h: {k: v for k, v in h.items() if k != "arrays"}, lambda data: b""),
-    ], ids=["duplicate-m_w0", "extra-unknown-array", "m_w0-and-v_w0-swapped", "no-arrays"])
-    def test_array_list_must_be_exactly_the_writers(self, tmp_path, edit, payload):
-        """Each payload is read once, under the name the writer gives it: a repeated,
-        unknown, reordered or missing array is refused instead of loading silently."""
-        path = self.write_state(tmp_path)
-        rewrite(path, edit, payload)
-        for load in (load_train_state, load_params):
-            with pytest.raises(InputError, match=re.escape(
-                    f"{path}: checkpoint arrays are not w0, b0, ..., m_w0, ..., v_w0, ...")):
-                load(path)
-
     def test_trailing_garbage(self, tmp_path):
         path = self.write_state(tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")
@@ -287,33 +344,79 @@ class TestCorruption:
         rewrite(path, edit)
         return path
 
+    @pytest.mark.parametrize("edit, payload, message", [
+        (lambda h: h, lambda data: data + data[len(data) // 3:2 * len(data) // 3],
+         f"{8 * 27} trailing bytes after payload"),
+        (lambda h: h, lambda data: data + np.full(3, 7.0).tobytes(), "24 trailing bytes"),
+        (lambda h: h, lambda data: data[:len(data) // 3] + data[2 * len(data) // 3:]
+         + data[len(data) // 3:2 * len(data) // 3],
+         "negative entries in the checkpoint's second moment"),
+        (lambda h: {k: v for k, v in h.items() if k != "widths"}, lambda data: b"",
+         "corrupt checkpoint header"),
+    ], ids=["duplicate-m_w0", "extra-unknown-array", "m_w0-and-v_w0-swapped", "no-arrays"])
+    def test_array_list_must_be_exactly_the_writers(self, tmp_path, edit, payload, message):
+        """The payload is the writer's three vectors, flat, first moment and second moment,
+        of the length the header's widths give: a repeated or extra vector, moments in the
+        other order (the first moment has negative entries) or a header without widths is
+        refused instead of loading silently."""
+        params, state = trained_state()
+        assert params.flat.size == 27 and state.first_moment.min() < 0.0
+        path = self.write_state(tmp_path)
+        rewrite(path, edit, payload)
+        for load in (load_train_state, load_params):
+            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
+                load(path)
+
     @pytest.mark.parametrize("edit", [
-        lambda h: {**h, "arrays": [{"name": a["name"]} for a in h["arrays"]]},
-        lambda h: {**h, "arrays": ["w0"] + h["arrays"][1:]},
+        lambda h: {**h, "widths": [2, "5", 2]},
         lambda h: [h],
-    ], ids=["entry-without-shape", "entry-is-a-string", "header-is-a-list"])
+        lambda h: {k: v for k, v in h.items() if k != "widths"},
+        lambda h: {k: v for k, v in h.items() if k != "activations"},
+        lambda h: {**h, "arrays": [{"name": "w0", "shape": [5, 2]}]},
+        lambda h: {**h, "widths": "2,5,2"},
+        lambda h: {**h, "widths": [2, 0, 2]},
+        lambda h: {**h, "widths": [2, -5, 2]},
+        lambda h: {**h, "widths": [2, True, 2]},
+        lambda h: {**h, "widths": [2, 5.0, 2]},
+        lambda h: {**h, "widths": [2], "activations": []},
+        lambda h: {**h, "activations": h["activations"] + ["identity"]},
+        lambda h: {**h, "activations": "tanh"},
+    ], ids=["entry-is-a-string", "header-is-a-list", "no-widths", "no-activations",
+            "extra-key", "widths-not-a-list", "zero-width", "negative-width", "bool-width",
+            "float-width", "one-width", "one-activation-too-many", "activations-not-a-list"])
     def test_malformed_header_names_the_file(self, tmp_path, edit):
         path = self.write_edited_header(tmp_path, edit)
         with pytest.raises(InputError, match=re.escape(f"{path}: corrupt checkpoint header")):
             load_params(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda h: {k: v for k, v in h.items() if k != "activations"},
-        lambda h: {**h, "arrays": [{**h["arrays"][0], "name": "x0"}] + h["arrays"][1:]},
-        lambda h: {**h, "activations": ["softmax", "identity"]},
-    ], ids=["no-activations", "array-renamed", "unknown-activation"])
-    def test_unloadable_network_names_the_file(self, tmp_path, edit):
-        path = self.write_edited_header(tmp_path, edit)
-        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: checkpoint "):
+    @pytest.mark.parametrize("widths, activations", [
+        ([2, 5, 2], ["softmax", "identity"]),
+        ([2, 5, 3], ["tanh", "identity"]),
+    ], ids=["unknown-activation", "ends-differ"])
+    def test_unloadable_network_names_the_file(self, tmp_path, widths, activations):
+        """A well-formed header and payload that MlpParams refuses; the payload is resized
+        to the widths, so only the network is at fault."""
+        path = self.write_state(tmp_path)
+        rewrite(path, lambda h: {**h, "widths": widths, "activations": activations},
+                lambda data: bytes(24 * n_params(widths)))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: checkpoint holds an "
+                                             "inconsistent network"):
             load_params(path)
 
-    @pytest.mark.parametrize("shape", [[2**70], [2**32, 2**32]],
+    @pytest.mark.parametrize("widths", [[2, 2**70, 2], [2, 2**32, 2**32, 2]],
                              ids=["beyond-int64", "product-wraps-in-int64"])
-    def test_huge_shape_is_a_truncated_payload(self, tmp_path, shape):
-        path = self.write_edited_header(
-            tmp_path, lambda h: {**h, "arrays": [{"name": "w0", "shape": shape}] + h["arrays"][1:]})
-        with pytest.raises(InputError, match="truncated checkpoint payload"):
-            load_params(path)
+    def test_huge_shape_is_a_truncated_payload(self, tmp_path, widths):
+        """The payload length is checked in Python ints before anything is allocated."""
+        path = self.write_edited_header(tmp_path, lambda h: {
+            **h, "widths": widths, "activations": ["tanh"] * (len(widths) - 2) + ["identity"]})
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="truncated checkpoint payload"):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):

@@ -266,6 +266,25 @@ class TestTrain:
         assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
         assert f"{path}: corrupt checkpoint header: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["resume", "eval"])
+    def test_format_1_checkpoint_is_usage_error(self, tmp_path, capsys, rewrite_as_v1, command):
+        """A checkpoint in format version 1 is refused, exit 2, by ``train --resume`` and by
+        ``eval``, and neither writes model.ckpt or loss.csv."""
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
+        rewrite_as_v1(ckpt)
+        before = loss.read_bytes(), ckpt.read_bytes()
+        src = tmp_path / "src.csv"
+        write_points_csv(src, generate(DatasetSpec(family="isotropic_gaussian", n=12, seed=5)))
+        capsys.readouterr()
+        argv = {"resume": ["train", str(cfg), "--quiet", "--resume"],
+                "eval": ["eval", "--checkpoint", str(ckpt), "--source", str(src),
+                         "--target", str(src)]}[command]
+        assert main(argv) == 2
+        assert f"{ckpt}: unsupported checkpoint version 1" in capsys.readouterr().err
+        assert (loss.read_bytes(), ckpt.read_bytes()) == before
+
     def test_out_of_range_adam_header_keeps_the_range_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
@@ -359,15 +378,16 @@ class TestEval:
                    "--source", str(src), "--target", str(tgt)])
         assert rc == 2
 
-    def test_map_kind_checkpoint_is_usage_error(self, tmp_path, capsys):
-        """Only training-state checkpoints exist; a file of the old map-only kind is refused."""
+    def test_map_kind_checkpoint_is_usage_error(self, tmp_path, capsys, rewrite_as_v1):
+        """Only training-state checkpoints exist; a file of the old map-only kind, which
+        only format version 1 could hold, is refused by its version."""
         ckpt, src, tgt = self.make_artifacts(tmp_path)
-        edit_checkpoint_header(ckpt, lambda h: h.update(kind="map"))
+        rewrite_as_v1(ckpt, kind="map")
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(ckpt), "--source", str(src),
                    "--target", str(tgt)])
         assert rc == 2
-        assert f"{ckpt}: not a training-state checkpoint (kind 'map')" in capsys.readouterr().err
+        assert f"{ckpt}: unsupported checkpoint version 1" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
         ckpt, src, _ = self.make_artifacts(tmp_path)

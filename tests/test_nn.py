@@ -10,6 +10,7 @@ from mongemmd.nn import (
     init_params,
     mlp_backward,
     mlp_forward_batch,
+    n_params,
 )
 
 
@@ -133,6 +134,17 @@ class TestMlpParamsValidation:
         dup = params.copy()
         dup.weights[0][0, 0] += 1.0
         assert params.weights[0][0, 0] != dup.weights[0][0, 0]
+
+    @pytest.mark.parametrize("weights, biases, layer", [
+        ([np.zeros((0, 0))], [np.zeros(0)], 0),
+        ([np.zeros((0, 2)), np.zeros((2, 0))], [np.zeros(0), np.zeros(2)], 0),
+        ([np.zeros((3, 2)), np.zeros((2, 3)), np.zeros((0, 2))], [np.zeros(3), np.zeros(2),
+                                                                   np.zeros(0)], 2),
+    ], ids=["zero-dimensional-map", "zero-width-hidden-layer", "zero-width-last-layer"])
+    def test_rejects_zero_size_layers(self, weights, biases, layer):
+        """Every dimension is >= 1, as ``init_params`` and the config require."""
+        with pytest.raises(InputError, match=f"^layer {layer}: weight .* has a dimension < 1"):
+            MlpParams(weights, biases, ["identity"] * len(weights))
 
 
 class TestForward:
@@ -312,7 +324,7 @@ class TestFlatLayout:
         dup = params.copy()
         assert not np.shares_memory(dup.flat, params.flat)
         np.testing.assert_array_equal(dup.flat, params.flat)
-        assert dup.layout == params.layout and dup.activations == params.activations
+        assert dup.widths == params.widths and dup.activations == params.activations
 
     def test_backward_gradient_shares_the_parameter_layout(self):
         params = init_params((2, 5, 3, 2), seed=1)
@@ -340,6 +352,28 @@ class TestFlatLayout:
         a = views[data.draw(st.integers(0, len(views) - 1), label="written")]
         a.flat[0] = -1.0
         assert (v == -1.0).sum() == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), hidden=st.lists(st.integers(1, 8), max_size=3),
+           activation=st.sampled_from(list(Activation)), seed=st.integers(0, 99))
+    def test_from_flat_rebuilds_the_network_from_widths(self, d, hidden, activation, seed):
+        params = init_params((d, *hidden, d), hidden_activation=activation, seed=seed)
+        assert n_params(params.widths) == params.flat.size
+        rebuilt = MlpParams.from_flat(list(params.widths), params.activations, params.flat)
+        assert rebuilt.widths == params.widths and rebuilt.activations == params.activations
+        assert rebuilt.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(rebuilt.flat, params.flat)
+
+    @pytest.mark.parametrize("widths, flat, message", [
+        ((2, 3, 2), np.zeros(18), "expected a vector of 17 parameters, got shape \\(18,\\)"),
+        ((2, 3, 2), np.zeros((1, 17)), "expected a vector of 17 parameters"),
+        ((2, 0, 2), np.zeros(2), "layer 0: weight \\(0, 2\\) has a dimension < 1"),
+        ((2, 3, 1), np.zeros(13), "must preserve dimension"),
+        ((2, 2), np.r_[np.zeros(5), np.nan], "non-finite"),
+    ], ids=["too-long", "not-a-vector", "zero-width", "ends-differ", "non-finite"])
+    def test_from_flat_validates_like_the_constructor(self, widths, flat, message):
+        with pytest.raises(InputError, match=message):
+            MlpParams.from_flat(widths, ["tanh"] * (len(widths) - 2) + ["identity"], flat)
 
     def test_split_refuses_a_vector_of_another_length(self):
         params = init_params((2, 3, 2))

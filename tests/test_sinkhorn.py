@@ -440,6 +440,23 @@ class TestValidation:
         with pytest.raises(InputError):
             sinkhorn_solve(self.C, epsilon=1.0, tol=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 2.5), ("max_iters", True), ("max_iters", "10"), ("max_iters", None),
+        ("tol", "1e-9"), ("tol", True), ("tol", None),
+        ("epsilon", None), ("epsilon", "1.0"), ("epsilon", False), ("epsilon", [1.0]),
+    ])
+    def test_settings_take_the_config_types(self, name, value):
+        """max_iters is an int and tol and epsilon real numbers, as in the config (bool is
+        neither); anything else is an InputError naming the argument."""
+        with pytest.raises(InputError, match=f"^{name}: expected"):
+            sinkhorn_solve(self.C, **{"epsilon": 1.0, name: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        ref = sinkhorn_solve(self.C, epsilon=0.5, max_iters=40, tol=1e-9)
+        got = sinkhorn_solve(self.C, epsilon=np.float64(0.5), max_iters=np.int64(40),
+                             tol=np.float64(1e-9))
+        assert got.matrix.tobytes() == ref.matrix.tobytes() and got.n_iters == ref.n_iters
+
 
 class TestHelpers:
     def test_default_epsilon_is_tenth_of_median(self):
