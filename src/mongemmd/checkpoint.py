@@ -3,18 +3,21 @@
 Layout, all little-endian:
 
     bytes 0..7    magic b"MMDCKPT\\n"
-    bytes 8..11   format version (uint32), currently 2
+    bytes 8..11   format version (uint32), currently 3
     bytes 12..15  JSON header length H (uint32)
     bytes 16..    H bytes of UTF-8 JSON with sorted keys, exactly: activations,
                   adam, epoch, step_count and widths
     then          three float64 vectors of P = nn.n_params(widths) entries each:
                   the network's ``flat``, then Adam's first and second moments
+    then          three float64 vectors of ``epoch`` entries each: the loss
+                  history's objective, mmd2 and cost columns of epochs 1..epoch
 
-Only ``nn.MlpParams`` knows how a vector tiles into layers. The reader refuses
-a payload of any length but 24·P bytes before allocating it, and reader and
-writer both refuse a non-finite parameter or moment entry and a negative
-second moment. Identical inputs produce byte-identical files, and loading
-restores every float bit-exactly, so checkpoint-resume reproduces an
+The checkpoint holds the whole run, and ``loss.csv`` is written from it. Only
+``nn.MlpParams`` knows how a vector tiles into layers. The reader refuses a
+payload of any length but 24·(P + epoch) bytes before allocating it; reader and
+writer both refuse a non-finite parameter, moment or history entry and a
+negative second moment. Identical inputs produce byte-identical files, and
+loading restores every float bit-exactly, so checkpoint-resume reproduces an
 uninterrupted run.
 """
 
@@ -30,32 +33,39 @@ import numpy as np
 from .errors import InputError
 from .nn import MlpParams, n_params
 from .optim import AdamHyper, AdamState
+from .train import LossHistory
 from .util import atomic_write_bytes
 
 MAGIC = b"MMDCKPT\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))  # as saved in the header
 _HEADER_KEYS = ["activations", "adam", "epoch", "step_count", "widths"]
 
 
-def _check_values(path, flat: np.ndarray, first, second) -> None:
+def _check_values(path, flat: np.ndarray, first, second, history) -> None:
     """Refuse a state Adam cannot continue from: moments not shaped like ``flat``, a non-finite
-    entry, or a negative second moment (its square root is taken)."""
+    entry (also in the ``history`` columns), or a negative second moment (its root is taken)."""
     if not np.shape(first) == np.shape(second) == flat.shape:
         raise InputError(f"{path}: the Adam moments must be vectors of {flat.size} parameters")
-    for name, vec in (("parameters", flat), ("first moment", first), ("second moment", second)):
-        # min is NaN when any entry is: two reductions, no boolean temporary.
-        if not (np.isfinite(vec.min()) and np.isfinite(vec.max())):
+    names = ("parameters", "first moment", "second moment", "objective", "mmd2", "cost")
+    for name, vec in zip(names, (flat, first, second, *history)):
+        # min is NaN when any entry is: two reductions, no boolean temporary; [] has no min.
+        if vec.size and not (np.isfinite(vec.min()) and np.isfinite(vec.max())):
             raise InputError(f"{path}: non-finite entries in the checkpoint's {name}")
     if second.min() < 0.0:
         raise InputError(f"{path}: negative entries in the checkpoint's second moment")
 
 
-def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int) -> None:
-    """Write a resumable checkpoint: parameters, Adam moments, counters."""
-    vectors = (params.flat, opt.first_moment, opt.second_moment)
-    _check_values(path, *vectors)
+def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int,
+                     history: LossHistory) -> None:
+    """Write a resumable checkpoint: parameters, Adam moments, counters and the loss
+    history, which must hold exactly epochs 1..``epoch``."""
+    cols = [np.array(c, dtype=np.float64) for c in (history.objective, history.mmd2, history.cost)]
+    if history.epochs != list(range(1, epoch + 1)) or any(c.shape != (epoch,) for c in cols):
+        raise InputError(f"{path}: the loss history must hold exactly epochs 1..{epoch}")
+    vectors = (params.flat, opt.first_moment, opt.second_moment, *cols)
+    _check_values(path, *vectors[:3], cols)
     header = {"activations": [a.value for a in params.activations], "epoch": int(epoch),
               "adam": {k: getattr(opt.hyper, k) for k in _ADAM_KEYS},
               "step_count": int(opt.step_count), "widths": list(params.widths)}
@@ -104,16 +114,18 @@ def _read(path: Path) -> tuple[dict, memoryview]:
     return header, memoryview(blob)[start + header_len:]
 
 
-def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
-    """Read back (params, optimizer state, completed epoch count)."""
+def load_train_state(path) -> tuple[MlpParams, AdamState, int, LossHistory]:
+    """Read back (params, optimizer state, completed epoch count, loss history)."""
     header, payload = _read(Path(path))
-    size = n_params(header["widths"])  # a Python int: no wrap, and checked before any array
-    extra = len(payload) - 24 * size
+    size, epoch = n_params(header["widths"]), header["epoch"]  # Python ints: no wrap
+    extra = len(payload) - 24 * (size + epoch)  # checked before any array
     if extra:
         raise InputError(f"{path}: " + ("truncated checkpoint payload" if extra < 0
                                         else f"{extra} trailing bytes after payload"))
-    flat, first, second = np.frombuffer(payload, "<f8").astype(np.float64).reshape(3, size)
-    _check_values(path, flat, first, second)
+    values = np.frombuffer(payload, "<f8").astype(np.float64)
+    flat, first, second = values[:3 * size].reshape(3, size)
+    columns = values[3 * size:].reshape(3, epoch)
+    _check_values(path, flat, first, second, columns)
     try:
         params = MlpParams.from_flat(header["widths"], header["activations"], flat)
     except InputError as exc:
@@ -122,7 +134,8 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int]:
         hyper = AdamHyper(**header["adam"])
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return params, AdamState(hyper, first, second, header["step_count"]), header["epoch"]
+    history = LossHistory(list(range(1, epoch + 1)), *(c.tolist() for c in columns))
+    return params, AdamState(hyper, first, second, header["step_count"]), epoch, history
 
 
 def load_params(path) -> MlpParams:

@@ -2,8 +2,9 @@
 
 Subcommands:
     generate   draw a synthetic point cloud and write it as CSV
-    train      fit the transport map from a YAML config; writes loss.csv,
-               model.ckpt, eval.json into the config's out_dir
+    train      fit the transport map from a YAML config; writes model.ckpt (the whole
+               run), loss.csv from it and eval.json into out_dir; --resume reads
+               model.ckpt only
     eval       push a CSV through a saved checkpoint and report statistics
     compare    neural map vs Sinkhorn baseline across sample sizes
 
@@ -113,7 +114,6 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     out = _prepare_out_dir(cfg)
     ckpt_path = out / "model.ckpt"
-    loss_path = out / "loss.csv"
 
     source = generate(cfg.source)
     target = generate(cfg.target)
@@ -121,11 +121,8 @@ def cmd_train(args) -> int:
     state = None
     prior = LossHistory()
     if args.resume and ckpt_path.exists():
-        params, opt, epoch = ckpt.load_train_state(ckpt_path)
+        params, opt, epoch, prior = ckpt.load_train_state(ckpt_path)
         state = TrainState(params=params, optimizer=opt, epoch=epoch)
-        stored = (LossHistory.from_csv(loss_path.read_text(encoding="utf-8"))
-                  if loss_path.exists() else LossHistory())
-        prior = stored.through(epoch)
         print(f"resuming {cfg.label} at epoch {epoch}", file=sys.stderr)
 
     every = max(1, cfg.train.epochs // 10)
@@ -141,9 +138,8 @@ def cmd_train(args) -> int:
     state, hist = train(cfg.train, source, target, state=state, progress=progress)
     prior.extend(hist)
 
-    # loss.csv first: a crash between the writes leaves extra rows, which --resume drops.
-    atomic_write_text(loss_path, prior.to_csv())
-    ckpt.save_train_state(ckpt_path, state.params, state.optimizer, state.epoch)
+    ckpt.save_train_state(ckpt_path, state.params, state.optimizer, state.epoch, prior)
+    atomic_write_text(out / "loss.csv", prior.to_csv())
 
     src_spec, tgt_spec = _test_specs(cfg)
     report = evaluate(state.params, generate(src_spec), generate(tgt_spec), cfg.train.kernel)

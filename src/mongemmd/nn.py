@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .util import as_points
+from .util import _typed, as_points
 
 
 class Activation(str, Enum):
@@ -166,7 +166,7 @@ def init_params(
     [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero. Hidden layers use
     ``hidden_activation``; the output layer is always identity.
     """
-    widths = tuple(int(v) for v in widths)
+    widths = _typed(tuple[int, ...], widths, "widths")
     if len(widths) < 2:
         raise InputError(f"need at least input and output widths, got {widths}")
     if any(v < 1 for v in widths):

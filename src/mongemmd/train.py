@@ -82,16 +82,6 @@ class LossHistory:
     def __len__(self) -> int:
         return len(self.epochs)
 
-    def through(self, epoch: int) -> "LossHistory":
-        """The rows of epochs 1..``epoch``; InputError unless they are exactly those, in order."""
-        rows = [r for r in zip(self.epochs, self.objective, self.mmd2, self.cost) if r[0] <= epoch]
-        if [r[0] for r in rows] != list(range(1, epoch + 1)):
-            missing = sorted(set(range(1, epoch + 1)).difference(r[0] for r in rows))
-            shown = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
-            raise InputError(f"loss history does not hold epochs 1..{epoch} once each, in order;"
-                             f" missing: {shown or 'none'}")
-        return LossHistory(*map(list, zip(*rows)))
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("epoch,objective,mmd2,cost\n")

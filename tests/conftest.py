@@ -4,6 +4,19 @@ import struct
 import pytest
 
 from mongemmd.checkpoint import MAGIC
+from mongemmd.nn import n_params
+
+
+def _parts(path):
+    """The checkpoint's parsed JSON header and its payload bytes."""
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, 12)[0]
+    return json.loads(blob[16:16 + header_len]), blob[16 + header_len:]
+
+
+def _write(path, version, header, payload):
+    raw = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(MAGIC + struct.pack("<II", version, len(raw)) + raw + payload)
 
 
 @pytest.fixture
@@ -11,12 +24,10 @@ def rewrite_as_v1():
     """``rewrite(path, kind="train_state")`` turns the checkpoint at ``path`` into a format
     version 1 file of the same state, laid out as that version's writer did: the header also
     names the kind and lists each per-layer array (w0, b0, w1, ..., then m_w0, ... and
-    v_w0, ... for a training state), before the same payload bytes. The old ``map`` kind
-    kept only the activations and the network's arrays."""
+    v_w0, ... for a training state), before the same parameter and moment bytes and no loss
+    history. The old ``map`` kind kept only the activations and the network's arrays."""
     def rewrite(path, kind="train_state"):
-        blob = path.read_bytes()
-        header_len = struct.unpack_from("<I", blob, 12)[0]
-        header = json.loads(blob[16:16 + header_len])
+        header, payload = _parts(path)
         widths = header.pop("widths")
         shapes = [s for k, m in zip(widths, widths[1:]) for s in ([m, k], [m])]
         prefixes = ("", "m_", "v_") if kind == "train_state" else ("",)
@@ -25,8 +36,15 @@ def rewrite_as_v1():
             header = {"activations": header["activations"]}
         header.update(kind=kind, arrays=[{"name": n, "shape": s}
                                          for n, s in zip(names, shapes * 3)])
-        raw = json.dumps(header, sort_keys=True).encode()
-        payload = blob[16 + header_len:]
-        path.write_bytes(MAGIC + struct.pack("<II", 1, len(raw)) + raw
-                         + payload[:len(payload) // 3 * len(prefixes)])
+        _write(path, 1, header, payload[:8 * n_params(widths) * len(prefixes)])
+    return rewrite
+
+
+@pytest.fixture
+def rewrite_as_v2():
+    """``rewrite(path)`` turns the checkpoint at ``path`` into a format version 2 file of the
+    same state: the same header keys, then ``flat ‖ m ‖ v`` and no loss history."""
+    def rewrite(path):
+        header, payload = _parts(path)
+        _write(path, 2, header, payload[:24 * n_params(header["widths"])])
     return rewrite

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mongemmd import checkpoint
 from mongemmd.checkpoint import (
@@ -21,6 +22,7 @@ from mongemmd.checkpoint import (
 from mongemmd.errors import InputError
 from mongemmd.nn import Activation, MlpParams, init_params, n_params
 from mongemmd.optim import AdamHyper, AdamState, adam_init, adam_step
+from mongemmd.train import LossHistory
 
 
 def random_grads(params, rng):
@@ -41,6 +43,19 @@ def trained_state(seed=0, steps=3, widths=(2, 5, 2), activation=Activation.TANH,
     for _ in range(steps):
         state, params = adam_step(state, params, random_grads(params, rng))
     return params, state
+
+
+def loss_history(epoch, seed=0):
+    """A loss history of epochs 1..``epoch`` with distinct finite values."""
+    columns = np.random.default_rng(seed).standard_normal((3, epoch))
+    return LossHistory(list(range(1, epoch + 1)), *columns.tolist())
+
+
+def assert_history_equal(a, b):
+    """Equal epochs and bit-equal columns."""
+    assert a.epochs == b.epochs
+    for col in ("objective", "mmd2", "cost"):
+        assert np.array(getattr(a, col)).tobytes() == np.array(getattr(b, col)).tobytes()
 
 
 def read_parts(path):
@@ -73,20 +88,20 @@ class TestMapCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params((3, 7, 4, 3), seed=5)
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, adam_init(params), epoch=0)
+        save_train_state(path, params, adam_init(params), 0, LossHistory())
         assert_params_equal(load_params(path), params)
 
     def test_identical_params_identical_bytes(self, tmp_path):
         params = init_params((2, 6, 2), seed=1)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_train_state(p1, params, adam_init(params), epoch=3)
-        save_train_state(p2, params.copy(), adam_init(params.copy()), epoch=3)
+        save_train_state(p1, params, adam_init(params), 3, loss_history(3))
+        save_train_state(p2, params.copy(), adam_init(params.copy()), 3, loss_history(3))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_file_starts_with_magic_and_version(self, tmp_path):
         params = init_params((2, 2))
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, adam_init(params), epoch=0)
+        save_train_state(path, params, adam_init(params), 0, LossHistory())
         blob = path.read_bytes()
         assert blob[:8] == MAGIC
         version, header_len = struct.unpack_from("<II", blob, 8)
@@ -98,9 +113,10 @@ class TestTrainStateCheckpoint:
     def test_round_trip_restores_everything(self, tmp_path):
         params, state = trained_state(seed=2, steps=5)
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, epoch=17)
-        params2, state2, epoch = load_train_state(path)
+        save_train_state(path, params, state, 17, loss_history(17))
+        params2, state2, epoch, history = load_train_state(path)
         assert epoch == 17
+        assert_history_equal(history, loss_history(17))
         assert state2.step_count == state.step_count
         assert state2.hyper == state.hyper
         assert_params_equal(params2, params)
@@ -116,30 +132,31 @@ class TestTrainStateCheckpoint:
                         beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.9999),
                         eps=st.floats(1e-12, 1e-3)),
         steps=st.integers(0, 4),
-        epoch=st.integers(0, 10**6),
+        epoch=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_save_load_save_is_a_fixed_point(self, tmp_path_factory, d, hidden, activation,
                                              hyper, steps, epoch, seed):
         params, state = trained_state(seed, steps, (d, *hidden, d), activation, hyper)
         path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
-        save_train_state(path, params, state, epoch)
+        save_train_state(path, params, state, epoch, loss_history(epoch, seed))
         first = path.read_bytes()
-        params2, state2, epoch2 = load_train_state(path)
+        params2, state2, epoch2, history2 = load_train_state(path)
         assert params2.flat.tobytes() == params.flat.tobytes()
         assert params2.activations == params.activations
         assert state2.first_moment.tobytes() == state.first_moment.tobytes()
         assert state2.second_moment.tobytes() == state.second_moment.tobytes()
         assert (state2.hyper, state2.step_count, epoch2) == (hyper, steps, epoch)
-        save_train_state(path, params2, state2, epoch2)
+        assert_history_equal(history2, loss_history(epoch, seed))
+        save_train_state(path, params2, state2, epoch2, history2)
         assert path.read_bytes() == first
 
     def test_resumed_optimizer_continues_identically(self, tmp_path):
         """A step taken after reload matches the step without the round trip."""
         params, state = trained_state(seed=3, steps=4)
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, epoch=4)
-        params2, state2, _ = load_train_state(path)
+        save_train_state(path, params, state, 4, loss_history(4))
+        params2, state2, _, _ = load_train_state(path)
         grads = random_grads(params, np.random.default_rng(99))
         _, direct = adam_step(state, params, grads)
         _, resumed = adam_step(state2, params2, grads)
@@ -148,7 +165,7 @@ class TestTrainStateCheckpoint:
     def test_load_params_accepts_train_state_files(self, tmp_path):
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, epoch=1)
+        save_train_state(path, params, state, 1, loss_history(1))
         assert_params_equal(load_params(path), params)
 
     def test_load_train_state_rejects_map_files(self, tmp_path, rewrite_as_v1):
@@ -156,7 +173,7 @@ class TestTrainStateCheckpoint:
         file by its version."""
         params = init_params((2, 2))
         path = tmp_path / "map.ckpt"
-        save_train_state(path, params, adam_init(params), epoch=0)
+        save_train_state(path, params, adam_init(params), 0, LossHistory())
         rewrite_as_v1(path, kind="map")
         assert read_parts(path)[0]["kind"] == "map"
         for load in (load_train_state, load_params):
@@ -165,16 +182,31 @@ class TestTrainStateCheckpoint:
                 load(path)
 
     def test_format_1_training_state_is_refused(self, tmp_path, rewrite_as_v1):
-        """No reader of format version 1 is kept, though its payload bytes equal version 2's."""
+        """No reader of format version 1 is kept, though its payload bytes equal version 3's
+        parameters and moments."""
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, epoch=2)
+        save_train_state(path, params, state, 2, loss_history(2))
         payload = read_parts(path)[1]
         rewrite_as_v1(path)
-        assert read_parts(path)[1] == payload
+        assert read_parts(path)[1] == payload[:24 * params.flat.size]
         for load in (load_train_state, load_params):
             with pytest.raises(InputError, match=re.escape(
                     f"{path}: unsupported checkpoint version 1")):
+                load(path)
+
+    def test_format_2_training_state_is_refused(self, tmp_path, rewrite_as_v2):
+        """No reader of format version 2 is kept: its header is version 3's, and its payload
+        is version 3's without the loss history."""
+        params, state = trained_state()
+        path = tmp_path / "state.ckpt"
+        save_train_state(path, params, state, 2, loss_history(2))
+        header, payload = read_parts(path)
+        rewrite_as_v2(path)
+        assert read_parts(path) == (header, payload[:24 * params.flat.size])
+        for load in (load_train_state, load_params):
+            with pytest.raises(InputError, match=re.escape(
+                    f"{path}: unsupported checkpoint version 2")):
                 load(path)
 
     def test_flat_state_saves_like_per_layer_copies(self, tmp_path):
@@ -186,20 +218,21 @@ class TestTrainStateCheckpoint:
         state2 = AdamState(state.hyper, state.first_moment.copy(),
                            state.second_moment.copy(), state.step_count)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_train_state(a, params, state, epoch=5)
-        save_train_state(b, params2, state2, epoch=5)
+        save_train_state(a, params, state, 5, loss_history(5))
+        save_train_state(b, params2, state2, 5, loss_history(5))
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestFormat:
-    """Version 2: a header of exactly five keys, then ``flat``, first moment, second moment."""
+    """Version 3: a header of exactly five keys, then ``flat``, first moment, second moment,
+    then the loss history's objective, mmd2 and cost columns."""
 
     def test_header_holds_widths_and_counters_only(self, tmp_path):
         params, state = trained_state(widths=(2, 5, 3, 2))
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, epoch=9)
+        save_train_state(path, params, state, 9, loss_history(9))
         blob = path.read_bytes()
-        assert struct.unpack_from("<I", blob, 8)[0] == FORMAT_VERSION == 2
+        assert struct.unpack_from("<I", blob, 8)[0] == FORMAT_VERSION == 3
         header, _ = read_parts(path)
         assert header == {"activations": ["tanh", "tanh", "identity"],
                           "adam": {"learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999,
@@ -219,19 +252,70 @@ class TestFormat:
     )
     def test_payload_is_flat_then_moments_and_nothing_else(self, tmp_path_factory, d, hidden,
                                                            steps, seed, change, longer):
-        """The payload is exactly the three vectors; any payload 1-64 bytes shorter or
-        longer is refused, before any vector is read."""
+        """The payload is exactly the three vectors and the three history columns; any
+        payload 1-64 bytes shorter or longer is refused, before any vector is read."""
         params, state = trained_state(seed, steps, (d, *hidden, d))
         path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
-        save_train_state(path, params, state, epoch=1)
+        history = loss_history(2, seed)
+        save_train_state(path, params, state, 2, history)
         _, payload = read_parts(path)
-        expected = np.concatenate([params.flat, state.first_moment, state.second_moment])
+        expected = np.concatenate([params.flat, state.first_moment, state.second_moment,
+                                   history.objective, history.mmd2, history.cost])
         assert payload == expected.astype("<f8").tobytes()
-        assert len(payload) == 24 * n_params(params.widths)
+        assert len(payload) == 24 * (n_params(params.widths) + 2)
         blob = path.read_bytes()
         path.write_bytes(blob + bytes(change) if longer else blob[:-change])
         message = f"{change} trailing bytes after payload" if longer else "truncated checkpoint"
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}"):
+            load_train_state(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 3),
+        hidden=st.lists(st.integers(1, 4), max_size=2),
+        epoch=st.integers(0, 40),
+        step_count=st.integers(0, 10**6),
+        change=st.integers(1, 64),
+        longer=st.booleans(),
+    )
+    def test_any_finite_state_round_trips_bit_for_bit(self, tmp_path_factory, data, d, hidden,
+                                                      epoch, step_count, change, longer):
+        """Any finite parameters, moments and history entries, -0.0 and subnormals among
+        them, load back bit for bit from a file of 16 + H + 24·(P + epoch) bytes. A payload
+        1-64 bytes shorter or longer, or a header epoch one past the history's rows, is
+        refused."""
+        finite = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310]))
+        widths, size = (d, *hidden, d), n_params((d, *hidden, d))
+
+        def vector(n, elements=finite):
+            return data.draw(hnp.arrays(np.float64, n, elements=elements))
+
+        params = MlpParams.from_flat(widths, ["relu"] * len(hidden) + ["identity"],
+                                     vector(size))
+        second = vector(size, st.floats(0.0, allow_infinity=False) | st.just(-0.0))
+        state = AdamState(AdamHyper(), vector(size), second, step_count)
+        history = LossHistory(list(range(1, epoch + 1)),
+                              *(vector(epoch).tolist() for _ in range(3)))
+        path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
+        save_train_state(path, params, state, epoch, history)
+        blob = path.read_bytes()
+        assert len(blob) == 16 + struct.unpack_from("<I", blob, 12)[0] + 24 * (size + epoch)
+        params2, state2, epoch2, history2 = load_train_state(path)
+        assert params2.flat.tobytes() == params.flat.tobytes()
+        assert state2.first_moment.tobytes() == state.first_moment.tobytes()
+        assert state2.second_moment.tobytes() == second.tobytes()
+        assert (state2.step_count, epoch2) == (step_count, epoch)
+        assert_history_equal(history2, history)
+
+        path.write_bytes(blob + bytes(change) if longer else blob[:-change])
+        message = f"{change} trailing bytes after payload" if longer else "truncated checkpoint"
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {message}"):
+            load_train_state(path)
+        path.write_bytes(blob)
+        rewrite(path, lambda h: {**h, "epoch": epoch + 1})
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: truncated checkpoint"):
             load_train_state(path)
 
     def test_checkpoint_touches_no_per_layer_attribute(self):
@@ -247,7 +331,7 @@ class TestCorruption:
     def write_state(self, tmp_path):
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, epoch=2)
+        save_train_state(path, params, state, 2, loss_history(2))
         return path
 
     def test_bad_magic(self, tmp_path):
@@ -282,7 +366,8 @@ class TestCorruption:
             for first, second in ((wrong, state.second_moment), (state.first_moment, wrong)):
                 with pytest.raises(InputError, match=re.escape(
                         f"{path}: the Adam moments must be vectors of {params.flat.size}")):
-                    save_train_state(path, params, AdamState(state.hyper, first, second, 3), 1)
+                    save_train_state(path, params, AdamState(state.hyper, first, second, 3),
+                                     1, loss_history(1))
                 assert not path.exists()
         for payload, message in ((lambda data: data[:-8], "truncated checkpoint payload"),
                                  (lambda data: data + data[-8:], "8 trailing bytes")):
@@ -296,31 +381,57 @@ class TestCorruption:
         (2, np.inf, "non-finite entries in the checkpoint's second moment"),
         (1, np.nan, "non-finite entries in the checkpoint's first moment"),
         (0, np.nan, "non-finite"),
+        (3, np.nan, "non-finite entries in the checkpoint's objective"),
+        (4, np.inf, "non-finite entries in the checkpoint's mmd2"),
+        (5, -np.inf, "non-finite entries in the checkpoint's cost"),
     ], ids=["negative-second-moment", "infinite-second-moment", "nan-first-moment",
-            "nan-parameter"])
+            "nan-parameter", "nan-objective", "infinite-mmd2", "minus-infinite-cost"])
     def test_state_adam_cannot_continue_from_is_refused(self, tmp_path, vector, value, message):
-        """Writer and reader both refuse a non-finite parameter or moment entry and a
-        negative second moment, naming the file; the writer writes nothing."""
+        """Writer and reader both refuse a non-finite parameter, moment or loss history
+        entry and a negative second moment, naming the file; the writer writes nothing."""
         params, state = trained_state()
-        n = params.flat.size
-        vectors = [params.flat.copy(), state.first_moment.copy(), state.second_moment.copy()]
+        history = loss_history(3)
+        vectors = [params.flat.copy(), state.first_moment.copy(), state.second_moment.copy(),
+                   *map(np.array, (history.objective, history.mmd2, history.cost))]
         vectors[vector][1] = value
         bad_params = MlpParams(params.weights, params.biases, params.activations)
         bad_params.flat[...] = vectors[0]
         bad_state = AdamState(state.hyper, vectors[1], vectors[2], state.step_count)
+        bad_history = LossHistory(history.epochs, *(v.tolist() for v in vectors[3:]))
         path = tmp_path / "state.ckpt"
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
-            save_train_state(path, bad_params, bad_state, epoch=3)
+            save_train_state(path, bad_params, bad_state, 3, bad_history)
         assert not path.exists()
-        # The same entry written into a valid file's payload: parameters, m, then v.
-        save_train_state(path, params, state, epoch=3)
+        # The same entry written into a valid file's payload: parameters, m, v, then the
+        # history's objective, mmd2 and cost.
+        save_train_state(path, params, state, 3, history)
         blob = bytearray(path.read_bytes())
-        start = len(blob) - 8 * n * (3 - vector)
-        blob[start:start + 8 * n] = vectors[vector].astype("<f8").tobytes()
+        start = len(blob) - len(read_parts(path)[1]) + sum(v.nbytes for v in vectors[:vector])
+        blob[start:start + vectors[vector].nbytes] = vectors[vector].astype("<f8").tobytes()
         path.write_bytes(bytes(blob))
         for load in (load_train_state, load_params):
             with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
                 load(path)
+
+    @pytest.mark.parametrize("history", [
+        LossHistory([1, 2], [0.5] * 2, [0.25] * 2, [1.0] * 2),
+        LossHistory([1, 2, 3, 4], [0.5] * 4, [0.25] * 4, [1.0] * 4),
+        LossHistory([1, 2, 4], [0.5] * 3, [0.25] * 3, [1.0] * 3),
+        LossHistory([2, 1, 3], [0.5] * 3, [0.25] * 3, [1.0] * 3),
+        LossHistory([0, 1, 2], [0.5] * 3, [0.25] * 3, [1.0] * 3),
+        LossHistory([1, 2, 3], [0.5] * 3, [0.25] * 2, [1.0] * 3),
+        LossHistory(),
+    ], ids=["too-few", "too-many", "gap", "out-of-order", "from-zero", "short-column",
+            "empty"])
+    def test_history_must_hold_exactly_epochs_one_to_epoch(self, tmp_path, history):
+        """The writer refuses, naming the file and before writing, a history whose rows are
+        not exactly epochs 1..epoch with one value per column each."""
+        params, state = trained_state()
+        path = tmp_path / "state.ckpt"
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: the loss history must hold exactly epochs 1..3")):
+            save_train_state(path, params, state, 3, history)
+        assert not path.exists()
 
     def test_trailing_garbage(self, tmp_path):
         path = self.write_state(tmp_path)
@@ -345,11 +456,11 @@ class TestCorruption:
         return path
 
     @pytest.mark.parametrize("edit, payload, message", [
-        (lambda h: h, lambda data: data + data[len(data) // 3:2 * len(data) // 3],
+        (lambda h: h, lambda data: data + data[8 * 27:16 * 27],
          f"{8 * 27} trailing bytes after payload"),
         (lambda h: h, lambda data: data + np.full(3, 7.0).tobytes(), "24 trailing bytes"),
-        (lambda h: h, lambda data: data[:len(data) // 3] + data[2 * len(data) // 3:]
-         + data[len(data) // 3:2 * len(data) // 3],
+        (lambda h: h, lambda data: data[:8 * 27] + data[16 * 27:24 * 27]
+         + data[8 * 27:16 * 27] + data[24 * 27:],
          "negative entries in the checkpoint's second moment"),
         (lambda h: {k: v for k, v in h.items() if k != "widths"}, lambda data: b"",
          "corrupt checkpoint header"),
@@ -398,17 +509,19 @@ class TestCorruption:
         to the widths, so only the network is at fault."""
         path = self.write_state(tmp_path)
         rewrite(path, lambda h: {**h, "widths": widths, "activations": activations},
-                lambda data: bytes(24 * n_params(widths)))
+                lambda data: bytes(24 * (n_params(widths) + 2)))
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: checkpoint holds an "
                                              "inconsistent network"):
             load_params(path)
 
-    @pytest.mark.parametrize("widths", [[2, 2**70, 2], [2, 2**32, 2**32, 2]],
-                             ids=["beyond-int64", "product-wraps-in-int64"])
-    def test_huge_shape_is_a_truncated_payload(self, tmp_path, widths):
+    @pytest.mark.parametrize("widths, epoch", [
+        ([2, 2**70, 2], 2), ([2, 2**32, 2**32, 2], 2), ([2, 5, 2], 2**62),
+    ], ids=["beyond-int64", "product-wraps-in-int64", "epoch-2**62"])
+    def test_huge_shape_is_a_truncated_payload(self, tmp_path, widths, epoch):
         """The payload length is checked in Python ints before anything is allocated."""
         path = self.write_edited_header(tmp_path, lambda h: {
-            **h, "widths": widths, "activations": ["tanh"] * (len(widths) - 2) + ["identity"]})
+            **h, "widths": widths, "epoch": epoch,
+            "activations": ["tanh"] * (len(widths) - 2) + ["identity"]})
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="truncated checkpoint payload"):

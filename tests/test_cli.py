@@ -1,8 +1,10 @@
 import argparse
+import ast
 import importlib
 import json
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,8 +75,9 @@ class TestTrain:
         assert (out / "eval.json").exists()
         hist = LossHistory.from_csv((out / "loss.csv").read_text())
         assert hist.epochs == [1, 2, 3, 4]
-        params, opt, epoch = load_train_state(out / "model.ckpt")
+        params, opt, epoch, stored = load_train_state(out / "model.ckpt")
         assert epoch == 4
+        assert stored.to_csv() == (out / "loss.csv").read_text()
         assert opt.step_count == 4 * 3  # 24 points / batch 8 = 3 per epoch
         report = json.loads((out / "eval.json").read_text())
         assert report["n"] == 16
@@ -120,47 +123,40 @@ class TestTrain:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad_row", ["2,0.5,0.25", "2,0.5,oops,0.125"])
-    def test_malformed_loss_history_on_resume_is_usage_error(self, tmp_path, capsys, bad_row):
+    def test_zero_epoch_run_resumes_like_a_straight_run(self, tmp_path):
+        """``train.epochs=0`` writes the initial state with an empty history (a payload of
+        exactly 24·P bytes), and resuming it to 2 epochs gives a straight 2-epoch run's
+        three artifacts byte for byte."""
+        cfg_two = write_config(tmp_path / "two.yaml", tmp_path / "out_two")
+        assert main(["train", str(cfg_two), "--quiet", "--set", "train.epochs=2"]) == 0
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
-        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
-        loss = tmp_path / "out" / "loss.csv"
-        lines = loss.read_text().splitlines()
-        lines[2] = bad_row
-        loss.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        rc = main(["train", str(cfg), "--quiet", "--resume"])
-        assert rc == 2
-        assert "loss history line 3" in capsys.readouterr().err
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=0"]) == 0
+        ckpt = tmp_path / "out" / "model.ckpt"
+        blob = ckpt.read_bytes()
+        payload = len(blob) - 16 - struct.unpack_from("<I", blob, 12)[0]
+        assert payload == 24 * load_params(ckpt).flat.size
+        assert (tmp_path / "out" / "loss.csv").read_text() == "epoch,objective,mmd2,cost\n"
+        assert main(["train", str(cfg), "--quiet", "--resume", "--set", "train.epochs=2"]) == 0
+        for name in ("model.ckpt", "loss.csv", "eval.json"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "out_two" / name).read_bytes()), name
 
-    def test_non_finite_loss_history_on_resume_is_usage_error(self, tmp_path, capsys):
-        """A corrupted row is refused, not copied into the rewritten loss.csv."""
-        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
-        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
-        loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
-        lines = loss.read_text().splitlines()
-        lines[1] = "1,nan,inf,1"
-        loss.write_text("\n".join(lines) + "\n")
-        before = loss.read_bytes(), ckpt.read_bytes()
-        capsys.readouterr()
-        assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
-        assert "loss history line 2: non-finite value in '1,nan,inf,1'" in capsys.readouterr().err
-        assert (loss.read_bytes(), ckpt.read_bytes()) == before
-
-    @pytest.mark.parametrize("vector, value", [(2, -1.0), (2, np.inf), (1, np.nan), (0, np.nan)],
+    @pytest.mark.parametrize("vector, value", [(2, -1.0), (2, np.inf), (1, np.nan), (0, np.nan),
+                                               (3, np.nan)],
                              ids=["negative-second-moment", "infinite-second-moment",
-                                  "nan-first-moment", "nan-parameter"])
+                                  "nan-first-moment", "nan-parameter", "nan-objective"])
     def test_checkpoint_adam_cannot_continue_from_is_usage_error(self, tmp_path, capsys,
                                                                   vector, value):
-        """Train 2 epochs, overwrite the saved parameters (0), first moment (1) or
-        second moment (2) with ``value``, resume to 4: refused before any step."""
+        """Train 2 epochs, overwrite the saved parameters (0), first moment (1), second
+        moment (2) or objective history (3) with ``value``, resume to 4: refused before
+        any step."""
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
         loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
-        n = load_params(ckpt).flat.size
+        sizes = [load_params(ckpt).flat.size] * 3 + [2] * 3
         blob = bytearray(ckpt.read_bytes())
-        start = len(blob) - 8 * n * (3 - vector)
-        blob[start:start + 8 * n] = np.full(n, value, dtype="<f8").tobytes()
+        start = 16 + struct.unpack_from("<I", blob, 12)[0] + 8 * sum(sizes[:vector])
+        blob[start:start + 8 * sizes[vector]] = np.full(sizes[vector], value, "<f8").tobytes()
         ckpt.write_bytes(bytes(blob))
         before = loss.read_bytes(), ckpt.read_bytes()
         capsys.readouterr()
@@ -203,47 +199,59 @@ class TestTrain:
         assert hist.epochs == [1, 2, 3]
         assert load_train_state(tmp_path / "out" / "model.ckpt")[2] == 3
 
-    def test_resume_refuses_a_loss_history_with_a_gap(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
-        assert main(["train", str(cfg), "--quiet"]) == 0
-        loss = tmp_path / "out" / "loss.csv"
-        loss.write_text("".join(loss.read_text().splitlines(keepends=True)[:3]))
-        capsys.readouterr()
-        rc = main(["train", str(cfg), "--quiet", "--resume", "--set", "train.epochs=6"])
-        assert rc == 2
-        assert "epochs 1..4 once each, in order; missing: 3, 4" in capsys.readouterr().err
-        assert LossHistory.from_csv(loss.read_text()).epochs == [1, 2]
-
-    def test_resume_refuses_a_deleted_loss_history(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
-        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=6"]) == 0
-        loss = tmp_path / "out" / "loss.csv"
-        loss.unlink()
-        capsys.readouterr()
-        rc = main(["train", str(cfg), "--quiet", "--resume", "--set", "train.epochs=8"])
-        assert rc == 2
-        assert "missing: 1, 2, 3, 4, 5, 6" in capsys.readouterr().err
-        assert not loss.exists()
-
-    def test_crash_between_the_writes_leaves_a_resumable_run(self, tmp_path, monkeypatch):
-        """loss.csv is written first, so the crash leaves extra rows that resume drops."""
+    @pytest.mark.parametrize("damage", [
+        lambda loss: loss.unlink(),
+        lambda loss: loss.write_text("epoch,objective,mmd2,cost\n1,nan,oops\n"),
+        lambda loss: loss.write_text("".join(loss.read_text().splitlines(True)[:2])),
+    ], ids=["deleted", "garbled", "cut-short"])
+    def test_resume_rebuilds_a_lost_or_damaged_loss_csv(self, tmp_path, damage):
+        """--resume reads only model.ckpt, which holds the loss history: with loss.csv
+        deleted, garbled or cut short, it still writes the uninterrupted run's bytes."""
         cfg_full = write_config(tmp_path / "full.yaml", tmp_path / "out_full")
         assert main(["train", str(cfg_full), "--quiet"]) == 0
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        damage(tmp_path / "out" / "loss.csv")
+        assert main(["train", str(cfg), "--quiet", "--resume"]) == 0
+        for name in ("model.ckpt", "loss.csv", "eval.json"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "out_full" / name).read_bytes()), name
 
-        def disk_full(*args, **kwargs):
-            raise OSError("no space left on device")
+    def test_crash_between_the_writes_leaves_a_resumable_run(self, tmp_path, monkeypatch):
+        """model.ckpt is written first and holds the loss history, so a crash before the
+        loss.csv write leaves a stale loss.csv that resume rebuilds from the checkpoint."""
+        cfg_full = write_config(tmp_path / "full.yaml", tmp_path / "out_full")
+        assert main(["train", str(cfg_full), "--quiet"]) == 0
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
+        cli = importlib.import_module("mongemmd.cli")
+        write_text = cli.atomic_write_text
+
+        def disk_full_for_loss_csv(path, text):
+            if path.name == "loss.csv":
+                raise OSError("no space left on device")
+            write_text(path, text)
 
         with monkeypatch.context() as patch:
-            patch.setattr("mongemmd.checkpoint.save_train_state", disk_full)
+            patch.setattr(cli, "atomic_write_text", disk_full_for_loss_csv)
             assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
         out = tmp_path / "out"
-        assert LossHistory.from_csv((out / "loss.csv").read_text()).epochs == [1, 2, 3, 4]
-        assert load_train_state(out / "model.ckpt")[2] == 2
+        assert LossHistory.from_csv((out / "loss.csv").read_text()).epochs == [1, 2]
+        assert load_train_state(out / "model.ckpt")[3].epochs == [1, 2, 3, 4]
+        assert (out / "model.ckpt").read_bytes() == (tmp_path / "out_full/model.ckpt").read_bytes()
         assert main(["train", str(cfg), "--quiet", "--resume"]) == 0
         for name in ("model.ckpt", "loss.csv", "eval.json"):
             assert (out / name).read_bytes() == (tmp_path / "out_full" / name).read_bytes()
+
+    def test_no_module_but_the_trainer_reads_a_loss_history(self):
+        """No module of the package but train.py, where it is defined, names ``from_csv``:
+        no command reads loss.csv back."""
+        package = Path(importlib.import_module("mongemmd").__file__).parent
+        callers = sorted({
+            path.name for path in package.glob("*.py") if path.name != "train.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if getattr(node, "attr", getattr(node, "id", None)) == "from_csv"})
+        assert callers == []
 
     @pytest.mark.parametrize("section, key, value, message", [
         (None, "adam", [1e-4, 0.9, 0.999, 1e-8], "adam must be an object of four real numbers"),
@@ -266,14 +274,13 @@ class TestTrain:
         assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
         assert f"{path}: corrupt checkpoint header: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["resume", "eval"])
-    def test_format_1_checkpoint_is_usage_error(self, tmp_path, capsys, rewrite_as_v1, command):
-        """A checkpoint in format version 1 is refused, exit 2, by ``train --resume`` and by
-        ``eval``, and neither writes model.ckpt or loss.csv."""
+    def refuses_old_format(self, tmp_path, capsys, rewrite, version, command):
+        """Train 2 epochs, ``rewrite`` the checkpoint as format ``version``, and run
+        ``command``: exit 2 naming the version, with model.ckpt and loss.csv untouched."""
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
         loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
-        rewrite_as_v1(ckpt)
+        rewrite(ckpt)
         before = loss.read_bytes(), ckpt.read_bytes()
         src = tmp_path / "src.csv"
         write_points_csv(src, generate(DatasetSpec(family="isotropic_gaussian", n=12, seed=5)))
@@ -282,8 +289,20 @@ class TestTrain:
                 "eval": ["eval", "--checkpoint", str(ckpt), "--source", str(src),
                          "--target", str(src)]}[command]
         assert main(argv) == 2
-        assert f"{ckpt}: unsupported checkpoint version 1" in capsys.readouterr().err
+        assert f"{ckpt}: unsupported checkpoint version {version}" in capsys.readouterr().err
         assert (loss.read_bytes(), ckpt.read_bytes()) == before
+
+    @pytest.mark.parametrize("command", ["resume", "eval"])
+    def test_format_1_checkpoint_is_usage_error(self, tmp_path, capsys, rewrite_as_v1, command):
+        """Per-layer array lists (format version 1) are refused by ``train --resume`` and
+        by ``eval``."""
+        self.refuses_old_format(tmp_path, capsys, rewrite_as_v1, 1, command)
+
+    @pytest.mark.parametrize("command", ["resume", "eval"])
+    def test_format_2_checkpoint_is_usage_error(self, tmp_path, capsys, rewrite_as_v2, command):
+        """A checkpoint without the loss history (format version 2) is refused by
+        ``train --resume`` and by ``eval``."""
+        self.refuses_old_format(tmp_path, capsys, rewrite_as_v2, 2, command)
 
     def test_out_of_range_adam_header_keeps_the_range_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")

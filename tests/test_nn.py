@@ -89,6 +89,11 @@ class TestInitParams:
             init_params((2, 4, 3))  # dimension must be preserved
         with pytest.raises(InputError):
             init_params((2, 0, 2))
+        with pytest.raises(InputError, match="widths: expected an integer, got 2.7"):
+            init_params((2, 2.7, 2))
+        with pytest.raises(InputError, match="widths: expected an integer, got True"):
+            init_params((2, True, 2))
+        assert init_params((np.int64(2), np.int32(3), 2)).widths == (2, 3, 2)
         with pytest.raises(InputError, match="softplus"):
             init_params((2, 4, 2), hidden_activation="softplus")
         with pytest.raises(InputError, match="softplus"):
