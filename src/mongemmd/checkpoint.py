@@ -3,7 +3,7 @@
 Layout, all little-endian:
 
     bytes 0..7    magic b"MMDCKPT\\n"
-    bytes 8..11   format version (uint32), currently 3
+    bytes 8..11   format version (uint32), currently 4
     bytes 12..15  JSON header length H (uint32)
     bytes 16..    H bytes of UTF-8 JSON with sorted keys, exactly: activations,
                   adam, epoch, step_count and widths
@@ -12,13 +12,15 @@ Layout, all little-endian:
     then          three float64 vectors of ``epoch`` entries each: the loss
                   history's objective, mmd2 and cost columns of epochs 1..epoch
 
-The checkpoint holds the whole run, and ``loss.csv`` is written from it. Only
-``nn.MlpParams`` knows how a vector tiles into layers. The reader refuses a
-payload of any length but 24·(P + epoch) bytes before allocating it; reader and
-writer both refuse a non-finite parameter, moment or history entry and a
-negative second moment. Identical inputs produce byte-identical files, and
-loading restores every float bit-exactly, so checkpoint-resume reproduces an
-uninterrupted run.
+Version 4 keeps version 3's layout, but its ``mmd2`` column reports each
+batch's target term from epoch 1's batches (see ``train``), so version 3 files
+are refused by their version. The checkpoint holds the whole run, and
+``loss.csv`` is written from it. Only ``nn.MlpParams`` knows how a vector tiles
+into layers. The reader refuses a payload of any length but 24·(P + epoch)
+bytes before allocating it; reader and writer both refuse a non-finite
+parameter, moment or history entry and a negative second moment. Identical
+inputs produce byte-identical files, and loading restores every float
+bit-exactly, so checkpoint-resume reproduces an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .errors import InputError
 from .nn import MlpParams, n_params
 from .optim import AdamHyper, AdamState
 from .train import LossHistory
-from .util import atomic_write_bytes
+from .util import _typed, atomic_write_bytes
 
 MAGIC = b"MMDCKPT\n"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _ADAM_KEYS = tuple(f.name for f in fields(AdamHyper))  # as saved in the header
 _HEADER_KEYS = ["activations", "adam", "epoch", "step_count", "widths"]
@@ -60,13 +62,16 @@ def _check_values(path, flat: np.ndarray, first, second, history) -> None:
 def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int,
                      history: LossHistory) -> None:
     """Write a resumable checkpoint: parameters, Adam moments, counters and the loss
-    history, which must hold exactly epochs 1..``epoch``."""
+    history, which must hold exactly epochs 1..``epoch``, an integer >= 0."""
+    epoch = _typed(int, epoch, f"{path}: epoch")
+    if epoch < 0:
+        raise InputError(f"{path}: epoch must be >= 0, got {epoch}")
     cols = [np.array(c, dtype=np.float64) for c in (history.objective, history.mmd2, history.cost)]
     if history.epochs != list(range(1, epoch + 1)) or any(c.shape != (epoch,) for c in cols):
         raise InputError(f"{path}: the loss history must hold exactly epochs 1..{epoch}")
     vectors = (params.flat, opt.first_moment, opt.second_moment, *cols)
     _check_values(path, *vectors[:3], cols)
-    header = {"activations": [a.value for a in params.activations], "epoch": int(epoch),
+    header = {"activations": [a.value for a in params.activations], "epoch": epoch,
               "adam": {k: getattr(opt.hyper, k) for k in _ADAM_KEYS},
               "step_count": int(opt.step_count), "widths": list(params.widths)}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")

@@ -9,8 +9,12 @@ the training objective is
 
 i.e. the transport cost weighted by the reciprocal penalty coefficient plus
 the T-dependent part of the unbiased squared-MMD statistic. The reported
-``mmd2`` adds back the Y-only term so it equals ``mmd2_unbiased`` between
-the batch images and Y. ``inv_lambda = 0`` is the pure matching limit.
+``mmd2`` adds a target-only term ``yy``, an unbiased estimate of E K(Y, Y'):
+the public entries pass the batch's own ``_target_term(kernel, Y)``, so their
+``mmd2`` equals ``mmd2_unbiased`` between the batch images and Y, and
+training passes a term computed once per call (see ``train``). ``yy`` enters
+neither the objective nor the gradient. ``inv_lambda = 0`` is the pure
+matching limit.
 
 Gradients flow through the map outputs only: the objective's derivative with
 respect to each image T(X_i) combines the cost derivative with the
@@ -59,6 +63,13 @@ def _check_batch(params: MlpParams, X, Y, inv_lambda: float):
     return X, Y
 
 
+def _target_term(kernel: KernelSpec, Y: np.ndarray) -> float:
+    """The U-statistic mean of K(Y_i, Y_j) over i != j for a validated set of >= 2 points."""
+    m = Y.shape[0]
+    # The diagonal of K(Y, Y) is exactly m ones.
+    return (_kernel_sum(kernel, Y, Y)[0] - m) / (m * (m - 1))
+
+
 def _evaluate(
     params: MlpParams,
     X: np.ndarray,
@@ -66,8 +77,10 @@ def _evaluate(
     kernel: KernelSpec,
     inv_lambda: float,
     want_grad: bool,
+    yy: float,
 ) -> tuple[LossValues, np.ndarray | None]:
-    """Loss values (and gradients if ``want_grad``) of a batch that passed ``_check_batch``."""
+    """Loss values (and gradients if ``want_grad``) of a batch that passed ``_check_batch``;
+    the reported ``mmd2`` adds the target term ``yy``."""
     m = X.shape[0]
     # One forward pass serves the loss and, through its layer outputs, the backward pass.
     outs = _forward_checked(params, X)
@@ -84,7 +97,6 @@ def _evaluate(
     # off-diagonal U-statistic sum.
     xx = (sxx_full - m) / (m * (m - 1))
     cross = -2.0 * sxy / (m * m)
-    yy = (_kernel_sum(kernel, Y, Y)[0] - m) / (m * (m - 1))
     objective = inv_lambda * mean_cost + xx + cross
     values = LossValues(float(objective), float(xx + cross + yy), mean_cost)
     if not all(math.isfinite(v) for v in values):
@@ -108,7 +120,7 @@ def monge_mmd_loss(
 ) -> LossValues:
     """Objective, full unbiased squared MMD, and mean transport cost for one batch."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
-    return _evaluate(params, X, Y, kernel, inv_lambda, want_grad=False)[0]
+    return _evaluate(params, X, Y, kernel, inv_lambda, False, _target_term(kernel, Y))[0]
 
 
 def monge_mmd_loss_with_grad(
@@ -121,4 +133,4 @@ def monge_mmd_loss_with_grad(
     """Loss values together with exact parameter gradients of the objective, as a
     vector shaped like ``params.flat`` (``params.split`` unpacks it per layer)."""
     X, Y = _check_batch(params, X, Y, inv_lambda)
-    return _evaluate(params, X, Y, kernel, inv_lambda, want_grad=True)
+    return _evaluate(params, X, Y, kernel, inv_lambda, True, _target_term(kernel, Y))

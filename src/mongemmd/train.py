@@ -8,8 +8,13 @@ so shuffling is a pure function of (seed, epoch). That is what makes resuming
 from a checkpoint after epoch k bit-identical to the uninterrupted run: no
 generator state needs to survive the restart.
 
-Recorded history is one row per epoch with batch-averaged objective, full
-unbiased squared MMD, and mean transport cost.
+Recorded history is one row per epoch with the batch-averaged objective,
+squared MMD and mean transport cost. A batch's ``mmd2`` is its unbiased
+statistic with the target-only term taken from the same batch index of epoch
+1's order: those terms are computed once per ``train`` call, so a step makes
+two kernel walks (images–images, images–targets), and any U-statistic over
+target points estimates E K(Y, Y') without bias. Epoch 1's row, and every row
+without shuffling, equals the batch statistic itself.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import KernelSpec
-from .loss import LossValues, _evaluate
+from .loss import LossValues, _evaluate, _target_term
 from .nn import Activation, MlpParams, init_params
 from .optim import AdamHyper, AdamState, adam_init, adam_step
 from .util import as_point_pair, check_settings, setting
@@ -114,6 +119,14 @@ def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(SHUFFLE_STREAM, epoch)))
 
 
+def _epoch_order(config: TrainConfig, n_source: int, n_target: int, epoch: int):
+    """The source and target row orders of ``epoch``; the data order without shuffling."""
+    if not config.shuffle:
+        return np.arange(n_source), np.arange(n_target)
+    rng = epoch_rng(config.seed, epoch)
+    return rng.permutation(n_source), rng.permutation(n_target)
+
+
 def init_state(config: TrainConfig, dim: int) -> TrainState:
     """Fresh network and optimizer for d-dimensional data, seeded from config."""
     widths = (dim,) + config.hidden_widths + (dim,)
@@ -174,20 +187,19 @@ def train(
     opt = state.optimizer
     history = LossHistory()
     n_batches = n_pairs // config.batch_size
+    batches = [slice(b * config.batch_size, (b + 1) * config.batch_size) for b in range(n_batches)]
+    sizes = source.shape[0], target.shape[0]
+    yy = []  # the target term of batch b of epoch 1's order, reported for batch b of every epoch
+    if state.epoch < config.epochs:
+        order_y = _epoch_order(config, *sizes, 1)[1]
+        yy = [_target_term(config.kernel, target[order_y[sl]]) for sl in batches]
     for epoch in range(state.epoch + 1, config.epochs + 1):
-        if config.shuffle:
-            rng = epoch_rng(config.seed, epoch)
-            order_x = rng.permutation(source.shape[0])
-            order_y = rng.permutation(target.shape[0])
-        else:
-            order_x = np.arange(source.shape[0])
-            order_y = np.arange(target.shape[0])
+        order_x, order_y = _epoch_order(config, *sizes, epoch)
         tot = np.zeros(3)
-        for b in range(n_batches):
-            sl = slice(b * config.batch_size, (b + 1) * config.batch_size)
+        for b, sl in enumerate(batches):
             try:
                 values, grads = _evaluate(params, source[order_x[sl]], target[order_y[sl]],
-                                          config.kernel, config.inv_lambda, want_grad=True)
+                                          config.kernel, config.inv_lambda, True, yy[b])
                 opt, params = adam_step(opt, params, grads)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {b}: {exc}") from exc

@@ -48,3 +48,13 @@ def rewrite_as_v2():
         header, payload = _parts(path)
         _write(path, 2, header, payload[:24 * n_params(header["widths"])])
     return rewrite
+
+
+@pytest.fixture
+def rewrite_as_v3():
+    """``rewrite(path)`` turns the checkpoint at ``path`` into a format version 3 file: the
+    same layout and bytes, whose ``mmd2`` column held each batch's own target term."""
+    def rewrite(path):
+        header, payload = _parts(path)
+        _write(path, 3, header, payload)
+    return rewrite

@@ -182,8 +182,8 @@ class TestTrainStateCheckpoint:
                 load(path)
 
     def test_format_1_training_state_is_refused(self, tmp_path, rewrite_as_v1):
-        """No reader of format version 1 is kept, though its payload bytes equal version 3's
-        parameters and moments."""
+        """No reader of format version 1 is kept, though its payload bytes equal the current
+        format's parameters and moments."""
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
         save_train_state(path, params, state, 2, loss_history(2))
@@ -196,8 +196,8 @@ class TestTrainStateCheckpoint:
                 load(path)
 
     def test_format_2_training_state_is_refused(self, tmp_path, rewrite_as_v2):
-        """No reader of format version 2 is kept: its header is version 3's, and its payload
-        is version 3's without the loss history."""
+        """No reader of format version 2 is kept: its header is the current format's, and its
+        payload is the current format's without the loss history."""
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
         save_train_state(path, params, state, 2, loss_history(2))
@@ -207,6 +207,20 @@ class TestTrainStateCheckpoint:
         for load in (load_train_state, load_params):
             with pytest.raises(InputError, match=re.escape(
                     f"{path}: unsupported checkpoint version 2")):
+                load(path)
+
+    def test_format_3_training_state_is_refused(self, tmp_path, rewrite_as_v3):
+        """No reader of format version 3 is kept: its layout is the current format's, but
+        its ``mmd2`` column held each batch's own target term."""
+        params, state = trained_state()
+        path = tmp_path / "state.ckpt"
+        save_train_state(path, params, state, 2, loss_history(2))
+        parts = read_parts(path)
+        rewrite_as_v3(path)
+        assert read_parts(path) == parts
+        for load in (load_train_state, load_params):
+            with pytest.raises(InputError, match=re.escape(
+                    f"{path}: unsupported checkpoint version 3")):
                 load(path)
 
     def test_flat_state_saves_like_per_layer_copies(self, tmp_path):
@@ -224,7 +238,7 @@ class TestTrainStateCheckpoint:
 
 
 class TestFormat:
-    """Version 3: a header of exactly five keys, then ``flat``, first moment, second moment,
+    """Version 4: a header of exactly five keys, then ``flat``, first moment, second moment,
     then the loss history's objective, mmd2 and cost columns."""
 
     def test_header_holds_widths_and_counters_only(self, tmp_path):
@@ -232,7 +246,7 @@ class TestFormat:
         path = tmp_path / "state.ckpt"
         save_train_state(path, params, state, 9, loss_history(9))
         blob = path.read_bytes()
-        assert struct.unpack_from("<I", blob, 8)[0] == FORMAT_VERSION == 3
+        assert struct.unpack_from("<I", blob, 8)[0] == FORMAT_VERSION == 4
         header, _ = read_parts(path)
         assert header == {"activations": ["tanh", "tanh", "identity"],
                           "adam": {"learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999,
@@ -432,6 +446,30 @@ class TestCorruption:
                 f"{path}: the loss history must hold exactly epochs 1..3")):
             save_train_state(path, params, state, 3, history)
         assert not path.exists()
+
+    @pytest.mark.parametrize("epoch, message", [
+        (2.0, "epoch: expected an integer, got 2.0"),
+        (np.float64(2), "epoch: expected an integer, got np.float64(2.0)"),
+        (True, "epoch: expected an integer, got True"),
+        ("2", "epoch: expected an integer, got '2'"),
+        (-1, "epoch must be >= 0, got -1"),
+    ], ids=["float", "numpy-float", "bool", "string", "negative"])
+    def test_epoch_must_be_an_integer_at_least_zero(self, tmp_path, epoch, message):
+        """The writer types ``epoch`` as the reader does, naming the file and before writing."""
+        params, state = trained_state()
+        path = tmp_path / "state.ckpt"
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            save_train_state(path, params, state, epoch, loss_history(2))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("epoch", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_epoch_saves_as_an_int(self, tmp_path, epoch):
+        params, state = trained_state()
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_train_state(a, params, state, epoch, loss_history(2))
+        save_train_state(b, params, state, 2, loss_history(2))
+        assert a.read_bytes() == b.read_bytes()
+        assert load_train_state(a)[2] == 2
 
     def test_trailing_garbage(self, tmp_path):
         path = self.write_state(tmp_path)

@@ -304,6 +304,12 @@ class TestTrain:
         ``train --resume`` and by ``eval``."""
         self.refuses_old_format(tmp_path, capsys, rewrite_as_v2, 2, command)
 
+    @pytest.mark.parametrize("command", ["resume", "eval"])
+    def test_format_3_checkpoint_is_usage_error(self, tmp_path, capsys, rewrite_as_v3, command):
+        """A checkpoint whose ``mmd2`` column held each batch's own target term (format
+        version 3) is refused by ``train --resume`` and by ``eval``."""
+        self.refuses_old_format(tmp_path, capsys, rewrite_as_v3, 3, command)
+
     def test_out_of_range_adam_header_keeps_the_range_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0

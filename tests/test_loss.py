@@ -201,10 +201,12 @@ class TestConsistency:
                 rng = np.random.default_rng(300 + seed)
                 X = rng.standard_normal((60, 2))
                 Y = rng.standard_normal((60, 2)) + 5.0
-                got, got_grads = loss_module._evaluate(params, X, Y, spec, 1e-6, True)
+                got, got_grads = loss_module._evaluate(
+                    params, X, Y, spec, 1e-6, True, loss_module._target_term(spec, Y))
                 with monkeypatch.context() as mp:
                     mp.setattr(loss_module, "_kernel_sum", frozen_one_block_sum)
-                    want, want_grads = loss_module._evaluate(params, X, Y, spec, 1e-6, True)
+                    want, want_grads = loss_module._evaluate(
+                        params, X, Y, spec, 1e-6, True, loss_module._target_term(spec, Y))
                 assert got == want, spec
                 np.testing.assert_array_equal(got_grads, want_grads)
 

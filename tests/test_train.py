@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongemmd import util
+from mongemmd import kernel, util
+from mongemmd import loss as loss_module
+from mongemmd import train as train_module
 from mongemmd.data import DatasetSpec, generate
 from mongemmd.errors import InputError, NumericError
-from mongemmd.kernel import KernelSpec
+from mongemmd.kernel import KernelSpec, kernel_gram
 from mongemmd.loss import monge_mmd_loss, monge_mmd_loss_with_grad
 from mongemmd.nn import mlp_forward_batch
 from mongemmd.optim import AdamHyper, adam_step
@@ -109,6 +111,7 @@ class TestTrainingLoop:
         assert_params_equal(full_state.params, resumed_state.params)
         assert resumed_state.optimizer.step_count == full_state.optimizer.step_count
         assert first_hist.objective + rest_hist.objective == full_hist.objective
+        assert first_hist.mmd2 + rest_hist.mmd2 == full_hist.mmd2
         assert rest_hist.epochs == [4, 5, 6, 7, 8]
 
     def test_shuffle_off_uses_data_order(self):
@@ -150,12 +153,14 @@ class TestTrainingLoop:
 
 
 def reference_train(config, source, target):
-    """The training loop written from the public, validating API alone."""
+    """The training loop written from the public, validating API alone. Each row is the
+    batch mean of the public loss values, so its ``mmd2`` holds each batch's own target term.
+    Also returns the target terms of epoch 1's batches from the public Gram matrix."""
     state = init_state(config, source.shape[1])
     params, opt = state.params, state.optimizer
     n_pairs = min(source.shape[0], target.shape[0])
     n_batches = n_pairs // config.batch_size
-    rows = []
+    rows, yy = [], []
     for epoch in range(1, config.epochs + 1):
         if config.shuffle:
             rng = epoch_rng(config.seed, epoch)
@@ -172,8 +177,12 @@ def reference_train(config, source, target):
                 config.kernel, config.inv_lambda)
             opt, params = adam_step(opt, params, grads)
             tot += np.array(values)
+            if epoch == 1:
+                Y, m = target[order_y[sl]], config.batch_size
+                gram = kernel_gram(config.kernel, Y, Y)
+                yy.append((gram.sum() - np.trace(gram)) / (m * (m - 1)))
         rows.append(tuple(tot / n_batches))
-    return params, opt, rows
+    return params, opt, rows, yy
 
 
 def state_bytes(state):
@@ -197,18 +206,27 @@ class TestEquivalence:
     )
     def test_train_equals_public_reference_loop(self, widths, activation, batch_size,
                                                 shuffle, kernel, epochs):
-        """train() validates once and then skips the public checks; the bits must not move."""
+        """train() validates once and then skips the public checks; the bits must not move.
+
+        Its ``mmd2`` takes every batch's target term from epoch 1's batch of the same index,
+        so that column equals the reference's at epoch 1 and, without shuffling, in every row;
+        elsewhere ``mmd2 - (objective - inv_lambda * cost)`` is the mean of those terms."""
         src, tgt = clouds(n=24)
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size, hidden_widths=widths,
                           hidden_activation=activation, shuffle=shuffle, kernel=kernel,
                           inv_lambda=0.1, seed=3)
-        params, opt, rows = reference_train(cfg, src, tgt)
+        params, opt, rows, yy = reference_train(cfg, src, tgt)
         state, history = train(cfg, src, tgt)
         assert state.params.flat.tobytes() == params.flat.tobytes()
         assert state.optimizer.first_moment.tobytes() == opt.first_moment.tobytes()
         assert state.optimizer.second_moment.tobytes() == opt.second_moment.tobytes()
         assert state.optimizer.step_count == opt.step_count
-        assert list(zip(history.objective, history.mmd2, history.cost)) == rows
+        assert list(zip(history.objective, history.cost)) == [(o, c) for o, _, c in rows]
+        assert history.mmd2[0] == rows[0][1]
+        if not shuffle:
+            assert history.mmd2 == [m for _, m, _ in rows]
+        for o, m, c in zip(history.objective, history.mmd2, history.cost):
+            assert m - (o - cfg.inv_lambda * c) == pytest.approx(np.mean(yy), rel=1e-12, abs=0)
 
         # Resuming from an earlier state reaches the same end and leaves that state alone.
         mid, _ = train(replace(cfg, epochs=epochs - 1), src, tgt)
@@ -248,6 +266,51 @@ class TestValidateOnce:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts == [counts[0]] * 3
+
+
+def count_kernel_walks(monkeypatch):
+    """Route ``loss``'s and ``train``'s bindings of ``kernel._kernel_sum`` through a counter."""
+    calls = []
+    orig = kernel._kernel_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    bound = [mod for mod in (loss_module, train_module)
+             if getattr(mod, "_kernel_sum", None) is orig]
+    assert bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "_kernel_sum", counted)
+    return calls
+
+
+class TestKernelWalks:
+    @pytest.mark.parametrize("epochs, batch_size, shuffle", [
+        (1, 10, True), (4, 10, True), (3, 30, True), (4, 5, False)])
+    def test_a_step_walks_twice_and_a_run_walks_the_targets_once(
+            self, monkeypatch, epochs, batch_size, shuffle):
+        """E epochs of k batches make 2·E·k walks (images–images and images–targets per
+        step) plus k for the target terms of epoch 1's batches."""
+        calls = count_kernel_walks(monkeypatch)
+        src, tgt = clouds(n=30)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, hidden_widths=(4,),
+                          shuffle=shuffle)
+        train(cfg, src, tgt)
+        k = 30 // batch_size
+        assert len(calls) == 2 * epochs * k + k
+
+    def test_resume_walks_the_targets_once_and_not_at_all_when_done(self, monkeypatch):
+        src, tgt = clouds(n=30)
+        cfg = TrainConfig(epochs=5, batch_size=10, hidden_widths=(4,))
+        mid, _ = train(replace(cfg, epochs=2), src, tgt)
+        done, _ = train(cfg, src, tgt)
+        calls = count_kernel_walks(monkeypatch)
+        train(cfg, src, tgt, state=mid)
+        assert len(calls) == 2 * 3 * 3 + 3
+        del calls[:]
+        _, history = train(cfg, src, tgt, state=done)
+        assert len(calls) == 0 and len(history) == 0
 
 
 class TestTrainingErrors:
