@@ -29,19 +29,22 @@ value 0 is the right limit. The public entries silence that overflow with
 costs microseconds, a noticeable share of a small-batch step.
 
 Every kernel sum (the MMD estimators' and the training loss's) is one walk,
-``_kernel_sum``: it adds the Gram matrix one row block at a time in a fixed
-order, with one block in memory, and takes the row-wise gradient sums from
-the same block when asked. A sum therefore has the same bits with or without
-its gradient, and does not depend on how callers parallelize over rows. When
-both arguments are one set (``Y is X``) the walk is triangular: a row block
-visits only the columns from its own first row on, adds its diagonal
-sub-block once and the rest twice, and mirrors the rest into the gradient
-rows below it, so each pair is computed once. A block holds at most
-``_BLOCK_ELEMS`` (row, column) entries, so its float64 temporaries fit in L2
-and stay below glibc's 128 KiB mmap threshold: they are reused from the heap
-instead of being mapped and faulted in afresh on every block. A walk builds
-the difference factors once and forms every block's differences and squared
-distances in one workspace of at most d * max(_BLOCK_ELEMS, N) floats.
+``_walk``: it adds the weighted Gram matrix of X against the columns X ‖ Y
+one row block at a time in a fixed order, and takes the gradient in X from
+the same block when asked, so a sum has the same bits with or without its
+gradient. The walk is triangular over X: row block [i0, i1) visits only the
+columns X[i0:] ‖ Y, weights its diagonal sub-block once and the later X
+columns twice, and mirrors those into the gradient rows below it, so each
+X–X pair is computed once. A training step is one walk, images against
+images ‖ targets; the unbiased estimator adds one walk of the targets alone.
+A block's rows are counted from the wider of its two column parts, so it
+holds at most 2 * ``_BLOCK_ELEMS`` entries. Its distances, values and
+coefficients live in one workspace of max(d, 3) planes of that size (750 KiB
+at d = 2), allocated once per call and overwritten by every block. A plane
+that large lies above glibc's 128 KiB mmap threshold, so temporaries made
+per block would be mapped and faulted in afresh on every block; the one
+workspace is mapped at most once per call, and under the default allocator,
+whose threshold rises after the first such free, it comes from the heap.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ import numpy as np
 from .errors import InputError
 from .util import as_point_pair, check_settings, setting
 
-# Row blocks hold at most this many (row, column) entries. One float64 block
-# (125 KiB) fits in L2 and stays under glibc's default 128 KiB mmap threshold,
-# so a block's temporaries come from the heap, not from fresh page faults.
-# The block edges set the order in which every kernel sum adds up.
+# A Gram or distance row block holds at most this many (row, column) entries,
+# one float64 plane of 125 KiB; a walk's block holds at most twice as many, so
+# its workspace of three planes (d <= 3) stays within a 1 MiB L2. The block
+# edges set the order in which every kernel sum adds up.
 _BLOCK_ELEMS = 16000
 # A Matern argument z beyond which exp(-z) is exactly 0 in float64 (it is from
 # ~745.2 on): capping z there changes no value and keeps an infinite z out of inf * 0.
@@ -92,30 +95,45 @@ class KernelSpec:
     __post_init__ = check_settings
 
 
-def _eval_from_sqdist(spec: KernelSpec, sq: np.ndarray, want_coeff: bool = False):
-    """Kernel values from squared distances, element-wise, and with ``want_coeff``
-    the coefficients c(r) with dK/dx = c(r) * (x - y) (else None).
+def _eval_from_sqdist(spec: KernelSpec, sq: np.ndarray, k: np.ndarray,
+                      coeff: np.ndarray | None = None) -> None:
+    """Write the kernel values of the squared distances ``sq`` into ``k`` and, if
+    given, the coefficients c(r) with dK/dx = c(r) * (x - y) into ``coeff``.
 
-    Each family's value is written once and the coefficient reuses its
-    exponential, which dominates the cost. Matern order 1/2 diverges at r = 0;
-    the caller is responsible for coincident points there.
+    ``sq`` is overwritten, and no step allocates. Each family's value is written
+    once, the same with or without ``coeff``, which reuses its exponential, the
+    dominant cost. Matern order 1/2 diverges at r = 0; the caller is responsible
+    for coincident points there.
     """
     ell = spec.lengthscale
     if spec.family is KernelFamily.GAUSSIAN:
-        k = np.exp(-spec.alpha * sq)
-        return k, -2.0 * spec.alpha * k if want_coeff else None
-    r = np.sqrt(sq)
+        np.exp(np.multiply(sq, -spec.alpha, out=k), out=k)
+        if coeff is not None:
+            np.multiply(k, -2.0 * spec.alpha, out=coeff)
+        return
+    r = np.sqrt(sq, out=sq)
     if spec.matern_order is MaternOrder.HALF:
-        k = np.exp(-r / ell)
-        with np.errstate(divide="ignore"):
-            return k, -k / (ell * r) if want_coeff else None
+        np.exp(np.divide(r, -ell, out=k), out=k)
+        if coeff is not None:
+            with np.errstate(divide="ignore"):
+                np.negative(np.divide(k, np.multiply(r, ell, out=coeff), out=coeff), out=coeff)
+        return
     three = spec.matern_order is MaternOrder.THREE_HALVES
-    z = np.minimum((math.sqrt(3.0 if three else 5.0) / ell) * r, _Z_MAX)
-    e = np.exp(-z)
+    z = np.minimum(np.multiply(r, math.sqrt(3.0 if three else 5.0) / ell, out=r), _Z_MAX, out=r)
     if three:
-        return (1.0 + z) * e, -(3.0 / ell**2) * e if want_coeff else None
-    k = (1.0 + z + z * z / 3.0) * e
-    return k, -(5.0 / (3.0 * ell**2)) * (1.0 + z) * e if want_coeff else None
+        e = np.exp(np.negative(z, out=k), out=k)
+        if coeff is not None:
+            np.multiply(e, -(3.0 / ell**2), out=coeff)
+        np.multiply(e, np.add(z, 1.0, out=z), out=k)  # (1 + z) e
+        return
+    if coeff is not None:
+        np.multiply(np.add(z, 1.0, out=coeff), -(5.0 / (3.0 * ell**2)), out=coeff)
+    # (z^2 / 3 + z + 1) e, with z's own buffer turned into e once the sum is built
+    poly = np.add(np.add(np.divide(np.multiply(z, z, out=k), 3.0, out=k), z, out=k), 1.0, out=k)
+    e = np.exp(np.negative(z, out=z), out=z)
+    np.multiply(poly, e, out=k)
+    if coeff is not None:
+        np.multiply(coeff, e, out=coeff)
 
 
 def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -127,16 +145,18 @@ def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return X[0], Y[0]
 
 
-def _sqdist_blocks(X: np.ndarray, Y: np.ndarray, triangular: bool = False):
-    """``(i0, i1, sq)`` for each row block of ``_row_blocks``: the squared distances of
-    rows X[i0:i1] to the columns Y[i0:] (triangular) or Y.
+def _sqdist_blocks(X: np.ndarray, Y: np.ndarray, triangular: bool = False, planes: int = 1):
+    """``(i0, i1, P)`` for each row block of ``_row_blocks``: ``P`` is ``planes`` arrays of
+    the block's shape, the first holding the squared distances of rows X[i0:i1] to
+    the columns Y[i0:] (triangular, where X is Y[:len(X)]) or Y, the rest free.
 
     The per-coordinate factors L[j] = [X[:, j], 1] (M x 2) and R[j] = [1; -Y[:, j]]
     (2 x N) are built once; one ``np.matmul`` of their slices gives a block's
     differences for every coordinate, which are squared in place and added
-    one coordinate at a time, in index order. Every block is formed in one
-    workspace, large enough for any block (a later triangular block can
-    outgrow the first), so ``sq`` is overwritten by the next block.
+    into the first plane one coordinate at a time, in index order, which
+    frees the others. Every block lives in one workspace of max(d, ``planes``)
+    planes, allocated once per call and large enough for the largest block,
+    so ``P`` is overwritten by the next block.
     """
     d, m, n = X.shape[1], X.shape[0], Y.shape[0]
     L = np.empty((d, m, 2))
@@ -145,16 +165,17 @@ def _sqdist_blocks(X: np.ndarray, Y: np.ndarray, triangular: bool = False):
     R = np.empty((d, 2, n))
     R[:, 0] = 1.0
     np.negative(Y.T, out=R[:, 1])
-    ws = np.empty(d * min(m * n, max(_BLOCK_ELEMS, n)))
-    for i0, i1 in _row_blocks(m, n, triangular):
-        c0 = i0 if triangular else 0
-        D = ws[:d * (i1 - i0) * (n - c0)].reshape(d, i1 - i0, n - c0)
+    blocks = [(i0, i1, i0 if triangular else 0) for i0, i1 in _row_blocks(m, n, triangular)]
+    depth = max(d, planes)
+    ws = np.empty(depth * max((i1 - i0) * (n - c0) for i0, i1, c0 in blocks))
+    for i0, i1, c0 in blocks:
+        P = ws[:depth * (i1 - i0) * (n - c0)].reshape(depth, i1 - i0, n - c0)
+        D = P[:d]
         np.matmul(L[:, i0:i1], R[:, :, c0:], out=D)
         np.square(D, out=D)
-        sq = D[0]
         for j in range(1, d):
-            sq += D[j]
-        yield i0, i1, sq
+            D[0] += D[j]
+        yield i0, i1, P[:planes]
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -167,7 +188,7 @@ def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     squared differences over d.
     """
     out = np.empty((X.shape[0], Y.shape[0]))
-    for i0, i1, sq in _sqdist_blocks(X, Y):
+    for i0, i1, (sq,) in _sqdist_blocks(X, Y):
         out[i0:i1] = sq
     return out
 
@@ -179,9 +200,8 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     Symmetric in its arguments and bounded in (0, 1]; K(x, x) == 1 exactly.
     """
     x, y = _as_vector_pair(x, y)
-    # The Gram's own distance routine, so Gram entries and scalar evaluations
-    # agree bit for bit.
-    return float(_eval_from_sqdist(spec, _sqdist(x[None], y[None])[0, 0])[0])
+    # A one-entry Gram, so Gram entries and scalar evaluations agree bit for bit.
+    return float(kernel_gram(spec, x[None], y[None])[0, 0])
 
 
 @np.errstate(over="ignore")
@@ -192,21 +212,19 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     not differentiable at x == y and raises there.
     """
     x, y = _as_vector_pair(x, y)
-    sq = _sqdist(x[None], y[None])[0, 0]
-    if sq == 0.0 and spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF:
-        raise InputError("Matern order 1/2 has no gradient at coincident points")
-    if sq == 0.0 or sq == np.inf:  # the limit at inf, where x - y may overflow too
-        return np.zeros_like(x)
-    _, coeff = _eval_from_sqdist(spec, sq, want_coeff=True)
-    return float(coeff) * (x - y)
+    # The walk's gradient of the one pair: zero at coincidence (and at an
+    # infinite distance, where x - y may overflow too), and never x - y itself.
+    return _walk(spec, x[None], y[None], 0.0, 1.0, want_grad=True)[1][0]
 
 
 def _row_blocks(n_rows: int, n_cols: int, triangular: bool = False):
-    """Row ranges [i0, i1) of at most _BLOCK_ELEMS entries each; a triangular
-    block spans only the columns from i0 on, so its rows grow as they narrow."""
+    """Row ranges [i0, i1) of at most _BLOCK_ELEMS entries each. A triangular block
+    spans the columns from i0 on, the rows' own [i0, n_rows) and the n_cols - n_rows
+    after them; its rows are counted from the wider part, so it holds at most twice
+    as many entries, and they grow as the first part narrows."""
     i0 = 0
     while i0 < n_rows:
-        width = n_cols - i0 if triangular else n_cols
+        width = max(n_rows - i0, n_cols - n_rows) if triangular else n_cols
         i1 = min(n_rows, i0 + max(1, _BLOCK_ELEMS // max(1, width)))
         yield i0, i1
         i0 = i1
@@ -221,61 +239,58 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     """
     X, Y = as_point_pair(X, Y)
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
-    for i0, i1, sq in _sqdist_blocks(X, Y):
-        out[i0:i1] = _eval_from_sqdist(spec, sq)[0]
+    for i0, i1, (sq,) in _sqdist_blocks(X, Y):
+        _eval_from_sqdist(spec, sq, out[i0:i1])
     return out
 
 
-def _kernel_sum(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, *,
-                want_grad: bool = False) -> tuple[float, np.ndarray | None]:
-    """``(sum_{ij} K(X_i, Y_j), G or None)`` over validated point sets: the one summing walk.
+def _walk(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None,
+          wx: float = 1.0, wy: float = 1.0,
+          want_grad: bool = False) -> tuple[float, np.ndarray | None]:
+    """``(S, G or None)`` over validated point sets, the one summing walk:
+    S = wx * sum_{i,j} K(X_i, X_j) + wy * sum_{i,j} K(X_i, Y_j) (no Y: the first term)
+    and, with ``want_grad``, G = dS/dX without the j == i pairs. S has the same bits
+    with or without G and runs over every pair; K(x, x) == 1, so a U-statistic
+    caller subtracts the diagonal's wx * len(X) itself.
 
-    With ``want_grad``, ``G[i] = sum_j dK/dx(X_i, Y_j)``; otherwise ``G`` is
-    None, and the total has the same bits either way. The total always runs
-    over every pair (a U-statistic caller subtracts the exact diagonal
-    itself). When ``Y is X`` the walk is triangular: block [i0, i1) computes
-    the columns j >= i0 only, the total adds its diagonal sub-block once and
-    the columns j >= i1 twice, and their coefficients feed both rows i0..i1
-    and, mirrored, rows i1.. of ``G``; the j == i pairs are then dropped from
-    ``G``, as a U-statistic's gradient needs. A set that fits in one block
-    runs the rectangular arithmetic exactly. Coincident pairs contribute a
-    zero gradient for the smooth families; Matern order 1/2 raises InputError
-    on any included coincident pair, where its gradient is undefined. The
-    total equals ``kernel_gram(...).sum()`` only within one row block.
+    Block [i0, i1) weights its diagonal sub-block wx, the later X columns 2 wx
+    (they stand for (j, i) too) and the Y columns wy, in the right-hand operands:
+    S adds ``k @ w`` and G takes ``coeff @ [w, w * cols]``, one product per block
+    and one more for the later X columns' mirrored share. Coincident pairs add a
+    zero gradient for the smooth families; Matern order 1/2 raises InputError on
+    one, as its gradient is undefined there.
     """
-    half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
-    same = Y is X
-    out = np.zeros_like(X) if want_grad else None
+    m = X.shape[0]
+    C = X if Y is None else np.concatenate([X, Y])
+    wg = np.full(C.shape[0], wy)  # the gradient's column weights
+    wg[:m] = 2.0 * wx
+    wt = wg.copy()  # the total's: entry i drops to wx once the block holding row i is reached
+    if want_grad:
+        A = np.column_stack([wg, wg[:, None] * C])  # [w, w * cols]
+        H = np.zeros((m, A.shape[1]))  # row i: sum_j c_ij [w_j, w_j C_j], mirrored pairs too
     total = 0.0
-    n = Y.shape[0]
-    for i0, i1, sq in _sqdist_blocks(X, Y, same):
-        rows = X[i0:i1]
-        cols = X[i0:] if same else Y
-        w = i1 - i0  # with same, columns [0, w) of the block are its diagonal sub-block
-        mirror = same and i1 < n  # the pairs (i, j >= i1) stand for (j, i) too
-        k, coeff = _eval_from_sqdist(spec, sq, want_grad)
-        total += float(k.sum())
-        if mirror:
-            total += float(k[:, w:].sum())
+    for i0, i1, P in _sqdist_blocks(X, C, True, 3 if want_grad else 2):
+        sq, k, coeff = P[0], P[1], P[2] if want_grad else None
+        r, c = sq.shape
+        diag = slice(None, None, c + 1)  # the flat positions of the pairs j == i
+        sq.reshape(-1)[diag] = np.inf  # no coefficient there; K(x, x) == 1 is set below
+        zero = None
+        if want_grad and sq.min() == 0.0:  # coincident points are rare: a mask only then
+            if spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF:
+                raise InputError("Matern order 1/2 has no gradient at coincident points")
+            zero = sq == 0.0
+        _eval_from_sqdist(spec, sq, k, coeff)
+        k.reshape(-1)[diag] = 1.0
+        wt[i0:i1] = wx
+        total += float((k @ wt[i0:]).sum())
         if not want_grad:
             continue
-        zero = sq == 0.0
-        if same:
-            diag = (np.arange(w), np.arange(w))
-            zero[diag] = False
-        if half and zero.any():
-            raise InputError("Matern order 1/2 has no gradient at coincident points")
-        # At zero distance the pair's gradient contribution vanishes (smooth
-        # families) or the pair is excluded; either way the coefficient must
-        # not pollute the row sums.
-        coeff[zero] = 0.0
-        if same:
-            coeff[diag] = 0.0
-        g = coeff.sum(axis=1)[:, None] * rows - coeff @ cols
-        if same and i0:
-            g += out[i0:i1]  # the pairs mirrored down from the blocks above
-        out[i0:i1] = g
-        if mirror:
-            rest = coeff[:, w:]
-            out[i1:] += rest.sum(axis=0)[:, None] * X[i1:] - rest.T @ rows
-    return total, out
+        if zero is not None:
+            # The pair's gradient vanishes; a zero coefficient keeps it out of the sums exactly.
+            coeff[zero] = 0.0
+        H[i0:i1] += coeff @ A[i0:]
+        if i1 < m:  # rows i0..i1 against the later X columns, as those rows' columns
+            H[i1:] += coeff[:, r:m - i0].T @ A[i0:i1]
+    if not want_grad:
+        return total, None
+    return total, H[:, :1] * X - H[:, 1:]

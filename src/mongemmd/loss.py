@@ -8,13 +8,14 @@ the training objective is
     - (2/M^2) sum_{i,j} K(T(X_i), Y_j)
 
 i.e. the transport cost weighted by the reciprocal penalty coefficient plus
-the T-dependent part of the unbiased squared-MMD statistic. The reported
-``mmd2`` adds a target-only term ``yy``, an unbiased estimate of E K(Y, Y'):
-the public entries pass the batch's own ``_target_term(kernel, Y)``, so their
-``mmd2`` equals ``mmd2_unbiased`` between the batch images and Y, and
-training passes a term computed once per call (see ``train``). ``yy`` enters
-neither the objective nor the gradient. ``inv_lambda = 0`` is the pure
-matching limit.
+the T-dependent part of the unbiased squared-MMD statistic, which one kernel
+walk of the images against images ‖ targets gives with its gradient. The
+reported ``mmd2`` adds a target-only term ``yy``, an unbiased estimate of
+E K(Y, Y'): the public entries pass the batch's own ``_target_term(kernel,
+Y)``, so their ``mmd2`` equals ``mmd2_unbiased`` between the batch images
+and Y, and training passes a term computed once per call (see ``train``).
+``yy`` enters neither the objective nor the gradient. ``inv_lambda = 0`` is
+the pure matching limit.
 
 Gradients flow through the map outputs only: the objective's derivative with
 respect to each image T(X_i) combines the cost derivative with the
@@ -29,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernel import KernelSpec, _kernel_sum
+from .kernel import KernelSpec
+from .mmd import _source_terms, _target_term
 from .nn import MlpParams, _backward, _forward_checked
 from .util import as_point_pair
 
@@ -63,13 +65,6 @@ def _check_batch(params: MlpParams, X, Y, inv_lambda: float):
     return X, Y
 
 
-def _target_term(kernel: KernelSpec, Y: np.ndarray) -> float:
-    """The U-statistic mean of K(Y_i, Y_j) over i != j for a validated set of >= 2 points."""
-    m = Y.shape[0]
-    # The diagonal of K(Y, Y) is exactly m ones.
-    return (_kernel_sum(kernel, Y, Y)[0] - m) / (m * (m - 1))
-
-
 def _evaluate(
     params: MlpParams,
     X: np.ndarray,
@@ -87,25 +82,18 @@ def _evaluate(
     T = outs[-1]
     mean_cost = float(cost_values(X, T).mean())
     try:
-        sxx_full, gxx = _kernel_sum(kernel, T, T, want_grad=want_grad)
-        sxy, gxy = _kernel_sum(kernel, T, Y, want_grad=want_grad)
+        xx_cross, g = _source_terms(kernel, T, Y, want_grad)
     except InputError as exc:
         # Shapes were checked above, so the kernel can only refuse coincident
         # images (Matern 1/2); the map made them, so it is a numeric failure.
         raise NumericError(str(exc)) from exc
-    # The diagonal of K(T, T) is exactly m ones; removing it leaves the
-    # off-diagonal U-statistic sum.
-    xx = (sxx_full - m) / (m * (m - 1))
-    cross = -2.0 * sxy / (m * m)
-    objective = inv_lambda * mean_cost + xx + cross
-    values = LossValues(float(objective), float(xx + cross + yy), mean_cost)
+    objective = inv_lambda * mean_cost + xx_cross
+    values = LossValues(float(objective), float(xx_cross + yy), mean_cost)
     if not all(math.isfinite(v) for v in values):
         raise NumericError(f"non-finite loss values: {values}")
     if not want_grad:
         return values, None
-    upstream = (inv_lambda / m) * cost_grad_images(X, T)
-    upstream = upstream + (2.0 / (m * (m - 1))) * gxx - (2.0 / (m * m)) * gxy
-    grads = _backward(params, outs, upstream)
+    grads = _backward(params, outs, (inv_lambda / m) * cost_grad_images(X, T) + g)
     if not np.isfinite(grads).all():
         raise NumericError("non-finite loss gradient")
     return values, grads

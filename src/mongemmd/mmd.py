@@ -10,11 +10,12 @@ and may be negative; it is never clamped, since unbiasedness is the point.
 The V-statistic (biased) companion keeps all pairs with divisors M^2, N^2,
 is nonnegative, and vanishes exactly on identical multisets.
 
-Every pair sum is the kernel's one summing walk, ``_kernel_sum``, so memory
-is bounded by one cache-sized row block of the Gram matrix, whatever the set
-sizes. The X-X and Y-Y sums pass one set twice, so the walk is triangular
-and computes each pair once. Sets too far apart for a finite squared
-distance get kernel value 0 without an overflow warning.
+Each estimator makes two kernel walks (``kernel._walk``), X against X ‖ Y and
+then Y alone, each computing a pair of one set once in a cache-sized workspace,
+whatever the set sizes. The loss takes the same two terms, with the first one's
+gradient, so its reported statistic equals ``mmd2_unbiased`` bit for bit. Sets
+too far apart for a finite squared distance get kernel value 0 without an
+overflow warning.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .kernel import KernelFamily, KernelSpec, _kernel_sum
+from .kernel import KernelFamily, KernelSpec, _walk
 from .util import as_point_pair
 
 
@@ -35,6 +36,24 @@ def _check_pair(X, Y, min_size: int) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
+def _target_term(spec: KernelSpec, Y: np.ndarray) -> float:
+    """The U-statistic mean of K(Y_i, Y_j) over i != j for a validated set of >= 2 points."""
+    n = Y.shape[0]
+    # The diagonal of K(Y, Y) is exactly n ones.
+    return (_walk(spec, Y)[0] - n) / (n * (n - 1))
+
+
+def _source_terms(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
+                  want_grad: bool = False) -> tuple[float, np.ndarray | None]:
+    """The X-dependent part of the unbiased statistic, sum_{i!=j} K(X_i, X_j) / (M(M-1))
+    - 2 sum_{i,j} K(X_i, Y_j) / (MN), and with ``want_grad`` its gradient in X: one walk."""
+    m, n = X.shape[0], Y.shape[0]
+    wx = 1.0 / (m * (m - 1))
+    total, grad = _walk(spec, X, Y, wx, -2.0 / (m * n), want_grad)
+    # K(x, x) == 1 exactly for every supported family, so the diagonal adds m * wx.
+    return total - m * wx, grad
+
+
 @np.errstate(over="ignore")
 def mmd2_unbiased(spec: KernelSpec, X, Y) -> float:
     """Unbiased estimate of the squared MMD between the two empirical measures.
@@ -42,13 +61,7 @@ def mmd2_unbiased(spec: KernelSpec, X, Y) -> float:
     Sizes may differ; with equal sizes M = N this is the classical U-statistic.
     """
     X, Y = _check_pair(X, Y, min_size=2)
-    m, n = X.shape[0], Y.shape[0]
-    # K(x, x) == 1 exactly for every supported family, so the diagonal of the
-    # (X, X) Gram sums to exactly m.
-    sxx = _kernel_sum(spec, X, X)[0] - m
-    syy = _kernel_sum(spec, Y, Y)[0] - n
-    sxy = _kernel_sum(spec, X, Y)[0]
-    return sxx / (m * (m - 1)) - 2.0 * sxy / (m * n) + syy / (n * (n - 1))
+    return _source_terms(spec, X, Y)[0] + _target_term(spec, Y)
 
 
 @np.errstate(over="ignore")
@@ -56,16 +69,17 @@ def mmd2_biased(spec: KernelSpec, X, Y) -> float:
     """Biased (V-statistic) squared MMD; nonnegative, zero iff X == Y as multisets.
 
     Symmetry is bit-exact: arguments are put in a canonical order first, so
-    both call orders execute the identical reduction.
+    both call orders execute the identical reduction. Identical sets give
+    exactly 0, which their sums would only reach up to rounding.
     """
     X, Y = _check_pair(X, Y, min_size=1)
+    if X.tobytes() == Y.tobytes():
+        return 0.0
     if X.tobytes() > Y.tobytes():
         X, Y = Y, X
     m, n = X.shape[0], Y.shape[0]
-    sxx = _kernel_sum(spec, X, X)[0]
-    syy = _kernel_sum(spec, Y, Y)[0]
-    sxy = _kernel_sum(spec, X, Y)[0]
-    val = sxx / (m * m) - 2.0 * sxy / (m * n) + syy / (n * n)
+    val = (_walk(spec, X, Y, 1.0 / (m * m), -2.0 / (m * n))[0]
+           + _walk(spec, Y, None, 1.0 / (n * n))[0])
     # Mathematically >= 0; rounding may leave a tiny negative residue.
     return max(0.0, val)
 

@@ -12,7 +12,7 @@ Recorded history is one row per epoch with the batch-averaged objective,
 squared MMD and mean transport cost. A batch's ``mmd2`` is its unbiased
 statistic with the target-only term taken from the same batch index of epoch
 1's order: those terms are computed once per ``train`` call, so a step makes
-two kernel walks (images–images, images–targets), and any U-statistic over
+one kernel walk (images against images ‖ targets), and any U-statistic over
 target points estimates E K(Y, Y') without bias. Epoch 1's row, and every row
 without shuffling, equals the batch statistic itself.
 """
@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import KernelSpec
-from .loss import LossValues, _evaluate, _target_term
+from .loss import LossValues, _evaluate
+from .mmd import _target_term
 from .nn import Activation, MlpParams, init_params
 from .optim import AdamHyper, AdamState, adam_init, adam_step
 from .util import as_point_pair, check_settings, setting

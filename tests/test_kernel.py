@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mongemmd.kernel as kmod
-from mongemmd import (InputError, KernelSpec, kernel_eval, kernel_grad_x, kernel_gram,
-                      squared_distance_matrix)
-from mongemmd.kernel import KernelFamily, MaternOrder, _kernel_sum, _row_blocks, _sqdist
+from mongemmd import (Activation, InputError, KernelSpec, MlpParams, NumericError, kernel_eval,
+                      kernel_grad_x, kernel_gram, squared_distance_matrix)
+from mongemmd.kernel import KernelFamily, MaternOrder, _row_blocks, _sqdist, _walk
+from mongemmd.loss import _evaluate
 
 
 def kernel_oracle(spec, x, y):
@@ -215,42 +216,51 @@ def frozen_sqdist(X, Y):
     return sq
 
 
-def frozen_kernel_sum(spec, X, Y, want_grad):
-    """The row-block walk of ``_kernel_sum`` over ``frozen_sqdist``, statement for statement."""
+def kernel_values(spec, sq):
+    """The formula routine's values of the squared distances ``sq`` (left intact)."""
+    k = np.empty_like(sq)
+    kmod._eval_from_sqdist(spec, sq.copy(), k)
+    return k
+
+
+def frozen_walk(spec, X, Y, wx, wy, want_grad):
+    """The row-block walk of ``_walk`` over ``frozen_sqdist``, statement for statement."""
     half = spec.family is KernelFamily.MATERN and spec.matern_order is MaternOrder.HALF
-    same = Y is X
-    out = np.zeros_like(X) if want_grad else None
+    m = X.shape[0]
+    C = X if Y is None else np.concatenate([X, Y])
+    wg = np.full(C.shape[0], wy)
+    wg[:m] = 2.0 * wx
+    wt = wg.copy()
+    if want_grad:
+        A = np.column_stack([wg, wg[:, None] * C])
+        H = np.zeros((m, A.shape[1]))
     total = 0.0
-    n = Y.shape[0]
-    for i0, i1 in _row_blocks(X.shape[0], n, same):
-        rows = X[i0:i1]
-        cols = X[i0:] if same else Y
-        w = i1 - i0
-        mirror = same and i1 < n
-        sq = frozen_sqdist(rows, cols)
-        k, coeff = kmod._eval_from_sqdist(spec, sq, want_grad)
-        total += float(k.sum())
-        if mirror:
-            total += float(k[:, w:].sum())
+    for i0, i1 in _row_blocks(m, C.shape[0], True):
+        sq = frozen_sqdist(X[i0:i1], C[i0:])
+        r, c = sq.shape
+        diag = slice(None, None, c + 1)
+        sq.reshape(-1)[diag] = np.inf
+        zero = None
+        if want_grad and sq.min() == 0.0:
+            if half:
+                raise InputError("Matern order 1/2 has no gradient at coincident points")
+            zero = sq == 0.0
+        k = np.empty_like(sq)
+        coeff = np.empty_like(sq) if want_grad else None
+        kmod._eval_from_sqdist(spec, sq, k, coeff)
+        k.reshape(-1)[diag] = 1.0
+        wt[i0:i1] = wx
+        total += float((k @ wt[i0:]).sum())
         if not want_grad:
             continue
-        zero = sq == 0.0
-        if same:
-            diag = (np.arange(w), np.arange(w))
-            zero[diag] = False
-        if half and zero.any():
-            raise InputError("Matern order 1/2 has no gradient at coincident points")
-        coeff[zero] = 0.0
-        if same:
-            coeff[diag] = 0.0
-        g = coeff.sum(axis=1)[:, None] * rows - coeff @ cols
-        if same and i0:
-            g += out[i0:i1]
-        out[i0:i1] = g
-        if mirror:
-            rest = coeff[:, w:]
-            out[i1:] += rest.sum(axis=0)[:, None] * X[i1:] - rest.T @ rows
-    return total, out
+        if zero is not None:
+            coeff[zero] = 0.0
+        H[i0:i1] += coeff @ A[i0:]
+        if i1 < m:
+            H[i1:] += coeff[:, r:m - i0].T @ A[i0:i1]
+    if not want_grad:
+        return total, None
+    return total, H[:, :1] * X - H[:, 1:]
 
 
 FAMILY_SPECS = [KernelSpec(alpha=0.7)] + [
@@ -269,12 +279,13 @@ class TestProductFormIsExact:
         X = rng.standard_normal((500, d))
         Y = rng.standard_normal((500, d)) + 0.5
         Y[::7] = X[::7]  # coincident pairs across the sets
-        for other in (X, Y):
+        assert len(list(_row_blocks(500, 1000, True))) > 10
+        for other, wx, wy in ((None, 0.5, 1.0), (Y, 1.0 / (500 * 499), -2.0 / 500**2)):
             for want_grad in (False, True):
                 if want_grad and other is Y and spec.matern_order is MaternOrder.HALF:
                     continue  # its gradient is undefined at the coincident pairs
-                total, grad = _kernel_sum(spec, X, other, want_grad=want_grad)
-                ref_total, ref_grad = frozen_kernel_sum(spec, X, other, want_grad)
+                total, grad = _walk(spec, X, other, wx, wy, want_grad)
+                ref_total, ref_grad = frozen_walk(spec, X, other, wx, wy, want_grad)
                 assert total == ref_total
                 if want_grad:
                     assert grad.tobytes() == ref_grad.tobytes()
@@ -289,7 +300,7 @@ class TestProductFormIsExact:
         expected = frozen_sqdist(X, Y)
         assert squared_distance_matrix(X, Y).tobytes() == expected.tobytes()
         for spec in FAMILY_SPECS:
-            ref = np.concatenate([kmod._eval_from_sqdist(spec, frozen_sqdist(X[i0:i1], Y))[0]
+            ref = np.concatenate([kernel_values(spec, frozen_sqdist(X[i0:i1], Y))
                                   for i0, i1 in _row_blocks(300, 700)])
             assert kernel_gram(spec, X, Y).tobytes() == ref.tobytes()
 
@@ -361,47 +372,50 @@ def brute_rowsum(spec, X, Y, skip):
 
 
 class TestGradRowsum:
+    """``_walk(spec, X, Y, 0.0, 1.0)`` is the X–Y sum alone, and ``_walk(spec, X, None, 0.5)``
+    the X–X sum with gradient rows sum_{j != i} dK/dx(X_i, X_j)."""
+
     def test_matches_per_pair_loop(self):
         rng = np.random.default_rng(12)
         for spec in ALL_SPECS:
             X = rng.standard_normal((8, 2))
             Y = rng.standard_normal((6, 2))
-            _, got = _kernel_sum(spec, X, Y, want_grad=True)
+            _, got = _walk(spec, X, Y, 0.0, 1.0, want_grad=True)
             np.testing.assert_allclose(got, brute_rowsum(spec, X, Y, False), rtol=1e-12, atol=1e-14)
 
     def test_skip_equal_index_matches_loop(self):
-        # One set passed twice: the walk drops the j == i pairs from the gradient.
+        # One set alone: the walk drops the j == i pairs from the gradient.
         rng = np.random.default_rng(13)
         for spec in ALL_SPECS:
             X = rng.standard_normal((7, 3))
-            _, got = _kernel_sum(spec, X, X, want_grad=True)
+            _, got = _walk(spec, X, None, 0.5, want_grad=True)
             np.testing.assert_allclose(got, brute_rowsum(spec, X, X, True), rtol=1e-12, atol=1e-14)
 
     def test_duplicate_points_contribute_zero_for_smooth_families(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        _, got = _kernel_sum(KernelSpec(), X, X, want_grad=True)
+        _, got = _walk(KernelSpec(), X, want_grad=True)
         assert np.all(np.isfinite(got))
 
     def test_matern_half_raises_on_included_coincidence(self):
         spec = KernelSpec(family="matern", matern_order="half")
         X = np.array([[0.0], [0.0], [2.0]])
         with pytest.raises(InputError):
-            _kernel_sum(spec, X, X, want_grad=True)
+            _walk(spec, X, want_grad=True)
 
     def test_fused_sum_and_grad_agree_with_parts(self):
         rng = np.random.default_rng(14)
         for spec in ALL_SPECS:
             X = rng.standard_normal((9, 2))
             Y = rng.standard_normal((9, 2))
-            # The total has the same bits with and without its gradient.
-            total, grads = _kernel_sum(spec, X, Y, want_grad=True)
-            assert _kernel_sum(spec, X, Y) == (total, None)
-            assert total == kernel_gram(spec, X, Y).sum()
-            assert grads.shape == X.shape
-            # One set drops its j == i pairs, so Matern 1/2 has a gradient too.
-            total_xx, _ = _kernel_sum(spec, X, X, want_grad=True)
-            assert _kernel_sum(spec, X, X)[0] == total_xx
-            assert total_xx == kernel_gram(spec, X, X).sum()
+            for other, wx, wy in ((Y, 1.0 / 72, -2.0 / 81), (Y, 0.0, 1.0), (None, 1.0, 1.0)):
+                # The total has the same bits with and without its gradient.
+                total, grads = _walk(spec, X, other, wx, wy, want_grad=True)
+                assert _walk(spec, X, other, wx, wy) == (total, None)
+                assert grads.shape == X.shape
+                parts = wx * kernel_gram(spec, X, X).sum()
+                if other is not None:
+                    parts += wy * kernel_gram(spec, X, Y).sum()
+                assert total == pytest.approx(parts, rel=1e-14)
 
     def test_fused_blocking_consistency(self, monkeypatch):
         # Block size changes the matmul shapes, so only closeness (not bit
@@ -409,9 +423,9 @@ class TestGradRowsum:
         rng = np.random.default_rng(15)
         X = rng.standard_normal((25, 2))
         spec = KernelSpec()
-        whole = _kernel_sum(spec, X, X, want_grad=True)
+        whole = _walk(spec, X, want_grad=True)
         monkeypatch.setattr(kmod, "_BLOCK_ELEMS", 1)  # one row per block
-        blocked = _kernel_sum(spec, X, X, want_grad=True)
+        blocked = _walk(spec, X, want_grad=True)
         np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-13)
         np.testing.assert_allclose(blocked[1], whole[1], rtol=1e-12, atol=1e-15)
 
@@ -437,7 +451,7 @@ def is_half(spec) -> bool:
 
 
 class TestTriangularWalk:
-    """``_kernel_sum(spec, X, X)`` walks the upper triangle; a shrunken block
+    """``_walk(spec, X)`` walks the upper triangle; a shrunken block
     budget makes one set span several row blocks."""
 
     @settings(max_examples=60, deadline=None)
@@ -450,14 +464,14 @@ class TestTriangularWalk:
             mp.setattr(kmod, "_BLOCK_ELEMS", budget)
             assert len(list(_row_blocks(n, n, True))) >= 2
             for spec in FAMILY_SPECS:
-                total = _kernel_sum(spec, X, X)[0]
-                assert total == pytest.approx(kernel_gram(spec, X, X).sum(), rel=1e-13)
+                total = _walk(spec, X, None, 0.5)[0]
+                assert total == pytest.approx(0.5 * kernel_gram(spec, X, X).sum(), rel=1e-13)
                 distinct = len(np.unique(X, axis=0)) == n
                 if is_half(spec) and not distinct:
                     with pytest.raises(InputError):
-                        _kernel_sum(spec, X, X, want_grad=True)
+                        _walk(spec, X, want_grad=True)
                     continue
-                total_g, grads = _kernel_sum(spec, X, X, want_grad=True)
+                total_g, grads = _walk(spec, X, None, 0.5, want_grad=True)
                 # The total has the same bits with and without the gradient.
                 assert total_g == total
                 # n <= 14 pair terms per row, each |c (x - y)| <= 4 * 4 here.
@@ -483,9 +497,76 @@ class TestTriangularWalk:
             for spec in FAMILY_SPECS:
                 if is_half(spec):
                     with pytest.raises(InputError):
-                        _kernel_sum(spec, X, X, want_grad=True)
+                        _walk(spec, X, want_grad=True)
                     continue
-                _, grads = _kernel_sum(spec, X, X, want_grad=True)
+                _, grads = _walk(spec, X, None, 0.5, want_grad=True)
                 assert np.all(np.isfinite(grads))
                 np.testing.assert_allclose(grads, brute_rowsum(spec, X, X, True),
                                            rtol=1e-12, atol=1e-12)
+
+
+def pair_reference(spec, X, Y, wx, wy):
+    """The walk's weighted total and its gradient in X, one pair at a time from
+    ``kernel_eval`` and ``kernel_grad_x``, with the sums of the terms' magnitudes
+    (the total's, and each gradient row's largest entries) that set the rounding
+    scale. Coincident pairs other than j == i give no gradient term; the caller
+    handles Matern 1/2."""
+    total, total_scale = 0.0, 0.0
+    grad, grad_scale = np.zeros_like(X), np.zeros(len(X))
+    sets = [(X, wx, True)] + ([] if Y is None else [(Y, wy, False)])
+    for i in range(len(X)):
+        for Z, w, own in sets:
+            for j in range(len(Z)):
+                term = w * kernel_eval(spec, X[i], Z[j])
+                total += term
+                total_scale += abs(term)
+                if (own and j == i) or np.array_equal(X[i], Z[j]):
+                    continue
+                g = (2.0 * w if own else w) * kernel_grad_x(spec, X[i], Z[j])
+                grad[i] += g
+                grad_scale[i] += np.abs(g).max()
+    return total, total_scale, grad, grad_scale
+
+
+class TestWalk:
+    """The one walk against a per-pair reference: every family, with and without a
+    second set, any weights, and a shrunken block budget so that several blocks
+    and their mirrored columns run."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(X=grid_points(12), data=st.data())
+    def test_weighted_total_and_gradient_match_the_pair_loop(self, X, data):
+        m, d = X.shape
+        coords = st.integers(-8, 8).map(lambda v: v / 4.0)
+        ny = data.draw(st.integers(0, 12), label="second set size")
+        Y = data.draw(arrays(np.float64, (ny, d), elements=coords), label="Y") if ny else None
+        # Zero or at least 1e-3 in magnitude: subnormal weights lose the relative precision.
+        weight = st.floats(-2.0, 2.0).filter(lambda w: w == 0.0 or abs(w) >= 1e-3)
+        wx, wy = data.draw(weight, label="wx"), data.draw(weight, label="wy")
+        budget = data.draw(st.integers(1, max(1, m * max(m, ny) // 2)), label="budget")
+        # The walk visits the X–X and X–Y pairs only; two equal Y points never meet.
+        coincident = len(np.unique(X, axis=0)) < m or any(
+            (Y == x).all(axis=1).any() for x in X if Y is not None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmod, "_BLOCK_ELEMS", budget)
+            assert len(list(_row_blocks(m, m + ny, True))) >= 2
+            for spec in FAMILY_SPECS:
+                ref, ref_scale, ref_grad, ref_grad_scale = pair_reference(spec, X, Y, wx, wy)
+                total = _walk(spec, X, Y, wx, wy)[0]
+                assert abs(total - ref) <= 1e-12 * ref_scale
+                if is_half(spec) and coincident:
+                    with pytest.raises(InputError, match="coincident"):
+                        _walk(spec, X, Y, wx, wy, want_grad=True)
+                    if Y is not None:
+                        # Through the loss the images are the map's output: a numeric failure.
+                        identity = MlpParams([np.eye(d)], [np.zeros(d)], [Activation.IDENTITY])
+                        with pytest.raises(NumericError, match="coincident"):
+                            _evaluate(identity, X, Y, spec, 0.0, True, 0.0)
+                    continue
+                total_g, grad = _walk(spec, X, Y, wx, wy, want_grad=True)
+                assert total_g == total
+                # Coincident pairs of a smooth family add exactly nothing: the
+                # reference skips them. On this grid |x| <= 2 * sqrt(3) and distinct
+                # points lie >= 1/4 apart, so the walk's x_i * sum(c w) - sum(c w x_j)
+                # rounds within a few ulps of 28 times a row's term scale.
+                assert np.all(np.abs(grad - ref_grad) <= 1e-12 * ref_grad_scale[:, None])

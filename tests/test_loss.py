@@ -5,6 +5,7 @@ import pytest
 
 from mongemmd import kernel
 from mongemmd import loss as loss_module
+from mongemmd import mmd as mmd_module
 from mongemmd.errors import InputError, NumericError
 from mongemmd.kernel import KernelSpec
 from mongemmd.config import config_from_tree
@@ -23,25 +24,32 @@ ALL_FAMILIES = [GAUSS] + [KernelSpec(family="matern", matern_order=order)
                           for order in ("half", "three_halves", "five_halves")]
 
 
-def frozen_one_block_sum(spec, X, Y, *, want_grad=False):
-    """The kernel sum of sets that fit in one row block, frozen as it was
-    computed before the walk became triangular: the whole Gram block, with
-    the j == i pairs of one set dropped from the gradient."""
-    sq = kernel._sqdist(X, Y)
-    k, coeff = kernel._eval_from_sqdist(spec, sq, want_grad)
-    total = float(k.sum())
+def frozen_one_block_walk(spec, X, Y=None, wx=1.0, wy=1.0, want_grad=False):
+    """The weighted kernel sum of sets that fit in one row block, frozen as the one
+    walk computes it: X against X ‖ Y as one Gram block, K(x, x) == 1 on the j == i
+    pairs, which have no gradient, and the column weights in the right-hand operands."""
+    m = X.shape[0]
+    C = X if Y is None else np.concatenate([X, Y])
+    sq = kernel._sqdist(X, C)
+    diag = (np.arange(m), np.arange(m))
+    zero = sq == 0.0
+    zero[diag] = False
+    if want_grad and zero.any() and spec.family == "matern" and spec.matern_order == "half":
+        raise InputError("Matern order 1/2 has no gradient at coincident points")
+    sq[diag] = np.inf
+    k = np.empty_like(sq)
+    coeff = np.empty_like(sq) if want_grad else None
+    kernel._eval_from_sqdist(spec, sq, k, coeff)
+    k[diag] = 1.0
+    w = np.full(C.shape[0], wy)
+    w[:m] = wx
+    total = float((k @ w).sum())
     if not want_grad:
         return total, None
-    diag = (np.arange(X.shape[0]), np.arange(X.shape[0]))
-    zero = sq == 0.0
-    if Y is X:
-        zero[diag] = False
-    if spec.family == "matern" and spec.matern_order == "half" and zero.any():
-        raise InputError("Matern order 1/2 has no gradient at coincident points")
     coeff[zero] = 0.0
-    if Y is X:
-        coeff[diag] = 0.0
-    return total, coeff.sum(axis=1)[:, None] * X - coeff @ Y
+    w[:m] = 2.0 * wx
+    H = coeff @ np.column_stack([w, w[:, None] * C])
+    return total, H[:, :1] * X - H[:, 1:]
 
 
 def constant_map_params(value, dim=1):
@@ -159,6 +167,24 @@ class TestGradientAgainstFiniteDifferences:
                 scale = max(1.0, np.abs(f).max())
                 np.testing.assert_allclose(g, f, rtol=0, atol=1e-5 * scale)
 
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family.value
+                             if s.family == "gaussian" else s.matern_order.value)
+    def test_batch_of_40_across_row_blocks(self, monkeypatch, spec):
+        """A 40-point batch split into >= 4 row blocks, so the mirrored columns and
+        the weights of every block reach the gradient."""
+        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 8 * 40)  # 8 rows per block
+        assert len(list(kernel._row_blocks(40, 80, True))) >= 4
+        params = init_params((2, 4, 2), hidden_activation=Activation.TANH, seed=7)
+        rng = np.random.default_rng(400)
+        X = rng.standard_normal((40, 2))
+        Y = rng.standard_normal((40, 2)) + 1.0
+        _, got = monge_mmd_loss_with_grad(params, X, Y, spec, 0.5)
+        fd_w, fd_b = loss_oracle_fd(params, X, Y, spec, 0.5)
+        got_w, got_b = zip(*params.split(got))
+        for g, f in zip(got_w + got_b, fd_w + fd_b):
+            scale = max(1.0, np.abs(f).max())
+            np.testing.assert_allclose(g, f, rtol=0, atol=1e-5 * scale)
+
 
 class TestConsistency:
     def test_value_paths_agree_bitwise(self):
@@ -193,8 +219,8 @@ class TestConsistency:
     def test_batch_of_60_keeps_the_one_block_arithmetic(self, monkeypatch):
         """A 60-point batch fits in one row block, so its values and gradients
         equal the frozen one-block walk bit for bit; this is what keeps
-        batch-60 training artifacts byte-identical."""
-        assert len(list(kernel._row_blocks(60, 60, True))) == 1
+        batch-60 training artifacts reproducible from that arithmetic alone."""
+        assert len(list(kernel._row_blocks(60, 120, True))) == 1
         for spec in ALL_FAMILIES:
             for seed, act in enumerate([Activation.TANH, Activation.RELU] * 2):
                 params = init_params((2, 64, 2), hidden_activation=act, seed=seed)
@@ -204,7 +230,7 @@ class TestConsistency:
                 got, got_grads = loss_module._evaluate(
                     params, X, Y, spec, 1e-6, True, loss_module._target_term(spec, Y))
                 with monkeypatch.context() as mp:
-                    mp.setattr(loss_module, "_kernel_sum", frozen_one_block_sum)
+                    mp.setattr(mmd_module, "_walk", frozen_one_block_walk)
                     want, want_grads = loss_module._evaluate(
                         params, X, Y, spec, 1e-6, True, loss_module._target_term(spec, Y))
                 assert got == want, spec

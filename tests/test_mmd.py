@@ -14,6 +14,7 @@ from mongemmd import (
     mmd2_population_gaussian,
     mmd2_unbiased,
 )
+from mongemmd.mmd import _source_terms
 
 
 def mmd2_unbiased_oracle(spec, X, Y):
@@ -30,13 +31,10 @@ def mmd2_unbiased_oracle(spec, X, Y):
 def mmd2_unbiased_grad_points(spec, X, Y):
     """Gradient of the U-statistic with respect to each X_i, holding Y fixed.
 
-    Row i is d(mmd2)/d(X_i): the X-X and X-Y terms' row-wise gradient sums
-    from the kernel's summing walk; the Y-Y term is constant in X.
+    Row i is d(mmd2)/d(X_i): the gradient of the X-dependent terms from the
+    kernel's one walk of X against X ‖ Y; the Y-Y term is constant in X.
     """
-    m, n = len(X), len(Y)
-    _, g_xx = kernel._kernel_sum(spec, X, X, want_grad=True)
-    _, g_xy = kernel._kernel_sum(spec, X, Y, want_grad=True)
-    return (2.0 / (m * (m - 1))) * g_xx - (2.0 / (m * n)) * g_xy
+    return _source_terms(spec, np.asarray(X, float), np.asarray(Y, float), want_grad=True)[1]
 
 
 def mmd2_biased_oracle(spec, X, Y):
@@ -143,30 +141,39 @@ class TestUnbiased:
         assert peak / (8 * n * n) <= 0.6
 
     def test_memory_does_not_grow_with_n(self):
-        """At n = 2000 a Gram matrix is 32 MB; the walk holds under 1 MiB, with or without
-        the gradient and for one set or two."""
+        """At n = 2000 a Gram matrix is 32 MB; the walk holds under 1.5 MiB, with or without
+        the gradient and for one set or two (its block reaches 2 * _BLOCK_ELEMS entries in
+        three planes, 768 KB at d = 2, when it holds a second set and the gradient)."""
         n = 2000
         rng = np.random.default_rng(30)
         X = rng.standard_normal((n, 2))
         Y = rng.standard_normal((n, 2))
         spec = KernelSpec()
         for call in (lambda: mmd2_unbiased(spec, X, Y),
-                     lambda: kernel._kernel_sum(spec, X, X, want_grad=True),
-                     lambda: kernel._kernel_sum(spec, X, Y, want_grad=True)):
-            assert traced_peak(call) < 1 << 20
+                     lambda: kernel._walk(spec, X, want_grad=True),
+                     lambda: kernel._walk(spec, X, Y, want_grad=True)):
+            assert traced_peak(call) < 3 << 19
 
     def test_memory_does_not_grow_with_the_number_of_blocks(self):
-        """At n = 6000 a walk has ~9 times the row blocks of n = 2000 and still one
-        workspace: it holds under 1 MiB plus its per-call difference factors, 4 n d floats."""
-        n = 6000
+        """At 3 row blocks and at >= 100 the walk holds one workspace, max(d, planes)
+        planes of its largest block, and O(n d) beside it: the factors, the weighted
+        columns, the gradient and one mirrored product at a time, never a temporary
+        per block that outlives it."""
         rng = np.random.default_rng(31)
-        X = rng.standard_normal((n, 2))
-        Y = rng.standard_normal((n, 2))
         spec = KernelSpec()
-        for call in (lambda: mmd2_unbiased(spec, X, Y),
-                     lambda: kernel._kernel_sum(spec, X, X, want_grad=True),
-                     lambda: kernel._kernel_sum(spec, X, Y, want_grad=True)):
-            assert traced_peak(call) < (1 << 20) + 8 * 4 * n * 2
+        # (rows, second set?) giving 3 blocks, then >= 100, for one set and for two.
+        for m, two, few in ((250, False, True), (1800, False, False),
+                            (200, True, True), (1300, True, False)):
+            X = rng.standard_normal((m, 2))
+            other = rng.standard_normal((m, 2)) if two else None
+            n = 2 * m if two else m
+            blocks = list(kernel._row_blocks(m, n, True))
+            assert len(blocks) == 3 if few else len(blocks) >= 100
+            elems = max((i1 - i0) * (n - i0) for i0, i1 in blocks)
+            for want_grad in (False, True):
+                workspace = 8 * (3 if want_grad else 2) * elems
+                peak = traced_peak(lambda: kernel._walk(spec, X, other, want_grad=want_grad))
+                assert peak - workspace < 12 * 8 * n * 2, (m, two, want_grad)
 
     def test_sets_too_far_apart_give_no_cross_term(self):
         X, Y = np.full((2, 1), 1e200), np.full((2, 1), -1e200)

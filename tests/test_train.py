@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mongemmd import kernel, util
 from mongemmd import loss as loss_module
+from mongemmd import mmd as mmd_module
 from mongemmd import train as train_module
 from mongemmd.data import DatasetSpec, generate
 from mongemmd.errors import InputError, NumericError
@@ -269,36 +270,36 @@ class TestValidateOnce:
 
 
 def count_kernel_walks(monkeypatch):
-    """Route ``loss``'s and ``train``'s bindings of ``kernel._kernel_sum`` through a counter."""
+    """Route every package binding of ``kernel._walk`` outside ``kernel`` through a counter."""
     calls = []
-    orig = kernel._kernel_sum
+    orig = kernel._walk
 
     def counted(*args, **kwargs):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    bound = [mod for mod in (loss_module, train_module)
-             if getattr(mod, "_kernel_sum", None) is orig]
+    bound = [mod for mod in (loss_module, mmd_module, train_module)
+             if getattr(mod, "_walk", None) is orig]
     assert bound
     for mod in bound:
-        monkeypatch.setattr(mod, "_kernel_sum", counted)
+        monkeypatch.setattr(mod, "_walk", counted)
     return calls
 
 
 class TestKernelWalks:
     @pytest.mark.parametrize("epochs, batch_size, shuffle", [
         (1, 10, True), (4, 10, True), (3, 30, True), (4, 5, False)])
-    def test_a_step_walks_twice_and_a_run_walks_the_targets_once(
+    def test_a_step_walks_once_and_a_run_walks_the_targets_once(
             self, monkeypatch, epochs, batch_size, shuffle):
-        """E epochs of k batches make 2·E·k walks (images–images and images–targets per
-        step) plus k for the target terms of epoch 1's batches."""
+        """E epochs of k batches make E·k walks (images against images ‖ targets, one
+        per step) plus k for the target terms of epoch 1's batches."""
         calls = count_kernel_walks(monkeypatch)
         src, tgt = clouds(n=30)
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size, hidden_widths=(4,),
                           shuffle=shuffle)
         train(cfg, src, tgt)
         k = 30 // batch_size
-        assert len(calls) == 2 * epochs * k + k
+        assert len(calls) == epochs * k + k
 
     def test_resume_walks_the_targets_once_and_not_at_all_when_done(self, monkeypatch):
         src, tgt = clouds(n=30)
@@ -307,7 +308,7 @@ class TestKernelWalks:
         done, _ = train(cfg, src, tgt)
         calls = count_kernel_walks(monkeypatch)
         train(cfg, src, tgt, state=mid)
-        assert len(calls) == 2 * 3 * 3 + 3
+        assert len(calls) == 3 * 3 + 3
         del calls[:]
         _, history = train(cfg, src, tgt, state=done)
         assert len(calls) == 0 and len(history) == 0
