@@ -6,7 +6,7 @@ mean discrepancy penalty, and ships an entropic-regularization Sinkhorn
 baseline for comparison. See the README for the CLI and file formats.
 """
 
-from .checkpoint import load_params, load_train_state, save_train_state
+from .checkpoint import load_train_state, save_train_state
 from .compare import CompareConfig, ComparisonRow, compare_runs, comparison_to_csv
 from .config import EvalConfig, RunConfig, load_config
 from .data import (
@@ -102,7 +102,6 @@ __all__ = [
     "kernel_grad_x",
     "kernel_gram",
     "load_config",
-    "load_params",
     "load_train_state",
     "map_deviation",
     "mlp_backward",

@@ -1,4 +1,4 @@
-"""Versioned binary checkpoints of the full training state.
+"""Versioned binary checkpoints of one run, a ``train.TrainState``, saved and loaded whole.
 
 Layout, all little-endian:
 
@@ -14,13 +14,14 @@ Layout, all little-endian:
 
 Version 4 keeps version 3's layout, but its ``mmd2`` column reports each
 batch's target term from epoch 1's batches (see ``train``), so version 3 files
-are refused by their version. The checkpoint holds the whole run, and
-``loss.csv`` is written from it. Only ``nn.MlpParams`` knows how a vector tiles
-into layers. The reader refuses a payload of any length but 24·(P + epoch)
-bytes before allocating it; reader and writer both refuse a non-finite
-parameter, moment or history entry and a negative second moment. Identical
-inputs produce byte-identical files, and loading restores every float
-bit-exactly, so checkpoint-resume reproduces an uninterrupted run.
+are refused by their version. ``loss.csv`` is written from the checkpoint's
+history. Only ``nn.MlpParams`` knows how a vector tiles into layers. The reader
+refuses a payload of any length but 24·(P + epoch) bytes before allocating it;
+reader and writer both refuse a non-finite parameter, moment or history entry
+and a negative second moment, and the writer a history that breaks ``train``'s
+rule of exactly epochs 1..epoch. Identical inputs produce byte-identical files,
+and loading restores every float bit-exactly, so checkpoint-resume reproduces
+an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 from .errors import InputError
 from .nn import MlpParams, n_params
 from .optim import AdamHyper, AdamState
-from .train import LossHistory
-from .util import _typed, atomic_write_bytes
+from .train import LossHistory, TrainState, _checked_epoch
+from .util import atomic_write_bytes
 
 MAGIC = b"MMDCKPT\n"
 FORMAT_VERSION = 4
@@ -59,16 +60,12 @@ def _check_values(path, flat: np.ndarray, first, second, history) -> None:
         raise InputError(f"{path}: negative entries in the checkpoint's second moment")
 
 
-def save_train_state(path, params: MlpParams, opt: AdamState, epoch: int,
-                     history: LossHistory) -> None:
-    """Write a resumable checkpoint: parameters, Adam moments, counters and the loss
-    history, which must hold exactly epochs 1..``epoch``, an integer >= 0."""
-    epoch = _typed(int, epoch, f"{path}: epoch")
-    if epoch < 0:
-        raise InputError(f"{path}: epoch must be >= 0, got {epoch}")
+def save_train_state(path, state: TrainState) -> None:
+    """Write ``state`` as a resumable checkpoint: parameters, Adam moments, counters and
+    the loss history, which must hold exactly epochs 1..``state.epoch``."""
+    epoch = _checked_epoch(state, path)
+    params, opt, history = state.params, state.optimizer, state.history
     cols = [np.array(c, dtype=np.float64) for c in (history.objective, history.mmd2, history.cost)]
-    if history.epochs != list(range(1, epoch + 1)) or any(c.shape != (epoch,) for c in cols):
-        raise InputError(f"{path}: the loss history must hold exactly epochs 1..{epoch}")
     vectors = (params.flat, opt.first_moment, opt.second_moment, *cols)
     _check_values(path, *vectors[:3], cols)
     header = {"activations": [a.value for a in params.activations], "epoch": epoch,
@@ -119,8 +116,8 @@ def _read(path: Path) -> tuple[dict, memoryview]:
     return header, memoryview(blob)[start + header_len:]
 
 
-def load_train_state(path) -> tuple[MlpParams, AdamState, int, LossHistory]:
-    """Read back (params, optimizer state, completed epoch count, loss history)."""
+def load_train_state(path) -> TrainState:
+    """Read back the ``TrainState`` that ``save_train_state`` wrote."""
     header, payload = _read(Path(path))
     size, epoch = n_params(header["widths"]), header["epoch"]  # Python ints: no wrap
     extra = len(payload) - 24 * (size + epoch)  # checked before any array
@@ -139,10 +136,5 @@ def load_train_state(path) -> tuple[MlpParams, AdamState, int, LossHistory]:
         hyper = AdamHyper(**header["adam"])
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    history = LossHistory(list(range(1, epoch + 1)), *(c.tolist() for c in columns))
-    return params, AdamState(hyper, first, second, header["step_count"]), epoch, history
-
-
-def load_params(path) -> MlpParams:
-    """Read the network from a training-state checkpoint."""
-    return load_train_state(path)[0]
+    return TrainState(params, AdamState(hyper, first, second, header["step_count"]), epoch,
+                      LossHistory(list(range(1, epoch + 1)), *(c.tolist() for c in columns)))

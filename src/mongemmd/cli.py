@@ -2,9 +2,9 @@
 
 Subcommands:
     generate   draw a synthetic point cloud and write it as CSV
-    train      fit the transport map from a YAML config; writes model.ckpt (the whole
-               run), loss.csv from it and eval.json into out_dir; --resume reads
-               model.ckpt only
+    train      fit the transport map from a YAML config; writes model.ckpt (the run
+               train() returns), loss.csv from its history and eval.json into out_dir;
+               --resume reads model.ckpt only, as the state train() continues
     eval       push a CSV through a saved checkpoint and report statistics
     compare    neural map vs Sinkhorn baseline across sample sizes
 
@@ -29,7 +29,7 @@ from .data import DatasetSpec, generate, read_points_csv, write_points_csv
 from .errors import InputError, NumericError
 from .evaluation import evaluate
 from .kernel import KernelSpec
-from .train import LossHistory, TrainState, train
+from .train import train
 from .util import atomic_write_text, field_types, valid_range
 
 
@@ -119,11 +119,9 @@ def cmd_train(args) -> int:
     target = generate(cfg.target)
 
     state = None
-    prior = LossHistory()
     if args.resume and ckpt_path.exists():
-        params, opt, epoch, prior = ckpt.load_train_state(ckpt_path)
-        state = TrainState(params=params, optimizer=opt, epoch=epoch)
-        print(f"resuming {cfg.label} at epoch {epoch}", file=sys.stderr)
+        state = ckpt.load_train_state(ckpt_path)
+        print(f"resuming {cfg.label} at epoch {state.epoch}", file=sys.stderr)
 
     every = max(1, cfg.train.epochs // 10)
 
@@ -135,11 +133,10 @@ def cmd_train(args) -> int:
                 file=sys.stderr,
             )
 
-    state, hist = train(cfg.train, source, target, state=state, progress=progress)
-    prior.extend(hist)
+    state = train(cfg.train, source, target, state=state, progress=progress)
 
-    ckpt.save_train_state(ckpt_path, state.params, state.optimizer, state.epoch, prior)
-    atomic_write_text(out / "loss.csv", prior.to_csv())
+    ckpt.save_train_state(ckpt_path, state)
+    atomic_write_text(out / "loss.csv", state.history.to_csv())
 
     src_spec, tgt_spec = _test_specs(cfg)
     report = evaluate(state.params, generate(src_spec), generate(tgt_spec), cfg.train.kernel)
@@ -154,7 +151,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params = ckpt.load_params(args.checkpoint)
+    params = ckpt.load_train_state(args.checkpoint).params
     source = read_points_csv(args.source)
     target = read_points_csv(args.target)
     report = evaluate(params, source, target, _spec_from_flags(args, KernelSpec, _KERNEL_DESTS))

@@ -115,9 +115,9 @@ def compare_runs(
 
         cfg = replace(train_config, batch_size=min(train_config.batch_size, size))
         t0 = time.perf_counter()
-        state, _ = train(cfg, src, tgt)
+        params = train(cfg, src, tgt).params
         neural_time = time.perf_counter() - t0
-        mean, sd = _stats(mlp_forward_batch(state.params, src))
+        mean, sd = _stats(mlp_forward_batch(params, src))
         rows.append(ComparisonRow(
             method="neural", data_size=size, epsilon=float("nan"),
             mean0=float(mean[0]), mean1=float(mean[1]),

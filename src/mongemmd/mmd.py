@@ -7,8 +7,9 @@ The U-statistic (unbiased) estimator excludes i == j pairs:
          + sum_{i!=j} K(Y_i, Y_j) / (N(N-1))
 
 and may be negative; it is never clamped, since unbiasedness is the point.
-The V-statistic (biased) companion keeps all pairs with divisors M^2, N^2,
-is nonnegative, and vanishes exactly on identical multisets.
+The V-statistic (biased) companion keeps all pairs with divisors M^2, N^2, and
+is nonnegative; only byte-identical sets give exactly 0. A permuted copy (the
+same multiset) sums in another order and may leave a positive residue ~1e-17.
 
 Each estimator makes two kernel walks (``kernel._walk``), X against X ‖ Y and
 then Y alone, each computing a pair of one set once in a cache-sized workspace,
@@ -66,11 +67,12 @@ def mmd2_unbiased(spec: KernelSpec, X, Y) -> float:
 
 @np.errstate(over="ignore")
 def mmd2_biased(spec: KernelSpec, X, Y) -> float:
-    """Biased (V-statistic) squared MMD; nonnegative, zero iff X == Y as multisets.
+    """Biased (V-statistic) squared MMD; nonnegative, zero for byte-identical sets.
 
     Symmetry is bit-exact: arguments are put in a canonical order first, so
-    both call orders execute the identical reduction. Identical sets give
-    exactly 0, which their sums would only reach up to rounding.
+    both call orders execute the identical reduction. Only byte-identical sets
+    give exactly 0: a permuted copy of X, the same multiset, sums in another
+    order and may leave a positive residue of rounding size (~1e-17).
     """
     X, Y = _check_pair(X, Y, min_size=1)
     if X.tobytes() == Y.tobytes():

@@ -8,20 +8,21 @@ so shuffling is a pure function of (seed, epoch). That is what makes resuming
 from a checkpoint after epoch k bit-identical to the uninterrupted run: no
 generator state needs to survive the restart.
 
-Recorded history is one row per epoch with the batch-averaged objective,
-squared MMD and mean transport cost. A batch's ``mmd2`` is its unbiased
-statistic with the target-only term taken from the same batch index of epoch
-1's order: those terms are computed once per ``train`` call, so a step makes
-one kernel walk (images against images ‖ targets), and any U-statistic over
-target points estimates E K(Y, Y') without bias. Epoch 1's row, and every row
-without shuffling, equals the batch statistic itself.
+A run is one ``TrainState``, from ``init_state`` through ``train`` to the checkpoint
+and back. Its history holds one row for each of epochs 1..epoch: the batch-averaged
+objective, squared MMD and mean transport cost. A batch's ``mmd2`` is its unbiased
+statistic with the target-only term taken from the same batch index of epoch 1's
+order: those terms are computed once per ``train`` call, so a step makes one kernel
+walk (images against images ‖ targets), and any U-statistic over target points
+estimates E K(Y, Y') without bias. Epoch 1's row, and every row without shuffling,
+equals the batch statistic itself.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .loss import LossValues, _evaluate
 from .mmd import _target_term
 from .nn import Activation, MlpParams, init_params
 from .optim import AdamHyper, AdamState, adam_init, adam_step
-from .util import as_point_pair, check_settings, setting
+from .util import _typed, as_point_pair, check_settings, setting
 
 SHUFFLE_STREAM = 1
 
@@ -56,15 +57,6 @@ class TrainConfig:
 
 
 @dataclass
-class TrainState:
-    """Everything needed to continue training exactly where it stopped."""
-
-    params: MlpParams
-    optimizer: AdamState
-    epoch: int = 0
-
-
-@dataclass
 class LossHistory:
     """Per-epoch averages; ``epochs[i]`` is the 1-based absolute epoch index."""
 
@@ -78,12 +70,6 @@ class LossHistory:
         self.objective.append(values.objective)
         self.mmd2.append(values.mmd2)
         self.cost.append(values.mean_cost)
-
-    def extend(self, other: "LossHistory") -> None:
-        self.epochs.extend(other.epochs)
-        self.objective.extend(other.objective)
-        self.mmd2.extend(other.mmd2)
-        self.cost.extend(other.cost)
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -115,6 +101,28 @@ class LossHistory:
         return hist
 
 
+class TrainState(NamedTuple):
+    """One run: everything needed to continue training exactly where it stopped."""
+
+    params: MlpParams
+    optimizer: AdamState
+    epoch: int
+    history: LossHistory
+
+
+def _checked_epoch(state: TrainState, owner: str) -> int:
+    """``state.epoch`` as an int; InputError naming ``owner`` for a non-integer or negative
+    epoch, or a history that is not exactly epochs 1..epoch, one value per column each."""
+    epoch = _typed(int, state.epoch, f"{owner}: epoch")
+    if epoch < 0:
+        raise InputError(f"{owner}: epoch must be >= 0, got {epoch}")
+    h = state.history
+    if h.epochs != list(range(1, epoch + 1)) or any(
+            np.shape(c) != (epoch,) for c in (h.objective, h.mmd2, h.cost)):
+        raise InputError(f"{owner}: the loss history must hold exactly epochs 1..{epoch}")
+    return epoch
+
+
 def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     """Child generator for one epoch's shuffling, independent of all others."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(SHUFFLE_STREAM, epoch)))
@@ -132,7 +140,7 @@ def init_state(config: TrainConfig, dim: int) -> TrainState:
     """Fresh network and optimizer for d-dimensional data, seeded from config."""
     widths = (dim,) + config.hidden_widths + (dim,)
     params = init_params(widths, config.hidden_activation, seed=config.seed)
-    return TrainState(params=params, optimizer=adam_init(params, config.optimizer), epoch=0)
+    return TrainState(params, adam_init(params, config.optimizer), 0, LossHistory())
 
 
 def _contradictions(config: TrainConfig, state: TrainState) -> list[str]:
@@ -155,12 +163,13 @@ def train(
     target,
     state: TrainState | None = None,
     progress: Callable[[int, LossValues], None] | None = None,
-) -> tuple[TrainState, LossHistory]:
+) -> TrainState:
     """Run epochs ``state.epoch + 1 .. config.epochs`` and return the final state.
 
-    Pass ``state`` from a loaded checkpoint to resume; the default starts
-    from freshly initialized parameters. A state whose network or Adam
-    settings ``config`` changes is refused with InputError naming each key.
+    Pass ``state`` from a loaded checkpoint to resume; it is left unchanged, and the
+    result's history copies its rows, then adds this call's. The default starts fresh.
+    A state whose history is not epochs 1..epoch, or whose network or Adam settings
+    ``config`` changes (each key named), is refused with InputError before any step.
     ``progress``, if given, is called after every epoch with its index and
     averaged loss values. The inputs are validated here, once; every batch
     then goes to the unchecked loss.
@@ -173,28 +182,28 @@ def train(
         )
     if state is None:
         state = init_state(config, source.shape[1])
+    start = _checked_epoch(state, "state")
     if state.params.input_dim != source.shape[1]:
         raise InputError(
             f"state expects dimension {state.params.input_dim}, data has {source.shape[1]}"
         )
-    if state.epoch > config.epochs:
-        raise InputError(f"state is already past epoch {config.epochs} (at {state.epoch})")
+    if start > config.epochs:
+        raise InputError(f"state is already past epoch {config.epochs} (at {start})")
     changed = _contradictions(config, state)
     if changed:
         raise InputError("cannot resume: the config changes settings the checkpoint was"
                          " trained with (" + "; ".join(changed) + ")")
 
-    params = state.params
-    opt = state.optimizer
-    history = LossHistory()
+    params, opt, h = state.params, state.optimizer, state.history
+    history = LossHistory(list(h.epochs), list(h.objective), list(h.mmd2), list(h.cost))
     n_batches = n_pairs // config.batch_size
     batches = [slice(b * config.batch_size, (b + 1) * config.batch_size) for b in range(n_batches)]
     sizes = source.shape[0], target.shape[0]
     yy = []  # the target term of batch b of epoch 1's order, reported for batch b of every epoch
-    if state.epoch < config.epochs:
+    if start < config.epochs:
         order_y = _epoch_order(config, *sizes, 1)[1]
         yy = [_target_term(config.kernel, target[order_y[sl]]) for sl in batches]
-    for epoch in range(state.epoch + 1, config.epochs + 1):
+    for epoch in range(start + 1, config.epochs + 1):
         order_x, order_y = _epoch_order(config, *sizes, epoch)
         tot = np.zeros(3)
         for b, sl in enumerate(batches):
@@ -209,4 +218,4 @@ def train(
         history.append(epoch, mean)
         if progress is not None:
             progress(epoch, mean)
-    return TrainState(params=params, optimizer=opt, epoch=config.epochs), history
+    return TrainState(params, opt, config.epochs, history)

@@ -54,14 +54,14 @@ def gaussian_run():
     source = gaussian_cloud(500, 1, (0.0, 0.0))
     target = gaussian_cloud(500, 2, (5.0, 5.0))
     config = m.TrainConfig(**RUN_CONFIG)
-    state, history = m.train(config, source, target)
+    state = m.train(config, source, target)
     report_eval = m.evaluate(
         state.params,
         gaussian_cloud(1000, 10001, (0.0, 0.0)),
         gaussian_cloud(1000, 10002, (5.0, 5.0)),
         config.kernel,
     )
-    return state, history, report_eval
+    return state, state.history, report_eval
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +70,8 @@ def moons_run():
     source = m.generate(m.DatasetSpec(family="two_moons", n=500, seed=1))
     target = m.generate(m.DatasetSpec(family="two_circles", n=500, seed=2))
     config = m.TrainConfig(**RUN_CONFIG)
-    state, history = m.train(config, source, target)
-    return state, history, source
+    state = m.train(config, source, target)
+    return state, state.history, source
 
 
 def test_criterion_1_gradient_matches_finite_differences():

@@ -15,14 +15,13 @@ from mongemmd import checkpoint
 from mongemmd.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
-    load_params,
     load_train_state,
     save_train_state,
 )
 from mongemmd.errors import InputError
 from mongemmd.nn import Activation, MlpParams, init_params, n_params
 from mongemmd.optim import AdamHyper, AdamState, adam_init, adam_step
-from mongemmd.train import LossHistory
+from mongemmd.train import LossHistory, TrainState
 
 
 def random_grads(params, rng):
@@ -83,25 +82,26 @@ def assert_params_equal(a, b):
 
 
 class TestMapCheckpoint:
-    """The network as ``load_params`` reads it back from a training-state checkpoint."""
+    """The network as ``load_train_state`` reads it back from a training-state checkpoint."""
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params((3, 7, 4, 3), seed=5)
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, adam_init(params), 0, LossHistory())
-        assert_params_equal(load_params(path), params)
+        save_train_state(path, TrainState(params, adam_init(params), 0, LossHistory()))
+        assert_params_equal(load_train_state(path).params, params)
 
     def test_identical_params_identical_bytes(self, tmp_path):
         params = init_params((2, 6, 2), seed=1)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_train_state(p1, params, adam_init(params), 3, loss_history(3))
-        save_train_state(p2, params.copy(), adam_init(params.copy()), 3, loss_history(3))
+        save_train_state(p1, TrainState(params, adam_init(params), 3, loss_history(3)))
+        save_train_state(p2, TrainState(params.copy(), adam_init(params.copy()), 3,
+                                        loss_history(3)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_file_starts_with_magic_and_version(self, tmp_path):
         params = init_params((2, 2))
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, adam_init(params), 0, LossHistory())
+        save_train_state(path, TrainState(params, adam_init(params), 0, LossHistory()))
         blob = path.read_bytes()
         assert blob[:8] == MAGIC
         version, header_len = struct.unpack_from("<II", blob, 8)
@@ -113,7 +113,7 @@ class TestTrainStateCheckpoint:
     def test_round_trip_restores_everything(self, tmp_path):
         params, state = trained_state(seed=2, steps=5)
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 17, loss_history(17))
+        save_train_state(path, TrainState(params, state, 17, loss_history(17)))
         params2, state2, epoch, history = load_train_state(path)
         assert epoch == 17
         assert_history_equal(history, loss_history(17))
@@ -139,7 +139,7 @@ class TestTrainStateCheckpoint:
                                              hyper, steps, epoch, seed):
         params, state = trained_state(seed, steps, (d, *hidden, d), activation, hyper)
         path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
-        save_train_state(path, params, state, epoch, loss_history(epoch, seed))
+        save_train_state(path, TrainState(params, state, epoch, loss_history(epoch, seed)))
         first = path.read_bytes()
         params2, state2, epoch2, history2 = load_train_state(path)
         assert params2.flat.tobytes() == params.flat.tobytes()
@@ -148,80 +148,70 @@ class TestTrainStateCheckpoint:
         assert state2.second_moment.tobytes() == state.second_moment.tobytes()
         assert (state2.hyper, state2.step_count, epoch2) == (hyper, steps, epoch)
         assert_history_equal(history2, loss_history(epoch, seed))
-        save_train_state(path, params2, state2, epoch2, history2)
+        save_train_state(path, TrainState(params2, state2, epoch2, history2))
         assert path.read_bytes() == first
 
     def test_resumed_optimizer_continues_identically(self, tmp_path):
         """A step taken after reload matches the step without the round trip."""
         params, state = trained_state(seed=3, steps=4)
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 4, loss_history(4))
+        save_train_state(path, TrainState(params, state, 4, loss_history(4)))
         params2, state2, _, _ = load_train_state(path)
         grads = random_grads(params, np.random.default_rng(99))
         _, direct = adam_step(state, params, grads)
         _, resumed = adam_step(state2, params2, grads)
         assert_params_equal(direct, resumed)
 
-    def test_load_params_accepts_train_state_files(self, tmp_path):
-        params, state = trained_state()
-        path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 1, loss_history(1))
-        assert_params_equal(load_params(path), params)
-
     def test_load_train_state_rejects_map_files(self, tmp_path, rewrite_as_v1):
-        """The map-only kind existed only in format version 1: both readers refuse such a
+        """The map-only kind existed only in format version 1: the reader refuses such a
         file by its version."""
         params = init_params((2, 2))
         path = tmp_path / "map.ckpt"
-        save_train_state(path, params, adam_init(params), 0, LossHistory())
+        save_train_state(path, TrainState(params, adam_init(params), 0, LossHistory()))
         rewrite_as_v1(path, kind="map")
         assert read_parts(path)[0]["kind"] == "map"
-        for load in (load_train_state, load_params):
-            with pytest.raises(InputError, match=re.escape(
-                    f"{path}: unsupported checkpoint version 1")):
-                load(path)
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: unsupported checkpoint version 1")):
+            load_train_state(path)
 
     def test_format_1_training_state_is_refused(self, tmp_path, rewrite_as_v1):
         """No reader of format version 1 is kept, though its payload bytes equal the current
         format's parameters and moments."""
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 2, loss_history(2))
+        save_train_state(path, TrainState(params, state, 2, loss_history(2)))
         payload = read_parts(path)[1]
         rewrite_as_v1(path)
         assert read_parts(path)[1] == payload[:24 * params.flat.size]
-        for load in (load_train_state, load_params):
-            with pytest.raises(InputError, match=re.escape(
-                    f"{path}: unsupported checkpoint version 1")):
-                load(path)
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: unsupported checkpoint version 1")):
+            load_train_state(path)
 
     def test_format_2_training_state_is_refused(self, tmp_path, rewrite_as_v2):
         """No reader of format version 2 is kept: its header is the current format's, and its
         payload is the current format's without the loss history."""
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 2, loss_history(2))
+        save_train_state(path, TrainState(params, state, 2, loss_history(2)))
         header, payload = read_parts(path)
         rewrite_as_v2(path)
         assert read_parts(path) == (header, payload[:24 * params.flat.size])
-        for load in (load_train_state, load_params):
-            with pytest.raises(InputError, match=re.escape(
-                    f"{path}: unsupported checkpoint version 2")):
-                load(path)
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: unsupported checkpoint version 2")):
+            load_train_state(path)
 
     def test_format_3_training_state_is_refused(self, tmp_path, rewrite_as_v3):
         """No reader of format version 3 is kept: its layout is the current format's, but
         its ``mmd2`` column held each batch's own target term."""
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 2, loss_history(2))
+        save_train_state(path, TrainState(params, state, 2, loss_history(2)))
         parts = read_parts(path)
         rewrite_as_v3(path)
         assert read_parts(path) == parts
-        for load in (load_train_state, load_params):
-            with pytest.raises(InputError, match=re.escape(
-                    f"{path}: unsupported checkpoint version 3")):
-                load(path)
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}: unsupported checkpoint version 3")):
+            load_train_state(path)
 
     def test_flat_state_saves_like_per_layer_copies(self, tmp_path):
         """The file is written from the flat buffers' views and must not depend on them."""
@@ -232,8 +222,8 @@ class TestTrainStateCheckpoint:
         state2 = AdamState(state.hyper, state.first_moment.copy(),
                            state.second_moment.copy(), state.step_count)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_train_state(a, params, state, 5, loss_history(5))
-        save_train_state(b, params2, state2, 5, loss_history(5))
+        save_train_state(a, TrainState(params, state, 5, loss_history(5)))
+        save_train_state(b, TrainState(params2, state2, 5, loss_history(5)))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -244,7 +234,7 @@ class TestFormat:
     def test_header_holds_widths_and_counters_only(self, tmp_path):
         params, state = trained_state(widths=(2, 5, 3, 2))
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 9, loss_history(9))
+        save_train_state(path, TrainState(params, state, 9, loss_history(9)))
         blob = path.read_bytes()
         assert struct.unpack_from("<I", blob, 8)[0] == FORMAT_VERSION == 4
         header, _ = read_parts(path)
@@ -271,7 +261,7 @@ class TestFormat:
         params, state = trained_state(seed, steps, (d, *hidden, d))
         path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
         history = loss_history(2, seed)
-        save_train_state(path, params, state, 2, history)
+        save_train_state(path, TrainState(params, state, 2, history))
         _, payload = read_parts(path)
         expected = np.concatenate([params.flat, state.first_moment, state.second_moment,
                                    history.objective, history.mmd2, history.cost])
@@ -313,7 +303,7 @@ class TestFormat:
         history = LossHistory(list(range(1, epoch + 1)),
                               *(vector(epoch).tolist() for _ in range(3)))
         path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
-        save_train_state(path, params, state, epoch, history)
+        save_train_state(path, TrainState(params, state, epoch, history))
         blob = path.read_bytes()
         assert len(blob) == 16 + struct.unpack_from("<I", blob, 12)[0] + 24 * (size + epoch)
         params2, state2, epoch2, history2 = load_train_state(path)
@@ -345,7 +335,7 @@ class TestCorruption:
     def write_state(self, tmp_path):
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
-        save_train_state(path, params, state, 2, loss_history(2))
+        save_train_state(path, TrainState(params, state, 2, loss_history(2)))
         return path
 
     def test_bad_magic(self, tmp_path):
@@ -354,7 +344,7 @@ class TestCorruption:
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(InputError, match="magic"):
-            load_params(path)
+            load_train_state(path)
 
     def test_unsupported_version(self, tmp_path):
         path = self.write_state(tmp_path)
@@ -362,14 +352,14 @@ class TestCorruption:
         struct.pack_into("<I", blob, 8, 999)
         path.write_bytes(bytes(blob))
         with pytest.raises(InputError, match="version"):
-            load_params(path)
+            load_train_state(path)
 
     def test_truncated_payload(self, tmp_path):
         path = self.write_state(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(InputError, match="truncated"):
-            load_params(path)
+            load_train_state(path)
 
     def test_moment_layouts_must_match_parameters(self, tmp_path):
         """A moment vector not shaped like ``flat`` is refused when saving, and a file whose
@@ -380,8 +370,8 @@ class TestCorruption:
             for first, second in ((wrong, state.second_moment), (state.first_moment, wrong)):
                 with pytest.raises(InputError, match=re.escape(
                         f"{path}: the Adam moments must be vectors of {params.flat.size}")):
-                    save_train_state(path, params, AdamState(state.hyper, first, second, 3),
-                                     1, loss_history(1))
+                    save_train_state(path, TrainState(
+                        params, AdamState(state.hyper, first, second, 3), 1, loss_history(1)))
                 assert not path.exists()
         for payload, message in ((lambda data: data[:-8], "truncated checkpoint payload"),
                                  (lambda data: data + data[-8:], "8 trailing bytes")):
@@ -414,18 +404,17 @@ class TestCorruption:
         bad_history = LossHistory(history.epochs, *(v.tolist() for v in vectors[3:]))
         path = tmp_path / "state.ckpt"
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
-            save_train_state(path, bad_params, bad_state, 3, bad_history)
+            save_train_state(path, TrainState(bad_params, bad_state, 3, bad_history))
         assert not path.exists()
         # The same entry written into a valid file's payload: parameters, m, v, then the
         # history's objective, mmd2 and cost.
-        save_train_state(path, params, state, 3, history)
+        save_train_state(path, TrainState(params, state, 3, history))
         blob = bytearray(path.read_bytes())
         start = len(blob) - len(read_parts(path)[1]) + sum(v.nbytes for v in vectors[:vector])
         blob[start:start + vectors[vector].nbytes] = vectors[vector].astype("<f8").tobytes()
         path.write_bytes(bytes(blob))
-        for load in (load_train_state, load_params):
-            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
-                load(path)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_train_state(path)
 
     @pytest.mark.parametrize("history", [
         LossHistory([1, 2], [0.5] * 2, [0.25] * 2, [1.0] * 2),
@@ -444,7 +433,7 @@ class TestCorruption:
         path = tmp_path / "state.ckpt"
         with pytest.raises(InputError, match=re.escape(
                 f"{path}: the loss history must hold exactly epochs 1..3")):
-            save_train_state(path, params, state, 3, history)
+            save_train_state(path, TrainState(params, state, 3, history))
         assert not path.exists()
 
     @pytest.mark.parametrize("epoch, message", [
@@ -459,15 +448,15 @@ class TestCorruption:
         params, state = trained_state()
         path = tmp_path / "state.ckpt"
         with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}$"):
-            save_train_state(path, params, state, epoch, loss_history(2))
+            save_train_state(path, TrainState(params, state, epoch, loss_history(2)))
         assert not path.exists()
 
     @pytest.mark.parametrize("epoch", [np.int64(2), np.int32(2), np.uint8(2)])
     def test_numpy_integer_epoch_saves_as_an_int(self, tmp_path, epoch):
         params, state = trained_state()
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_train_state(a, params, state, epoch, loss_history(2))
-        save_train_state(b, params, state, 2, loss_history(2))
+        save_train_state(a, TrainState(params, state, epoch, loss_history(2)))
+        save_train_state(b, TrainState(params, state, 2, loss_history(2)))
         assert a.read_bytes() == b.read_bytes()
         assert load_train_state(a)[2] == 2
 
@@ -475,7 +464,7 @@ class TestCorruption:
         path = self.write_state(tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(InputError, match="trailing"):
-            load_params(path)
+            load_train_state(path)
 
     def test_corrupt_header_json(self, tmp_path):
         path = self.write_state(tmp_path)
@@ -485,7 +474,7 @@ class TestCorruption:
             blob[i] = ord("?")
         path.write_bytes(bytes(blob))
         with pytest.raises(InputError):
-            load_params(path)
+            load_train_state(path)
 
     def write_edited_header(self, tmp_path, edit):
         """A state checkpoint whose JSON header is replaced by ``edit(header)``."""
@@ -512,9 +501,8 @@ class TestCorruption:
         assert params.flat.size == 27 and state.first_moment.min() < 0.0
         path = self.write_state(tmp_path)
         rewrite(path, edit, payload)
-        for load in (load_train_state, load_params):
-            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
-                load(path)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_train_state(path)
 
     @pytest.mark.parametrize("edit", [
         lambda h: {**h, "widths": [2, "5", 2]},
@@ -536,7 +524,7 @@ class TestCorruption:
     def test_malformed_header_names_the_file(self, tmp_path, edit):
         path = self.write_edited_header(tmp_path, edit)
         with pytest.raises(InputError, match=re.escape(f"{path}: corrupt checkpoint header")):
-            load_params(path)
+            load_train_state(path)
 
     @pytest.mark.parametrize("widths, activations", [
         ([2, 5, 2], ["softmax", "identity"]),
@@ -550,7 +538,7 @@ class TestCorruption:
                 lambda data: bytes(24 * (n_params(widths) + 2)))
         with pytest.raises(InputError, match=f"^{re.escape(str(path))}: checkpoint holds an "
                                              "inconsistent network"):
-            load_params(path)
+            load_train_state(path)
 
     @pytest.mark.parametrize("widths, epoch", [
         ([2, 2**70, 2], 2), ([2, 2**32, 2**32, 2], 2), ([2, 5, 2], 2**62),
@@ -563,7 +551,7 @@ class TestCorruption:
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="truncated checkpoint payload"):
-                load_params(path)
+                load_train_state(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -571,10 +559,10 @@ class TestCorruption:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
-            load_params(tmp_path / "absent.ckpt")
+            load_train_state(tmp_path / "absent.ckpt")
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "plain.txt"
         path.write_text("hello")
         with pytest.raises(InputError):
-            load_params(path)
+            load_train_state(path)

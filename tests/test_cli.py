@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mongemmd.checkpoint import load_params, load_train_state
+from mongemmd.checkpoint import load_train_state
 from mongemmd.cli import _KERNEL_DESTS, _spec_from_flags, build_parser, main
 from mongemmd.data import DatasetSpec, generate, read_points_csv, write_points_csv
 from mongemmd.kernel import KernelSpec
@@ -134,7 +134,7 @@ class TestTrain:
         ckpt = tmp_path / "out" / "model.ckpt"
         blob = ckpt.read_bytes()
         payload = len(blob) - 16 - struct.unpack_from("<I", blob, 12)[0]
-        assert payload == 24 * load_params(ckpt).flat.size
+        assert payload == 24 * load_train_state(ckpt).params.flat.size
         assert (tmp_path / "out" / "loss.csv").read_text() == "epoch,objective,mmd2,cost\n"
         assert main(["train", str(cfg), "--quiet", "--resume", "--set", "train.epochs=2"]) == 0
         for name in ("model.ckpt", "loss.csv", "eval.json"):
@@ -153,7 +153,7 @@ class TestTrain:
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
         assert main(["train", str(cfg), "--quiet", "--set", "train.epochs=2"]) == 0
         loss, ckpt = tmp_path / "out" / "loss.csv", tmp_path / "out" / "model.ckpt"
-        sizes = [load_params(ckpt).flat.size] * 3 + [2] * 3
+        sizes = [load_train_state(ckpt).params.flat.size] * 3 + [2] * 3
         blob = bytearray(ckpt.read_bytes())
         start = 16 + struct.unpack_from("<I", blob, 12)[0] + 8 * sum(sizes[:vector])
         blob[start:start + 8 * sizes[vector]] = np.full(sizes[vector], value, "<f8").tobytes()
@@ -237,7 +237,7 @@ class TestTrain:
             assert main(["train", str(cfg), "--quiet", "--resume"]) == 2
         out = tmp_path / "out"
         assert LossHistory.from_csv((out / "loss.csv").read_text()).epochs == [1, 2]
-        assert load_train_state(out / "model.ckpt")[3].epochs == [1, 2, 3, 4]
+        assert load_train_state(out / "model.ckpt").history.epochs == [1, 2, 3, 4]
         assert (out / "model.ckpt").read_bytes() == (tmp_path / "out_full/model.ckpt").read_bytes()
         assert main(["train", str(cfg), "--quiet", "--resume"]) == 0
         for name in ("model.ckpt", "loss.csv", "eval.json"):

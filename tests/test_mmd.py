@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mongemmd import (
     InputError,
@@ -203,6 +206,19 @@ class TestBiased:
         X = rng.standard_normal((12, 3))
         X = np.vstack([X, X[:3]])  # genuine multiset with repeats
         assert mmd2_biased(KernelSpec(), X, X.copy()) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 29), d=st.integers(1, 3),
+           spec=st.sampled_from(SPECS))
+    def test_zero_on_identical_sets_and_a_rounding_residue_on_reordered_ones(
+            self, data, n, d, spec):
+        """Only a byte-identical copy gives exactly 0. A permuted copy is the same multiset,
+        but its pairs are summed in another order, which may leave a positive residue of a
+        few units of rounding; it is never negative."""
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-5.0, 5.0)))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        assert mmd2_biased(spec, X, X.copy()) == 0.0
+        assert 0.0 <= mmd2_biased(spec, X, X[perm]) <= 1e-15
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(47)

@@ -1,3 +1,5 @@
+import importlib
+import re
 import sys
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from mongemmd import kernel, util
 from mongemmd import loss as loss_module
 from mongemmd import mmd as mmd_module
-from mongemmd import train as train_module
+from mongemmd.checkpoint import load_train_state, save_train_state
 from mongemmd.data import DatasetSpec, generate
 from mongemmd.errors import InputError, NumericError
 from mongemmd.kernel import KernelSpec, kernel_gram
@@ -24,6 +26,8 @@ from mongemmd.train import (
     init_state,
     train,
 )
+
+train_module = importlib.import_module("mongemmd.train")  # the package's ``train`` is the function
 
 SMALL = dict(epochs=5, batch_size=10, hidden_widths=(8,), seed=0)
 
@@ -40,6 +44,15 @@ def assert_params_equal(a, b):
         np.testing.assert_array_equal(wa, wb)
     for ba, bb in zip(a.biases, b.biases):
         np.testing.assert_array_equal(ba, bb)
+
+
+def state_bytes(state):
+    """Everything a run holds, floats as their bytes: equal results compare equal."""
+    h = state.history
+    return (state.params.flat.tobytes(), state.optimizer.first_moment.tobytes(),
+            state.optimizer.second_moment.tobytes(), state.optimizer.step_count,
+            state.epoch, tuple(h.epochs),
+            *(np.array(c, dtype=np.float64).tobytes() for c in (h.objective, h.mmd2, h.cost)))
 
 
 class TestConfigValidation:
@@ -64,30 +77,30 @@ class TestTrainingLoop:
     def test_zero_epochs_returns_initial_params(self):
         src, tgt = clouds()
         cfg = TrainConfig(epochs=0, batch_size=10, hidden_widths=(8,), seed=4)
-        state, history = train(cfg, src, tgt)
-        assert len(history) == 0
+        state = train(cfg, src, tgt)
+        assert len(state.history) == 0
         assert state.epoch == 0
         assert_params_equal(state.params, init_state(cfg, 2).params)
 
     def test_history_has_one_row_per_epoch(self):
         src, tgt = clouds()
-        state, history = train(TrainConfig(**SMALL), src, tgt)
-        assert history.epochs == [1, 2, 3, 4, 5]
-        assert len(history.objective) == 5
+        state = train(TrainConfig(**SMALL), src, tgt)
+        assert state.history.epochs == [1, 2, 3, 4, 5]
+        assert len(state.history.objective) == 5
         assert state.epoch == 5
 
     def test_objective_decreases_on_easy_problem(self):
         src, tgt = clouds(n=60)
         cfg = TrainConfig(epochs=60, batch_size=20, hidden_widths=(16,),
                           seed=0)
-        state, history = train(cfg, src, tgt)
+        history = train(cfg, src, tgt).history
         assert history.objective[-1] < history.objective[0]
 
     def test_bit_identical_reruns(self):
         src, tgt = clouds()
         cfg = TrainConfig(**SMALL)
-        s1, h1 = train(cfg, src, tgt)
-        s2, h2 = train(cfg, src, tgt)
+        s1, s2 = train(cfg, src, tgt), train(cfg, src, tgt)
+        h1, h2 = s1.history, s2.history
         assert_params_equal(s1.params, s2.params)
         assert h1.objective == h2.objective
         assert h1.mmd2 == h2.mmd2
@@ -95,25 +108,37 @@ class TestTrainingLoop:
 
     def test_seed_changes_the_run(self):
         src, tgt = clouds()
-        _, h0 = train(TrainConfig(**{**SMALL, "seed": 0}), src, tgt)
-        _, h1 = train(TrainConfig(**{**SMALL, "seed": 1}), src, tgt)
+        h0 = train(TrainConfig(**{**SMALL, "seed": 0}), src, tgt).history
+        h1 = train(TrainConfig(**{**SMALL, "seed": 1}), src, tgt).history
         assert h0.objective != h1.objective
 
     def test_resume_matches_uninterrupted_run(self):
-        """Stopping after epoch 3 and resuming gives the exact same state."""
+        """Stopping after epoch 3 and resuming gives the exact same state, with the
+        uninterrupted run's whole history: all four columns, bit for bit."""
         src, tgt = clouds()
         cfg8 = TrainConfig(**{**SMALL, "epochs": 8})
-        full_state, full_hist = train(cfg8, src, tgt)
+        full = train(cfg8, src, tgt)
+        mid = train(replace(cfg8, epochs=3), src, tgt)
+        resumed = train(cfg8, src, tgt, state=mid)
+        assert mid.history.epochs == [1, 2, 3]
+        assert resumed.history.epochs == full.history.epochs == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert state_bytes(resumed) == state_bytes(full)
 
-        cfg3 = TrainConfig(**{**SMALL, "epochs": 3})
-        mid_state, first_hist = train(cfg3, src, tgt)
-        resumed_state, rest_hist = train(cfg8, src, tgt, state=mid_state)
-
-        assert_params_equal(full_state.params, resumed_state.params)
-        assert resumed_state.optimizer.step_count == full_state.optimizer.step_count
-        assert first_hist.objective + rest_hist.objective == full_hist.objective
-        assert first_hist.mmd2 + rest_hist.mmd2 == full_hist.mmd2
-        assert rest_hist.epochs == [4, 5, 6, 7, 8]
+    def test_two_resumes_from_one_loaded_state_agree_and_leave_it_alone(self, tmp_path):
+        """train() returns a new state with a copy of the history: resuming twice from one
+        loaded checkpoint gives equal runs, and the loaded parameters, moments and history
+        lists keep their values."""
+        src, tgt = clouds()
+        cfg = TrainConfig(**{**SMALL, "epochs": 6})
+        path = tmp_path / "state.ckpt"
+        save_train_state(path, train(replace(cfg, epochs=2), src, tgt))
+        loaded = load_train_state(path)
+        before = state_bytes(loaded)
+        first = train(cfg, src, tgt, state=loaded)
+        assert state_bytes(loaded) == before
+        second = train(cfg, src, tgt, state=loaded)
+        assert state_bytes(loaded) == before
+        assert state_bytes(first) == state_bytes(second) == state_bytes(train(cfg, src, tgt))
 
     def test_shuffle_off_uses_data_order(self):
         """Without shuffling every epoch sees identical batches, so a single
@@ -126,7 +151,7 @@ class TestTrainingLoop:
         state0 = init_state(cfg, 2)
         expected = monge_mmd_loss(state0.params, src, tgt, cfg.kernel,
                                   cfg.inv_lambda)
-        _, history = train(cfg, src, tgt)
+        history = train(cfg, src, tgt).history
         assert history.objective[0] == expected.objective
 
     def test_remainder_points_are_dropped(self):
@@ -141,14 +166,13 @@ class TestTrainingLoop:
         src = generate(DatasetSpec(family="isotropic_gaussian", n=40, seed=1))
         tgt = generate(DatasetSpec(family="isotropic_gaussian", n=23, seed=2))
         cfg = TrainConfig(epochs=1, batch_size=23, hidden_widths=(4,), seed=0)
-        _, history = train(cfg, src, tgt)
-        assert len(history) == 1
+        assert len(train(cfg, src, tgt).history) == 1
 
     def test_progress_callback_sees_history_rows(self):
         src, tgt = clouds()
         seen = []
-        _, history = train(TrainConfig(**SMALL), src, tgt,
-                           progress=lambda e, v: seen.append((e, v.objective)))
+        history = train(TrainConfig(**SMALL), src, tgt,
+                        progress=lambda e, v: seen.append((e, v.objective))).history
         assert [e for e, _ in seen] == history.epochs
         assert [o for _, o in seen] == history.objective
 
@@ -186,12 +210,6 @@ def reference_train(config, source, target):
     return params, opt, rows, yy
 
 
-def state_bytes(state):
-    return (state.params.flat.tobytes(), state.optimizer.first_moment.tobytes(),
-            state.optimizer.second_moment.tobytes(), state.optimizer.step_count,
-            state.epoch)
-
-
 class TestEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -217,7 +235,8 @@ class TestEquivalence:
                           hidden_activation=activation, shuffle=shuffle, kernel=kernel,
                           inv_lambda=0.1, seed=3)
         params, opt, rows, yy = reference_train(cfg, src, tgt)
-        state, history = train(cfg, src, tgt)
+        state = train(cfg, src, tgt)
+        history = state.history
         assert state.params.flat.tobytes() == params.flat.tobytes()
         assert state.optimizer.first_moment.tobytes() == opt.first_moment.tobytes()
         assert state.optimizer.second_moment.tobytes() == opt.second_moment.tobytes()
@@ -229,10 +248,11 @@ class TestEquivalence:
         for o, m, c in zip(history.objective, history.mmd2, history.cost):
             assert m - (o - cfg.inv_lambda * c) == pytest.approx(np.mean(yy), rel=1e-12, abs=0)
 
-        # Resuming from an earlier state reaches the same end and leaves that state alone.
-        mid, _ = train(replace(cfg, epochs=epochs - 1), src, tgt)
+        # Resuming from an earlier state reaches the same end, history included, and leaves
+        # that state alone.
+        mid = train(replace(cfg, epochs=epochs - 1), src, tgt)
         before = state_bytes(mid)
-        resumed, _ = train(cfg, src, tgt, state=mid)
+        resumed = train(cfg, src, tgt, state=mid)
         assert state_bytes(mid) == before
         assert state_bytes(resumed) == state_bytes(state)
 
@@ -304,14 +324,14 @@ class TestKernelWalks:
     def test_resume_walks_the_targets_once_and_not_at_all_when_done(self, monkeypatch):
         src, tgt = clouds(n=30)
         cfg = TrainConfig(epochs=5, batch_size=10, hidden_widths=(4,))
-        mid, _ = train(replace(cfg, epochs=2), src, tgt)
-        done, _ = train(cfg, src, tgt)
+        mid = train(replace(cfg, epochs=2), src, tgt)
+        done = train(cfg, src, tgt)
         calls = count_kernel_walks(monkeypatch)
         train(cfg, src, tgt, state=mid)
         assert len(calls) == 3 * 3 + 3
         del calls[:]
-        _, history = train(cfg, src, tgt, state=done)
-        assert len(calls) == 0 and len(history) == 0
+        history = train(cfg, src, tgt, state=done).history
+        assert len(calls) == 0 and history == done.history
 
 
 class TestTrainingErrors:
@@ -329,7 +349,7 @@ class TestTrainingErrors:
     def test_state_past_requested_epochs(self):
         src, tgt = clouds()
         cfg = TrainConfig(**SMALL)
-        state, _ = train(cfg, src, tgt)
+        state = train(cfg, src, tgt)
         shorter = TrainConfig(**{**SMALL, "epochs": 3})
         with pytest.raises(InputError):
             train(shorter, src, tgt, state=state)
@@ -337,12 +357,36 @@ class TestTrainingErrors:
     def test_state_built_under_other_settings_names_each_key(self):
         src, tgt = clouds()
         cfg = TrainConfig(**SMALL)
-        state, _ = train(cfg, src, tgt)
+        state = train(cfg, src, tgt)
         changed = replace(cfg, epochs=8, hidden_widths=(4,), optimizer=AdamHyper(beta1=0.5))
         with pytest.raises(InputError) as info:
             train(changed, src, tgt, state=state)
         assert str(info.value).endswith("(train.hidden_widths: checkpoint [8], config [4];"
                                         " train.beta1: checkpoint 0.9, config 0.5)")
+
+    @pytest.mark.parametrize("epoch, history, message", [
+        (3, LossHistory([1, 2], [0.5] * 2, [0.25] * 2, [1.0] * 2), "1..3"),
+        (3, LossHistory([1, 2, 4], [0.5] * 3, [0.25] * 3, [1.0] * 3), "1..3"),
+        (3, LossHistory([1, 2, 3], [0.5] * 3, [0.25] * 2, [1.0] * 3), "1..3"),
+        (1, LossHistory(), "1..1"),
+        (0, LossHistory([1], [0.5], [0.25], [1.0]), "1..0"),
+    ], ids=["too-few", "gap", "short-column", "empty", "rows-past-epoch"])
+    def test_history_must_hold_exactly_epochs_one_to_epoch(self, monkeypatch, epoch, history,
+                                                            message):
+        """The rule save_train_state applies naming the file: train() applies it to the
+        state it is given, before any step."""
+        src, tgt = clouds()
+        cfg = TrainConfig(**SMALL)
+        fresh = init_state(cfg, 2)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(train_module, "_evaluate", no_step)
+        state = TrainState(fresh.params, fresh.optimizer, epoch, history)
+        with pytest.raises(InputError, match=f"^state: the loss history must hold exactly "
+                                             f"epochs {re.escape(message)}$"):
+            train(cfg, src, tgt, state=state)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_error_reports_epoch_and_batch(self):
@@ -403,12 +447,6 @@ class TestLossHistory:
         with pytest.raises(InputError, match=f"loss history line 3: non-finite value in '{row}'"):
             LossHistory.from_csv(f"epoch,objective,mmd2,cost\n1,0.5,0.1,1\n{row}\n")
 
-    def test_extend_concatenates(self):
-        a, b = self.sample(), self.sample()
-        a.extend(b)
-        assert a.epochs == [1, 2, 1, 2]
-        assert len(a) == 4
-
 
 class TestTrainState:
     def test_init_state_seeding(self):
@@ -417,6 +455,6 @@ class TestTrainState:
         b = init_state(cfg, 2)
         assert_params_equal(a.params, b.params)
         assert isinstance(a, TrainState)
-        assert a.epoch == 0
+        assert a.epoch == 0 and a.history == LossHistory()
         assert a.optimizer.step_count == 0
         assert a.params.widths == (2, 8, 2)
