@@ -24,10 +24,26 @@ transposed instance is solved. Either orientation executes the same
 arithmetic on the same plan buffer, down to the reported violation, which
 makes transposition an exact symmetry of the output; a self-transposed
 instance (symmetric cost, equal marginals) is symmetrized for the same reason.
+
+Every pass over the n-by-n matrices (the cost check and row minima, the
+transposed copy, the kernel builds, both mat-vecs, the final scaling and the
+violation's sums) runs in contiguous spans of rows or columns, one per lane:
+min(free CPUs, entries // _LANE_ELEMS) lanes, at least one, so a small
+problem, or one solved beside a threaded BLAS's workers, runs in the calling
+thread alone. Span 0 runs in the calling thread and the others on a thread
+pool that lives for one solve, each in a copy of the caller's context, so
+``np.errstate`` holds in every lane. Spans start at multiples of _LANE_ALIGN
+rows or columns, where the vectorised numpy and BLAS kernels meet every
+entry at the offset of their unrolled loops that one span gives it; so,
+while each BLAS call runs on one thread, every output entry has the same
+bits whatever the lane count. The log-domain half-steps and the vector-sized
+updates stay serial.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +58,10 @@ DEFAULT_TOL = 1e-9
 _TAU = 1e3
 # Entries of the cost that _orientation compares with its transpose at a time.
 _ORIENT_BLOCK_ELEMS = 1 << 16
+# Entries of the cost per lane of a solve: one lane below twice this many.
+_LANE_ELEMS = 1 << 20
+# Lane spans start at multiples of this many rows, columns or entries.
+_LANE_ALIGN = 64
 
 
 @dataclass
@@ -56,6 +76,68 @@ class Coupling:
     converged: bool
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, less one per other thread it has.
+
+    A threaded BLAS keeps its idle workers spinning for a while after each
+    call, so a lane finds no free core beside them: with OpenBLAS's default
+    two threads on two cores, two lanes made an n=2000 solve 1.08-1.25x
+    slower than one. So does a lane beside any busy thread of the caller.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    try:
+        return cpus - (len(os.listdir("/proc/self/task")) - 1)
+    except OSError:
+        return cpus
+
+
+class _Lanes:
+    """The lanes of one solve: min(_cpus(), entries // _LANE_ELEMS) of them, at least one.
+
+    As a context manager it owns a pool of count - 1 threads, joined on exit;
+    one lane needs no pool and starts no thread.
+    """
+
+    def __init__(self, entries: int):
+        self.count = max(1, min(_cpus(), entries // _LANE_ELEMS))
+        self._pool = None
+
+    def __enter__(self) -> _Lanes:
+        if self.count > 1:
+            # Imported here: the package import stays without it.
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(self.count - 1)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def run(self, fn, n: int) -> list:
+        """Call fn(i0, i1) on at most ``count`` spans that tile [0, n), each
+        start a multiple of _LANE_ALIGN; return the results in span order. On
+        a raise, spans still running finish before the pool's ``with`` exits.
+
+        A last span shorter than _LANE_ALIGN joins the one before it: numpy
+        forms a one-entry mat-vec as a dot product, whose bits differ.
+        """
+        step = -(-n // self.count)
+        step = -(-step // _LANE_ALIGN) * _LANE_ALIGN
+        starts = list(range(0, n, step))
+        if len(starts) > 1 and n - starts[-1] < _LANE_ALIGN:
+            starts.pop()
+        spans = list(zip(starts, starts[1:] + [n]))
+        rest = [self._pool.submit(contextvars.copy_context().run, fn, *span)
+                for span in spans[1:]]
+        return [fn(*spans[0])] + [future.result() for future in rest]
+
+
+_ONE_LANE = _Lanes(0)
+
+
 def _as_cost(cost_matrix) -> np.ndarray:
     C = np.asarray(cost_matrix, dtype=np.float64)
     if C.ndim != 2 or C.size == 0:
@@ -63,10 +145,12 @@ def _as_cost(cost_matrix) -> np.ndarray:
     return C
 
 
-def _check_problem(cost_matrix, a, b, epsilon: float):
-    C = np.ascontiguousarray(_as_cost(cost_matrix))
+def _check_problem(C, a, b, epsilon: float, lanes: _Lanes):
+    """Check the contiguous cost C, the marginals (uniform when None) and epsilon."""
     # min is NaN when any entry is, so two reductions cover NaN and both infinities.
-    if not (np.isfinite(C.min()) and np.isfinite(C.max())):
+    flat = C.reshape(-1)
+    ends = lanes.run(lambda i0, i1: (flat[i0:i1].min(), flat[i0:i1].max()), flat.size)
+    if not np.all(np.isfinite(ends)):
         raise InputError("cost matrix has non-finite entries")
     m, n = C.shape
     if a is None:
@@ -87,8 +171,11 @@ def _check_problem(cost_matrix, a, b, epsilon: float):
     return C, a, b
 
 
-def _violation(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(max(np.abs(P.sum(axis=1) - a).max(), np.abs(P.sum(axis=0) - b).max()))
+def _violation(P: np.ndarray, a: np.ndarray, b: np.ndarray, lanes: _Lanes = _ONE_LANE) -> float:
+    rows = lanes.run(lambda i0, i1: P[i0:i1].sum(axis=1), P.shape[0])
+    cols = lanes.run(lambda j0, j1: P[:, j0:j1].sum(axis=0), P.shape[1])
+    return float(max(np.abs(np.concatenate(rows) - a).max(),
+                     np.abs(np.concatenate(cols) - b).max()))
 
 
 def _logsumexp(A: np.ndarray, axis: int) -> np.ndarray:
@@ -157,32 +244,53 @@ def sinkhorn_solve(
         raise InputError(f"max_iters must be >= 1, got {max_iters}")
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputError(f"tol must be positive, got {tol}")
-    C, a, b = _check_problem(cost_matrix, a, b, epsilon)
-    sign = _orientation(C, a, b)
-    if sign < 0:
-        P, n_iters = _solve(np.ascontiguousarray(C.T), b, a, epsilon, max_iters, tol)
-        P = P.T
-    else:
-        P, n_iters = _solve(C, a, b, epsilon, max_iters, tol)
-    if sign == 0:
-        # Self-transposed problem: make the result exactly symmetric too.
-        # Row and column sums average, so feasibility is preserved.
-        P = (P + P.T) / 2.0
-    viol = _violation(P, a, b)
+    C = np.ascontiguousarray(_as_cost(cost_matrix))
+    with _Lanes(C.size) as lanes:
+        C, a, b = _check_problem(C, a, b, epsilon, lanes)
+        sign = _orientation(C, a, b)
+        if sign < 0:
+            CT = np.empty(C.shape[::-1])
+            lanes.run(lambda i0, i1: np.copyto(CT[i0:i1], C[:, i0:i1].T), CT.shape[0])
+            P, n_iters = _solve(CT, b, a, epsilon, max_iters, tol, lanes)
+            P = P.T
+        else:
+            P, n_iters = _solve(C, a, b, epsilon, max_iters, tol, lanes)
+        if sign == 0:
+            # Self-transposed problem: make the result exactly symmetric too.
+            # Row and column sums average, so feasibility is preserved.
+            P = (P + P.T) / 2.0
+        viol = _violation(P, a, b, lanes)
     return Coupling(matrix=P, a=a, b=b, n_iters=n_iters, max_violation=viol,
                     converged=viol < tol)
 
 
-def _gibbs(K, C, f, g, epsilon) -> tuple[np.ndarray, np.ndarray]:
+def _gibbs(K, C, f, g, epsilon, lanes) -> tuple[np.ndarray, np.ndarray]:
     """Write the stabilised kernel exp((f + g - C) / epsilon) into K; return the
     unit scalings u, v that go with it."""
-    # f_i + g_j as a row fill and a contiguous add: the outer add's bits, faster.
-    K[...] = f[:, None]
-    K += g
-    K -= C
-    K /= epsilon
-    np.exp(K, out=K)
+    def build(i0, i1):
+        # f_i + g_j as a row fill and a contiguous add: the outer add's bits, faster.
+        rows = K[i0:i1]
+        rows[...] = f[i0:i1, None]
+        rows += g
+        rows -= C[i0:i1]
+        rows /= epsilon
+        np.exp(rows, out=rows)
+    lanes.run(build, K.shape[0])
     return np.ones_like(f), np.ones_like(g)
+
+
+def _matvec(K, v, lanes) -> np.ndarray:
+    """K @ v, one span of output rows per lane."""
+    out = np.empty(K.shape[0])
+    lanes.run(lambda i0, i1: np.matmul(K[i0:i1], v, out=out[i0:i1]), K.shape[0])
+    return out
+
+
+def _vecmat(u, K, lanes) -> np.ndarray:
+    """u @ K, one span of output columns per lane."""
+    out = np.empty(K.shape[1])
+    lanes.run(lambda j0, j1: np.matmul(u, K[:, j0:j1], out=out[j0:j1]), K.shape[1])
+    return out
 
 
 def _log_potential(K, C, other, log_w, epsilon, axis) -> np.ndarray:
@@ -202,7 +310,7 @@ def _scaling(w, denom):
     return s if s.max() < np.inf and np.array_equal(s > 0.0, positive) else None
 
 
-def _solve(C, a, b, epsilon, max_iters, tol) -> tuple[np.ndarray, int]:
+def _solve(C, a, b, epsilon, max_iters, tol, lanes) -> tuple[np.ndarray, int]:
     """Scale in the given orientation; returns the plan and the iteration count.
 
     A zero marginal entry has scaling 0, and -inf potential once folded, so
@@ -211,10 +319,11 @@ def _solve(C, a, b, epsilon, max_iters, tol) -> tuple[np.ndarray, int]:
     with np.errstate(divide="ignore"):
         log_a, log_b = np.log(a), np.log(b)
     lo_a, lo_b = np.where(a > 0.0, 1.0 / _TAU, 0.0), np.where(b > 0.0, 1.0 / _TAU, 0.0)
-    f, g = C.min(axis=1), np.zeros(b.shape[0])
+    f, g = np.empty(a.shape[0]), np.zeros(b.shape[0])
+    lanes.run(lambda i0, i1: C[i0:i1].min(axis=1, out=f[i0:i1]), f.size)
     K = np.empty_like(C)
-    u, v = _gibbs(K, C, f, g, epsilon)
-    Kv = K @ v
+    u, v = _gibbs(K, C, f, g, epsilon, lanes)
+    Kv = _matvec(K, v, lanes)
     for it in range(1, max_iters + 1):
         u = _scaling(a, Kv)
         if u is None:
@@ -223,14 +332,14 @@ def _solve(C, a, b, epsilon, max_iters, tol) -> tuple[np.ndarray, int]:
             with np.errstate(divide="ignore"):
                 g += epsilon * np.log(v)
             f = _log_potential(K, C, g[None, :], log_a, epsilon, 1)
-            u, v = _gibbs(K, C, f, g, epsilon)
-        v = _scaling(b, u @ K)
+            u, v = _gibbs(K, C, f, g, epsilon, lanes)
+        v = _scaling(b, _vecmat(u, K, lanes))
         if v is None:
             with np.errstate(divide="ignore"):
                 f += epsilon * np.log(u)
             g = _log_potential(K, C, f[:, None], log_b, epsilon, 0)
-            u, v = _gibbs(K, C, f, g, epsilon)
-        Kv = K @ v
+            u, v = _gibbs(K, C, f, g, epsilon, lanes)
+        Kv = _matvec(K, v, lanes)
         viol = float(np.abs(u * Kv - a).max())
         if not np.isfinite(viol):
             raise NumericError(
@@ -242,10 +351,14 @@ def _solve(C, a, b, epsilon, max_iters, tol) -> tuple[np.ndarray, int]:
             with np.errstate(divide="ignore"):
                 f += epsilon * np.log(u)
                 g += epsilon * np.log(v)
-            u, v = _gibbs(K, C, f, g, epsilon)
-            Kv = K @ v
-    K *= u[:, None]
-    K *= v[None, :]
+            u, v = _gibbs(K, C, f, g, epsilon, lanes)
+            Kv = _matvec(K, v, lanes)
+
+    def scale(i0, i1):
+        rows = K[i0:i1]
+        rows *= u[i0:i1, None]
+        rows *= v
+    lanes.run(scale, K.shape[0])
     return K, it
 
 

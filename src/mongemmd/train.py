@@ -117,8 +117,9 @@ def _checked_epoch(state: TrainState, owner: str) -> int:
     if epoch < 0:
         raise InputError(f"{owner}: epoch must be >= 0, got {epoch}")
     h = state.history
-    if h.epochs != list(range(1, epoch + 1)) or any(
-            np.shape(c) != (epoch,) for c in (h.objective, h.mmd2, h.cost)):
+    # Shapes first: list() of a 1-d array of the right length compares entry by entry.
+    if any(np.shape(c) != (epoch,) for c in (h.epochs, h.objective, h.mmd2, h.cost)) or (
+            list(h.epochs) != list(range(1, epoch + 1))):
         raise InputError(f"{owner}: the loss history must hold exactly epochs 1..{epoch}")
     return epoch
 

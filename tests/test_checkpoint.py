@@ -436,6 +436,23 @@ class TestCorruption:
             save_train_state(path, TrainState(params, state, 3, history))
         assert not path.exists()
 
+    def test_history_epochs_may_be_a_numpy_array(self, tmp_path):
+        """A numpy ``epochs`` is read as its entries: 1..epoch is written and reads back as
+        the same history; any other is refused with InputError, not numpy's ValueError."""
+        params, state = trained_state()
+        path = tmp_path / "state.ckpt"
+        cols = loss_history(3)
+        save_train_state(path, TrainState(params, state, 3, LossHistory(
+            np.arange(1, 4), cols.objective, cols.mmd2, cols.cost)))
+        assert_history_equal(load_train_state(path).history, cols)
+        for epochs in (np.array([1, 2, 4]), np.array([1, 2]), np.array([[1, 2, 3]])):
+            bad = tmp_path / "bad.ckpt"
+            with pytest.raises(InputError, match=re.escape(
+                    f"{bad}: the loss history must hold exactly epochs 1..3")):
+                save_train_state(bad, TrainState(params, state, 3, LossHistory(
+                    epochs, cols.objective, cols.mmd2, cols.cost)))
+            assert not bad.exists()
+
     @pytest.mark.parametrize("epoch, message", [
         (2.0, "epoch: expected an integer, got 2.0"),
         (np.float64(2), "epoch: expected an integer, got np.float64(2.0)"),

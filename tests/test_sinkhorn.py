@@ -1,9 +1,12 @@
 import ast
+import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -370,7 +373,8 @@ class TestImport:
     def test_package_import_leaves_scipy_out(self):
         src = Path(mongemmd.__file__).resolve().parents[1]
         code = ("import sys, mongemmd; "
-                "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+                "print(sorted(k for k in sys.modules"
+                " if k.split('.')[0] == 'scipy' or k == 'concurrent.futures'))")
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
@@ -395,14 +399,168 @@ class TestImport:
 
 
 class TestKernelUnderflow:
+    C = np.array([[0.0, 2000.0], [2000.0, 0.0]])
+    # The same instance in 65-by-65 blocks, so that lanes split it: rows 0..63 and 64..129.
+    TILED = np.kron(C, np.ones((65, 65)))
+
     def test_converges_where_kernel_underflows(self):
         """exp(-C/eps) is exactly zero off the diagonal; the log domain still converges."""
-        C = np.array([[0.0, 2000.0], [2000.0, 0.0]])
-        coupling = sinkhorn_solve(C, epsilon=1.0)
+        coupling = sinkhorn_solve(self.C, epsilon=1.0)
         np.testing.assert_allclose(coupling.matrix,
                                    np.array([[0.5, 0.0], [0.0, 0.5]]),
                                    atol=1e-12)
         assert coupling.converged
+
+    def test_underflow_raises_alike_in_every_lane_count(self, monkeypatch):
+        """Under np.errstate(under="raise") the kernel's underflow raises the same
+        FloatingPointError in one lane and in three, where every lane underflows."""
+        messages = []
+        for count in (1, 3):
+            force_lanes(monkeypatch, count)
+            for cost in (self.C, self.TILED):
+                with np.errstate(under="raise"), pytest.raises(FloatingPointError) as info:
+                    sinkhorn_solve(cost, epsilon=1.0)
+                messages.append(str(info.value))
+        assert messages == ["underflow encountered in exp"] * 4
+
+    def test_pool_lanes_run_under_the_callers_errstate(self, monkeypatch):
+        """Only rows 64.. underflow. Three lanes split the rows as [0, 64) and [64, 130),
+        so they underflow on a pool thread: it raises there, and no thread outlives the
+        solve."""
+        cost = self.TILED.copy()
+        cost[:64] = 0.0
+        with np.errstate(under="raise"):
+            for count in (1, 3):
+                force_lanes(monkeypatch, count)
+                before = threading.active_count()
+                with pytest.raises(FloatingPointError, match="^underflow encountered in exp$"):
+                    sinkhorn_solve(cost, epsilon=1.0)
+                assert threading.active_count() == before
+
+
+def force_lanes(monkeypatch, count):
+    """Solve in ``count`` lanes at any size, whatever the CPU count of the host."""
+    monkeypatch.setattr(sinkhorn, "_LANE_ELEMS", 1)
+    monkeypatch.setattr(sinkhorn, "_cpus", lambda: count)
+
+
+def lane_instances():
+    """Shapes off the 64-entry grid in both orientations, an absorbing instance and
+    log-domain ones: (name, cost, a, b, epsilon)."""
+    for (m, n), seed in (((301, 299), 71), ((130, 70), 72), ((777, 1203), 73),
+                         ((129, 193), 77)):
+        C, a, b = random_problem(m, n, seed)
+        yield f"{m}x{n}", C, a, b, 0.5
+        if m in (777, 129):  # and the transposed orientation; 129 and 193 leave 1-entry tails
+            yield f"{n}x{m}", np.ascontiguousarray(C.T), b, a, 0.5
+    yield "absorbing", *random_problem(200, 130, 74), 0.02
+    C, a, b = random_problem(130, 200, 75)
+    C[:, 150] += 2000.0  # column 150 of the kernel underflows: a log-domain v-step
+    yield "far-column", C, a, b, 0.5
+    yield "far-row", np.ascontiguousarray(C.T), b, a, 0.5
+    yield "underflow-2x2", TestKernelUnderflow.C, None, None, 1.0
+    yield "underflow-tiled", TestKernelUnderflow.TILED, None, None, 1.0
+    C, a, b = random_problem(6, 5, 21)
+    a[2], b[4] = 0.0, 0.0
+    yield "zero-marginals", C, a / a.sum(), b / b.sum(), 0.5
+
+
+def lane_results(count):
+    """(name, plan sha256, n_iters, max_violation) of each lane instance in ``count`` lanes."""
+    saved = sinkhorn._LANE_ELEMS, sinkhorn._cpus
+    sinkhorn._LANE_ELEMS, sinkhorn._cpus = 1, lambda: count
+    try:
+        return [(name, hashlib.sha256(c.matrix.tobytes()).hexdigest(), c.n_iters,
+                 c.max_violation)
+                for name, C, a, b, eps in lane_instances()
+                for c in [sinkhorn_solve(C, a, b, epsilon=eps)]]
+    finally:
+        sinkhorn._LANE_ELEMS, sinkhorn._cpus = saved
+
+
+class TestLanes:
+    def test_spans_tile_on_the_64_grid(self, monkeypatch):
+        for count in range(1, 6):
+            monkeypatch.setattr(sinkhorn, "_cpus", lambda: count)
+            with sinkhorn._Lanes(1 << 62) as lanes:
+                for n in (*range(1, 300), 777, 1203, 2000):
+                    spans = lanes.run(lambda i0, i1: (i0, i1), n)
+                    assert spans[0][0] == 0 and spans[-1][1] == n and len(spans) <= count
+                    assert all(i1 == j0 for (_, i1), (j0, _) in zip(spans, spans[1:]))
+                    assert all(i0 % 64 == 0 and i1 - i0 >= min(n, 64) for i0, i1 in spans)
+
+    def test_plans_keep_their_bits_at_every_lane_count(self):
+        """Plan, iteration count and violation are byte-equal in 1 to 5 lanes, with BLAS
+        on one thread: a multi-threaded BLAS splits each mat-vec by its own rule."""
+        tests = Path(__file__).resolve().parent
+        src = Path(mongemmd.__file__).resolve().parents[1]
+        code = ("import json, test_sinkhorn as t; "
+                "print(json.dumps([t.lane_results(k) for k in range(1, 6)]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(tests))),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        results = json.loads(out.stdout)
+        assert len(results[0]) == len(list(lane_instances()))
+        assert all(r == results[0] for r in results[1:])
+
+    def test_instances_split_and_take_the_steps_they_name(self, monkeypatch):
+        """In five lanes, every instance of at least 128 rows and columns runs in several
+        spans, the far-* ones take a log-domain half-step and the absorbing one absorbs."""
+        spans, steps = [], {"_gibbs": 0, "_log_potential": 0}
+        run = sinkhorn._Lanes.run
+        monkeypatch.setattr(sinkhorn._Lanes, "run",
+                            lambda self, fn, n: spans.append(len(r := run(self, fn, n))) or r)
+        for name in steps:
+            def counted(*args, _name=name, _fn=getattr(sinkhorn, name)):
+                steps[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(sinkhorn, name, counted)
+        force_lanes(monkeypatch, 5)
+        for name, C, a, b, eps in lane_instances():
+            spans.clear()
+            steps.update(dict.fromkeys(steps, 0))
+            sinkhorn_solve(C, a, b, epsilon=eps)
+            assert max(spans) <= 5
+            assert max(spans) > 1 or min(C.shape) < 128, name
+            assert max(spans) == 5 or name not in ("777x1203", "1203x777"), name
+            assert steps["_log_potential"] >= 1 or not name.startswith("far-"), name
+            assert steps["_gibbs"] >= 2 or name != "absorbing", name
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counting the process's threads needs /proc")
+    def test_each_other_thread_of_the_process_takes_a_cpu(self):
+        """A threaded BLAS's workers, like any other thread, leave one CPU fewer for lanes."""
+        before = sinkhorn._cpus()
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            assert sinkhorn._cpus() == before - 1
+        finally:
+            done.set()
+            other.join()
+
+    def test_no_thread_outlives_a_solve(self, monkeypatch):
+        C, a, b = random_problem(301, 299, 71)
+        force_lanes(monkeypatch, 4)
+        before = threading.active_count()
+        sinkhorn_solve(C, a, b, epsilon=0.5)
+        assert threading.active_count() == before
+
+    def test_compare_sizes_start_no_thread(self, monkeypatch):
+        """Below 2 * _LANE_ELEMS entries a solve is one lane, however many CPUs."""
+        def no_start(self):
+            raise AssertionError("a solve started a thread")
+
+        monkeypatch.setattr(sinkhorn, "_cpus", lambda: 64)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        rng = np.random.default_rng(76)
+        C = squared_distance_matrix(rng.standard_normal((200, 2)),
+                                    rng.standard_normal((200, 2)) + 5.0)
+        assert sinkhorn_solve(C, epsilon=default_epsilon(C)).converged
+        assert sinkhorn._Lanes(1000 * 1000).count == 1
+        assert sinkhorn._Lanes(2 * sinkhorn._LANE_ELEMS).count == 2
 
 
 class TestValidation:

@@ -388,6 +388,23 @@ class TestTrainingErrors:
                                              f"epochs {re.escape(message)}$"):
             train(cfg, src, tgt, state=state)
 
+    def test_history_epochs_may_be_a_numpy_array(self):
+        """train() reads a numpy ``epochs`` as its entries: 1..epoch resumes as the list
+        would; any other is refused with InputError, not numpy's ValueError."""
+        src, tgt = clouds()
+        cfg = TrainConfig(**SMALL)
+        short = train(replace(cfg, epochs=2), src, tgt)
+        h = short.history
+        as_array = short._replace(history=LossHistory(np.array(h.epochs), h.objective, h.mmd2,
+                                                      h.cost))
+        resumed = train(cfg, src, tgt, state=as_array)
+        assert resumed.history.to_csv() == train(cfg, src, tgt, state=short).history.to_csv()
+        for epochs in (np.array([1, 3]), np.array([1]), np.array([[1, 2]])):
+            wrong = short._replace(history=LossHistory(epochs, h.objective, h.mmd2, h.cost))
+            with pytest.raises(InputError, match="^state: the loss history must hold exactly "
+                                                 "epochs 1..2$"):
+                train(cfg, src, tgt, state=wrong)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_error_reports_epoch_and_batch(self):
         src, tgt = clouds(n=10)
