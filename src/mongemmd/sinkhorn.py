@@ -4,30 +4,45 @@
 marginals by absorption-stabilised scaling (Schmitzer, arXiv:1610.06519,
 section 3; Peyre & Cuturi, arXiv:1803.00567, section 4.4). The plan is
 diag(u) K diag(v), where K = exp((f + g - cost)/epsilon) is built in one
-n-by-n buffer and an iteration is two mat-vecs: u = a / (K v), v = b / (u^T K).
-The row sums u * (K v) reuse the next u-update's mat-vec, and the stop test
-reads their violation (columns hold after each v-update). When u or v leaves
-[1/_TAU, _TAU], epsilon*log of each is folded into the potentials f, g and K
-is rebuilt in place. Where a denominator is 0 or not finite at a positive
-marginal (a kernel row or column underflowed), that half-step runs in the
-log domain with ``_logsumexp`` (the real-input arithmetic of SciPy 1.17's
+n-by-n buffer, the only one a solve holds besides the cost (a self-transposed
+instance's symmetrized plan aside), and an iteration is two mat-vecs:
+u = a / (K v), v = b / (u^T K). The row sums u * (K v) reuse
+the next u-update's mat-vec, and the stop test reads their violation
+(columns hold after each v-update). When u or v leaves [1/_TAU, _TAU],
+epsilon*log of each is folded into the potentials f, g and K is rebuilt in
+place. Where a denominator is 0 or not finite at a positive marginal (a
+kernel row or column underflowed), that half-step runs in the log domain
+with ``_logsumexp`` (the real-input arithmetic of SciPy 1.17's
 ``logsumexp``). The loop starts where the log-domain iteration does, g = 0,
 with f the row minimum of the cost so that no kernel row underflows.
+
+_TAU = 1e100 is set by float64's fixed range, not by the problem: folding
+only keeps the scalings and the kernel representable. K <= 1 (to rounding), as
+it starts at the row minima and each fold or log-domain half-step leaves a
+plan whose rows or columns sum to at most 1. So with u, v in [1/_TAU, _TAU],
+u * (K v) <= n * _TAU**2 = n * 1e200, far from overflow, and the mass that
+kernel entries below the normal range can carry is at most
+m * n * _TAU**2 * 2**-1022, below tol * 2**-52 for m * n <= 2**40 at any
+tol above 1e-70. A solve at the default epsilon, whose first scalings lie
+near 1/n and grow to ~1e5, builds its kernel once and never folds.
 
 Before iterating, the problem is oriented canonically: if the transposed
 instance (cost.T, marginals swapped) sorts lower by shape, then the cost's
 bytes, then the marginals' bytes, that instance is solved and its plan
-returned as a transposed (Fortran-ordered) view, without a second copy. The
-order is decided at the first entry where the cost and its transpose differ
-bit for bit, found one row block at a time, so no copy is made unless the
-transposed instance is solved. Either orientation executes the same
-arithmetic on the same plan buffer, down to the reported violation, which
-makes transposition an exact symmetry of the output; a self-transposed
-instance (symmetric cost, equal marginals) is symmetrized for the same reason.
+returned as a transposed (Fortran-ordered) view. The order is decided at the
+first entry where the cost and its transpose differ bit for bit, found one
+row block at a time. The transposed instance is solved on the view cost.T,
+no copy: K is C-ordered in both orientations, and the row minima, the
+kernel builds and the log-domain half-steps read the view, the build one
+tile of _TILE_COLS columns at a time so that the strided reads stay in
+cache. Either orientation executes the same arithmetic on the same plan
+buffer, down to the reported violation, which makes transposition an exact
+symmetry of the output; a self-transposed instance (symmetric cost, equal
+marginals) is symmetrized for the same reason.
 
 Every pass over the n-by-n matrices (the cost check and row minima, the
-transposed copy, the kernel builds, both mat-vecs, the final scaling and the
-violation's sums) runs in contiguous spans of rows or columns, one per lane:
+kernel builds, both mat-vecs, the final scaling and the violation's sums)
+runs in contiguous spans of rows or columns, one per lane:
 min(free CPUs, entries // _LANE_ELEMS) lanes, at least one, so a small
 problem, or one solved beside a threaded BLAS's workers, runs in the calling
 thread alone. Span 0 runs in the calling thread and the others on a thread
@@ -36,8 +51,9 @@ pool that lives for one solve, each in a copy of the caller's context, so
 rows or columns, where the vectorised numpy and BLAS kernels meet every
 entry at the offset of their unrolled loops that one span gives it; so,
 while each BLAS call runs on one thread, every output entry has the same
-bits whatever the lane count. The log-domain half-steps and the vector-sized
-updates stay serial.
+bits whatever the lane count. The kernel builds and the final scaling walk
+each span in bands of _LANE_ALIGN rows, so that a band's several passes run
+in cache. The log-domain half-steps and the vector-sized updates stay serial.
 """
 
 from __future__ import annotations
@@ -54,14 +70,17 @@ from .util import _typed, as_point_pair, as_points
 
 DEFAULT_MAX_ITERS = 10000
 DEFAULT_TOL = 1e-9
-# Scalings u, v are folded into the potentials once they leave [1/_TAU, _TAU].
-_TAU = 1e3
+# Scalings u, v are folded into the potentials once they leave [1/_TAU, _TAU]:
+# a bound from float64's range, not the problem's (see the module docstring).
+_TAU = 1e100
 # Entries of the cost that _orientation compares with its transpose at a time.
 _ORIENT_BLOCK_ELEMS = 1 << 16
 # Entries of the cost per lane of a solve: one lane below twice this many.
 _LANE_ELEMS = 1 << 20
 # Lane spans start at multiples of this many rows, columns or entries.
 _LANE_ALIGN = 64
+# Columns of a transposed cost that the kernel build reads per tile.
+_TILE_COLS = 256
 
 
 @dataclass
@@ -125,14 +144,19 @@ class _Lanes:
         forms a one-entry mat-vec as a dot product, whose bits differ.
         """
         step = -(-n // self.count)
-        step = -(-step // _LANE_ALIGN) * _LANE_ALIGN
-        starts = list(range(0, n, step))
-        if len(starts) > 1 and n - starts[-1] < _LANE_ALIGN:
-            starts.pop()
-        spans = list(zip(starts, starts[1:] + [n]))
+        spans = _spans(0, n, -(-step // _LANE_ALIGN) * _LANE_ALIGN)
         rest = [self._pool.submit(contextvars.copy_context().run, fn, *span)
                 for span in spans[1:]]
         return [fn(*spans[0])] + [future.result() for future in rest]
+
+
+def _spans(i0: int, i1: int, step: int) -> list:
+    """Spans that tile [i0, i1), each starting at i0 plus a multiple of ``step``; a last
+    span shorter than _LANE_ALIGN joins the one before it."""
+    starts = list(range(i0, i1, step))
+    if len(starts) > 1 and i1 - starts[-1] < _LANE_ALIGN:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [i1]))
 
 
 _ONE_LANE = _Lanes(0)
@@ -249,9 +273,7 @@ def sinkhorn_solve(
         C, a, b = _check_problem(C, a, b, epsilon, lanes)
         sign = _orientation(C, a, b)
         if sign < 0:
-            CT = np.empty(C.shape[::-1])
-            lanes.run(lambda i0, i1: np.copyto(CT[i0:i1], C[:, i0:i1].T), CT.shape[0])
-            P, n_iters = _solve(CT, b, a, epsilon, max_iters, tol, lanes)
+            P, n_iters = _solve(C.T, b, a, epsilon, max_iters, tol, lanes)
             P = P.T
         else:
             P, n_iters = _solve(C, a, b, epsilon, max_iters, tol, lanes)
@@ -264,18 +286,36 @@ def sinkhorn_solve(
                     converged=viol < tol)
 
 
+def _bands(fn, m: int, lanes) -> None:
+    """Call fn(i0, i1) on bands of _LANE_ALIGN rows of [0, m) within each lane's span,
+    a short tail joined as ``_spans`` joins it, so that a band's passes run in cache."""
+    lanes.run(lambda r0, r1: [fn(i0, i1) for i0, i1 in _spans(r0, r1, _LANE_ALIGN)], m)
+
+
 def _gibbs(K, C, f, g, epsilon, lanes) -> tuple[np.ndarray, np.ndarray]:
     """Write the stabilised kernel exp((f + g - C) / epsilon) into K; return the
-    unit scalings u, v that go with it."""
+    unit scalings u, v that go with it.
+
+    K is written one band of rows at a time. C may be a transposed view; its
+    columns are then read _TILE_COLS at a time, so each band reads it in tiles
+    whose cache lines stay in cache while the band's rows pass over them.
+    """
+    n = K.shape[1]
+    # A cost with contiguous rows is read a whole band at a time: numpy runs an
+    # in-place op on a non-contiguous tile ~1.6x slower per entry.
+    cols = n if C.strides[1] == C.itemsize else _TILE_COLS
+
     def build(i0, i1):
         # f_i + g_j as a row fill and a contiguous add: the outer add's bits, faster.
-        rows = K[i0:i1]
-        rows[...] = f[i0:i1, None]
-        rows += g
-        rows -= C[i0:i1]
-        rows /= epsilon
-        np.exp(rows, out=rows)
-    lanes.run(build, K.shape[0])
+        band = K[i0:i1]
+        band[...] = f[i0:i1, None]
+        band += g
+        for j0 in range(0, n, cols):
+            tile = band[:, j0:j0 + cols]
+            tile -= C[i0:i1, j0:j0 + cols]
+        band /= epsilon
+        np.exp(band, out=band)
+    _bands(build, K.shape[0], lanes)
     return np.ones_like(f), np.ones_like(g)
 
 
@@ -321,7 +361,7 @@ def _solve(C, a, b, epsilon, max_iters, tol, lanes) -> tuple[np.ndarray, int]:
     lo_a, lo_b = np.where(a > 0.0, 1.0 / _TAU, 0.0), np.where(b > 0.0, 1.0 / _TAU, 0.0)
     f, g = np.empty(a.shape[0]), np.zeros(b.shape[0])
     lanes.run(lambda i0, i1: C[i0:i1].min(axis=1, out=f[i0:i1]), f.size)
-    K = np.empty_like(C)
+    K = np.empty(C.shape)
     u, v = _gibbs(K, C, f, g, epsilon, lanes)
     Kv = _matvec(K, v, lanes)
     for it in range(1, max_iters + 1):
@@ -355,10 +395,10 @@ def _solve(C, a, b, epsilon, max_iters, tol, lanes) -> tuple[np.ndarray, int]:
             Kv = _matvec(K, v, lanes)
 
     def scale(i0, i1):
-        rows = K[i0:i1]
-        rows *= u[i0:i1, None]
-        rows *= v
-    lanes.run(scale, K.shape[0])
+        band = K[i0:i1]
+        band *= u[i0:i1, None]
+        band *= v
+    _bands(scale, K.shape[0], lanes)
     return K, it
 
 

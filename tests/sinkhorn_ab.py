@@ -12,9 +12,10 @@ default epsilon) at n = 1000 and 2000. The lane count is forced through
 ``sinkhorn._LANE_ELEMS`` and ``sinkhorn._cpus``: one lane, or one lane per CPU
 at any size and beside any BLAS workers, where the solver by itself takes
 the count it prints as "own". Both orientations are timed: the cost as
-drawn, and its transpose, which the solver turns back with a transposed
-copy. It prints, per size and orientation, the median time of each form,
-their ratio (all lanes / one lane) and whether the two plans, iteration
+drawn, and its transpose; the solver reads whichever is not its canonical
+orientation as a transposed view, without a copy. It prints, per size and
+orientation, the median time of each form, their ratio (all lanes / one
+lane), the kernel builds per solve and whether the two plans, iteration
 counts and violations are equal bit for bit.
 """
 
@@ -44,6 +45,14 @@ def solve(C, eps, lanes):
 
 
 def report(reps):
+    # Count the kernel builds of each solve.
+    builds, gibbs = [0], sinkhorn._gibbs
+
+    def counted(*args):
+        builds[0] += 1
+        return gibbs(*args)
+
+    sinkhorn._gibbs = counted
     cpus = len(os.sched_getaffinity(0))
     blas = os.environ.get("OPENBLAS_NUM_THREADS", "default")
     print(f"numpy {np.__version__}, {cpus} cpus, OPENBLAS_NUM_THREADS={blas}:")
@@ -57,18 +66,21 @@ def report(reps):
             a = np.full(n, 1.0 / n)
             name = "transposed" if sinkhorn._orientation(cost, a, a) < 0 else "as given"
             times = {1: [], cpus: []}
-            plans = {}
+            plans, built = {}, set()
             for rep in range(reps):
                 for lanes in (1, cpus)[::1 if rep % 2 else -1]:
+                    builds[0] = 0
                     seconds, coupling = solve(cost, eps, lanes)
                     times[lanes].append(seconds)
+                    built.add(builds[0])
                     plans[lanes] = (coupling.matrix.tobytes(), coupling.n_iters,
                                     coupling.max_violation)
             one, every = (float(np.median(times[k])) * 1e3 for k in (1, cpus))
             same = plans[1] == plans[cpus]
             print(f"  n {n:5d} {name:>10} (own {own[n]}): 1 lane {one:8.2f} ms,"
                   f" {cpus} lanes {every:8.2f} ms, ratio {every / one:.3f},"
-                  f" {plans[1][1]} iterations, plans {'bit-equal' if same else 'DIFFER'}")
+                  f" {plans[1][1]} iterations, {'/'.join(map(str, sorted(built)))} kernel"
+                  f" builds, plans {'bit-equal' if same else 'DIFFER'}")
 
 
 def main():
