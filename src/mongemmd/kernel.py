@@ -15,7 +15,7 @@ For every family the spatial gradient factors as
 and, when asked, the coefficients, sharing one exponential between them.
 
 All arithmetic is float64. Squared distances come from one routine,
-``_sqdist_blocks``, which forms every coordinate's differences X_ij - Y_kj as
+``_Blocks``, which forms every coordinate's differences X_ij - Y_kj as
 one matrix product of the factors [X[:, j], 1] and [1; -Y[:, j]], squares
 them in place and sums one coordinate at a time; the Gram matrix, the
 batched routines, the scalar ``kernel_eval`` and the Sinkhorn cost matrix
@@ -40,11 +40,14 @@ images ‖ targets; the unbiased estimator adds one walk of the targets alone.
 A block's rows are counted from the wider of its two column parts, so it
 holds at most 2 * ``_BLOCK_ELEMS`` entries. Its distances, values and
 coefficients live in one workspace of max(d, 3) planes of that size (750 KiB
-at d = 2), allocated once per call and overwritten by every block. A plane
-that large lies above glibc's 128 KiB mmap threshold, so temporaries made
-per block would be mapped and faulted in afresh on every block; the one
-workspace is mapped at most once per call, and under the default allocator,
-whose threshold rises after the first such free, it comes from the heap.
+at d = 2), overwritten by every block. The workspace, the factor buffers, the
+block list and the weight columns make up a ``_WalkPlan``, built for sets of
+given shapes: a public entry builds a one-use plan per call, and training
+builds one per run and walks every step in it. A plane that large lies above
+glibc's 128 KiB mmap threshold, so temporaries made per block would be mapped
+and faulted in afresh on every block, and so would a workspace made per step
+under a fixed threshold (``MALLOC_MMAP_THRESHOLD_=131072``: ~190 minor faults
+per batch-500 step); the one workspace per run is mapped once.
 """
 
 from __future__ import annotations
@@ -145,37 +148,54 @@ def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return X[0], Y[0]
 
 
-def _sqdist_blocks(X: np.ndarray, Y: np.ndarray, triangular: bool = False, planes: int = 1):
-    """``(i0, i1, P)`` for each row block of ``_row_blocks``: ``P`` is ``planes`` arrays of
-    the block's shape, the first holding the squared distances of rows X[i0:i1] to
-    the columns Y[i0:] (triangular, where X is Y[:len(X)]) or Y, the rest free.
+class _Blocks:
+    """The row blocks of ``_row_blocks`` for m points X against n columns in dimension d:
+    iterating ``blocks(X, *cols)`` yields ``(i0, i1, P)`` per block, where ``P`` is
+    ``planes`` arrays of the block's shape, the first holding the squared distances of
+    rows X[i0:i1] to the columns cols[0] ‖ cols[1] ‖ ... from i0 on (triangular, where
+    X is the first m columns) or from 0, the rest free.
 
-    The per-coordinate factors L[j] = [X[:, j], 1] (M x 2) and R[j] = [1; -Y[:, j]]
-    (2 x N) are built once; one ``np.matmul`` of their slices gives a block's
-    differences for every coordinate, which are squared in place and added
-    into the first plane one coordinate at a time, in index order, which
-    frees the others. Every block lives in one workspace of max(d, ``planes``)
-    planes, allocated once per call and large enough for the largest block,
-    so ``P`` is overwritten by the next block.
+    The per-coordinate factors L[j] = [X[:, j], 1] (m x 2) and R[j] = [1; -Y[:, j]]
+    (2 x n) are filled once per call; one ``np.matmul`` of their slices gives a
+    block's differences for every coordinate, which are squared in place and added
+    into the first plane one coordinate at a time, in index order, which frees the
+    others. The factor buffers, the block list and one workspace of max(d,
+    ``planes``) planes, large enough for the largest block, are allocated once, when
+    the blocks are built, and serve every call on sets of these shapes; ``P`` is
+    overwritten by the next block.
     """
-    d, m, n = X.shape[1], X.shape[0], Y.shape[0]
-    L = np.empty((d, m, 2))
-    L[:, :, 0] = X.T
-    L[:, :, 1] = 1.0
-    R = np.empty((d, 2, n))
-    R[:, 0] = 1.0
-    np.negative(Y.T, out=R[:, 1])
-    blocks = [(i0, i1, i0 if triangular else 0) for i0, i1 in _row_blocks(m, n, triangular)]
-    depth = max(d, planes)
-    ws = np.empty(depth * max((i1 - i0) * (n - c0) for i0, i1, c0 in blocks))
-    for i0, i1, c0 in blocks:
-        P = ws[:depth * (i1 - i0) * (n - c0)].reshape(depth, i1 - i0, n - c0)
-        D = P[:d]
-        np.matmul(L[:, i0:i1], R[:, :, c0:], out=D)
-        np.square(D, out=D)
-        for j in range(1, d):
-            D[0] += D[j]
-        yield i0, i1, P[:planes]
+
+    def __init__(self, m: int, n: int, d: int, triangular: bool = False, planes: int = 1):
+        self.L = np.empty((d, m, 2))
+        self.L[:, :, 1] = 1.0
+        self.R = np.empty((d, 2, n))
+        self.R[:, 0] = 1.0
+        self.spans = [(i0, i1, i0 if triangular else 0)
+                      for i0, i1 in _row_blocks(m, n, triangular)]
+        self.depth, self.planes = max(d, planes), planes
+        self.ws = np.empty(self.depth * max((i1 - i0) * (n - c0) for i0, i1, c0 in self.spans))
+
+    def __call__(self, X: np.ndarray, *cols: np.ndarray):
+        L, R, depth = self.L, self.R, self.depth
+        L[:, :, 0] = X.T
+        c0 = 0
+        for Y in cols:
+            np.negative(Y.T, out=R[:, 1, c0:c0 + Y.shape[0]])
+            c0 += Y.shape[0]
+        d, n = X.shape[1], R.shape[2]
+        for i0, i1, c0 in self.spans:
+            P = self.ws[:depth * (i1 - i0) * (n - c0)].reshape(depth, i1 - i0, n - c0)
+            D = P[:d]
+            np.matmul(L[:, i0:i1], R[:, :, c0:], out=D)
+            np.square(D, out=D)
+            for j in range(1, d):
+                D[0] += D[j]
+            yield i0, i1, P[:self.planes]
+
+
+def _sqdist_blocks(X: np.ndarray, Y: np.ndarray):
+    """One-use ``_Blocks`` of X's rows against the columns Y, iterated."""
+    return _Blocks(X.shape[0], Y.shape[0], X.shape[1])(X, Y)
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -244,14 +264,31 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     return out
 
 
+class _WalkPlan:
+    """The set-up of ``_walk`` over m points X and n_y points Y in dimension d: the
+    triangular ``_Blocks`` of X against X ‖ Y with 3 planes (2 without the gradient),
+    the total's column weights ``wt`` and, with ``want_grad``, the matrix
+    A = [w, w * cols] and its accumulator H. Built once, it serves every walk of
+    those shapes, whatever the points and weights; each walk overwrites it."""
+
+    def __init__(self, m: int, n_y: int, d: int, want_grad: bool = False):
+        n = m + n_y
+        self.blocks = _Blocks(m, n, d, True, 3 if want_grad else 2)
+        self.wt = np.empty(n)
+        self.A = np.empty((n, d + 1)) if want_grad else None
+        self.H = np.empty((m, d + 1)) if want_grad else None
+
+
 def _walk(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None,
-          wx: float = 1.0, wy: float = 1.0,
-          want_grad: bool = False) -> tuple[float, np.ndarray | None]:
+          wx: float = 1.0, wy: float = 1.0, want_grad: bool = False,
+          plan: _WalkPlan | None = None) -> tuple[float, np.ndarray | None]:
     """``(S, G or None)`` over validated point sets, the one summing walk:
     S = wx * sum_{i,j} K(X_i, X_j) + wy * sum_{i,j} K(X_i, Y_j) (no Y: the first term)
     and, with ``want_grad``, G = dS/dX without the j == i pairs. S has the same bits
     with or without G and runs over every pair; K(x, x) == 1, so a U-statistic
-    caller subtracts the diagonal's wx * len(X) itself.
+    caller subtracts the diagonal's wx * len(X) itself. ``plan`` is a ``_WalkPlan``
+    of these shapes, and ``want_grad`` if it is asked; without one the walk builds
+    its own.
 
     Block [i0, i1) weights its diagonal sub-block wx, the later X columns 2 wx
     (they stand for (j, i) too) and the Y columns wy, in the right-hand operands:
@@ -261,15 +298,22 @@ def _walk(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None,
     one, as its gradient is undefined there.
     """
     m = X.shape[0]
-    C = X if Y is None else np.concatenate([X, Y])
-    wg = np.full(C.shape[0], wy)  # the gradient's column weights
-    wg[:m] = 2.0 * wx
-    wt = wg.copy()  # the total's: entry i drops to wx once the block holding row i is reached
+    cols = (X,) if Y is None else (X, Y)
+    if plan is None:
+        plan = _WalkPlan(m, 0 if Y is None else Y.shape[0], X.shape[1], want_grad)
+    # The gradient's column weights; the total's entry i drops to wx once the
+    # block holding row i is reached.
+    wt, A, H = plan.wt, plan.A, plan.H
+    wt[:m] = 2.0 * wx
+    wt[m:] = wy
     if want_grad:
-        A = np.column_stack([wg, wg[:, None] * C])  # [w, w * cols]
-        H = np.zeros((m, A.shape[1]))  # row i: sum_j c_ij [w_j, w_j C_j], mirrored pairs too
+        A[:, 0] = wt
+        np.multiply(X, 2.0 * wx, out=A[:m, 1:])
+        if Y is not None:
+            np.multiply(Y, wy, out=A[m:, 1:])
+        H.fill(0.0)  # row i: sum_j c_ij [w_j, w_j C_j], mirrored pairs too
     total = 0.0
-    for i0, i1, P in _sqdist_blocks(X, C, True, 3 if want_grad else 2):
+    for i0, i1, P in plan.blocks(X, *cols):
         sq, k, coeff = P[0], P[1], P[2] if want_grad else None
         r, c = sq.shape
         diag = slice(None, None, c + 1)  # the flat positions of the pairs j == i
@@ -282,7 +326,7 @@ def _walk(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None,
         _eval_from_sqdist(spec, sq, k, coeff)
         k.reshape(-1)[diag] = 1.0
         wt[i0:i1] = wx
-        total += float((k @ wt[i0:]).sum())
+        total += float(np.add.reduce(k @ wt[i0:]))
         if not want_grad:
             continue
         if zero is not None:

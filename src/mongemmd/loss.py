@@ -30,15 +30,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernel import KernelSpec
+from .kernel import KernelSpec, _WalkPlan
 from .mmd import _source_terms, _target_term
-from .nn import MlpParams, _backward, _forward_checked
+from .nn import MlpParams, _backward, _forward_checked, _PassPlan
 from .util import as_point_pair
 
 
 def cost_values(X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """c(X_i, T_i) per row; squared Euclidean distance."""
-    return ((X - T) ** 2).sum(axis=1)
+    return np.add.reduce((X - T) ** 2, axis=1)
 
 
 def cost_grad_images(X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -65,6 +65,21 @@ def _check_batch(params: MlpParams, X, Y, inv_lambda: float):
     return X, Y
 
 
+class _StepPlan(NamedTuple):
+    """The buffers of loss evaluations on batches of one size, built once and
+    overwritten by each: the network's passes and the images' kernel walk."""
+
+    net: _PassPlan
+    walk: _WalkPlan
+
+
+def _step_plan(params: MlpParams, m: int, n: int, want_grad: bool) -> _StepPlan:
+    """A plan for batches of m source and n target points through networks shaped like
+    ``params``."""
+    return _StepPlan(_PassPlan(params.widths, m, want_grad),
+                     _WalkPlan(m, n, params.input_dim, want_grad))
+
+
 def _evaluate(
     params: MlpParams,
     X: np.ndarray,
@@ -73,16 +88,21 @@ def _evaluate(
     inv_lambda: float,
     want_grad: bool,
     yy: float,
+    plan: _StepPlan | None = None,
 ) -> tuple[LossValues, np.ndarray | None]:
     """Loss values (and gradients if ``want_grad``) of a batch that passed ``_check_batch``;
-    the reported ``mmd2`` adds the target term ``yy``."""
+    the reported ``mmd2`` adds the target term ``yy``. The work runs in ``plan``, a
+    ``_step_plan`` for these batch sizes and ``want_grad`` (a one-use plan without one),
+    and the gradient returned is its vector, overwritten by the plan's next step."""
     m = X.shape[0]
+    if plan is None:
+        plan = _step_plan(params, m, Y.shape[0], want_grad)
     # One forward pass serves the loss and, through its layer outputs, the backward pass.
-    outs = _forward_checked(params, X)
+    outs = _forward_checked(params, X, plan.net)
     T = outs[-1]
-    mean_cost = float(cost_values(X, T).mean())
+    mean_cost = float(np.add.reduce(cost_values(X, T)) / m)
     try:
-        xx_cross, g = _source_terms(kernel, T, Y, want_grad)
+        xx_cross, g = _source_terms(kernel, T, Y, want_grad, plan.walk)
     except InputError as exc:
         # Shapes were checked above, so the kernel can only refuse coincident
         # images (Matern 1/2); the map made them, so it is a numeric failure.
@@ -93,7 +113,7 @@ def _evaluate(
         raise NumericError(f"non-finite loss values: {values}")
     if not want_grad:
         return values, None
-    grads = _backward(params, outs, (inv_lambda / m) * cost_grad_images(X, T) + g)
+    grads = _backward(params, outs, (inv_lambda / m) * cost_grad_images(X, T) + g, plan.net)
     if not np.isfinite(grads).all():
         raise NumericError("non-finite loss gradient")
     return values, grads

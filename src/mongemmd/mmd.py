@@ -14,9 +14,9 @@ same multiset) sums in another order and may leave a positive residue ~1e-17.
 Each estimator makes two kernel walks (``kernel._walk``), X against X ‖ Y and
 then Y alone, each computing a pair of one set once in a cache-sized workspace,
 whatever the set sizes. The loss takes the same two terms, with the first one's
-gradient, so its reported statistic equals ``mmd2_unbiased`` bit for bit. Sets
-too far apart for a finite squared distance get kernel value 0 without an
-overflow warning.
+gradient, so its reported statistic equals ``mmd2_unbiased`` bit for bit;
+training walks every step's first term in one walk plan. Sets too far apart for
+a finite squared distance get kernel value 0 without an overflow warning.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .kernel import KernelFamily, KernelSpec, _walk
+from .kernel import KernelFamily, KernelSpec, _walk, _WalkPlan
 from .util import as_point_pair
 
 
@@ -44,13 +44,14 @@ def _target_term(spec: KernelSpec, Y: np.ndarray) -> float:
     return (_walk(spec, Y)[0] - n) / (n * (n - 1))
 
 
-def _source_terms(spec: KernelSpec, X: np.ndarray, Y: np.ndarray,
-                  want_grad: bool = False) -> tuple[float, np.ndarray | None]:
+def _source_terms(spec: KernelSpec, X: np.ndarray, Y: np.ndarray, want_grad: bool = False,
+                  plan: _WalkPlan | None = None) -> tuple[float, np.ndarray | None]:
     """The X-dependent part of the unbiased statistic, sum_{i!=j} K(X_i, X_j) / (M(M-1))
-    - 2 sum_{i,j} K(X_i, Y_j) / (MN), and with ``want_grad`` its gradient in X: one walk."""
+    - 2 sum_{i,j} K(X_i, Y_j) / (MN), and with ``want_grad`` its gradient in X: one walk,
+    in ``plan`` if given."""
     m, n = X.shape[0], Y.shape[0]
     wx = 1.0 / (m * (m - 1))
-    total, grad = _walk(spec, X, Y, wx, -2.0 / (m * n), want_grad)
+    total, grad = _walk(spec, X, Y, wx, -2.0 / (m * n), want_grad, plan)
     # K(x, x) == 1 exactly for every supported family, so the diagonal adds m * wx.
     return total - m * wx, grad
 

@@ -39,21 +39,22 @@ def _activation(name) -> Activation:
         raise InputError(f"unknown activation {name!r}; expected relu, tanh or identity") from exc
 
 
-def _apply(act: Activation, a: np.ndarray) -> np.ndarray:
+def _apply(act: Activation, a: np.ndarray) -> None:
+    """Apply the activation to ``a`` in place."""
     if act is Activation.RELU:
-        return np.maximum(a, 0.0)
-    if act is Activation.TANH:
-        return np.tanh(a)
-    return a
+        np.maximum(a, 0.0, out=a)
+    elif act is Activation.TANH:
+        np.tanh(a, out=a)
 
 
-def _derivative(act: Activation, post: np.ndarray) -> np.ndarray | None:
-    """Activation derivative from the layer's output, or None for identity (multiplying by
-    ones is wasted work). ReLU's ``post > 0`` is ``pre > 0``, as max(a, 0) > 0 iff a > 0."""
+def _derivative(act: Activation, post: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """Activation derivative from the layer's output, written into ``out``, or None for
+    identity (multiplying by ones is wasted work). ReLU's ``post > 0`` is ``pre > 0``,
+    as max(a, 0) > 0 iff a > 0."""
     if act is Activation.RELU:
-        return (post > 0.0).astype(np.float64)
+        return np.greater(post, 0.0, out=out)
     if act is Activation.TANH:
-        return 1.0 - post * post
+        return np.subtract(1.0, np.multiply(post, post, out=out), out=out)
     return None
 
 
@@ -185,12 +186,34 @@ def init_params(
     return MlpParams(weights, biases, acts)
 
 
-def _forward_checked(params: MlpParams, X: np.ndarray) -> list[np.ndarray]:
-    """Forward pass on validated points: every layer's output, ``[X, h_1, ..., T(X)]``;
-    refuses a non-finite output with NumericError."""
-    outs = [X]
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        outs.append(_apply(act, outs[-1] @ w.T + b))
+class _PassPlan:
+    """The arrays that passes of ``batch`` points through a network of ``widths`` write:
+    every layer's output and, with ``want_grad``, every layer's backward delta and
+    activation derivative, and the gradient vector with its per-layer views, split
+    once. Built once, it serves every pass of that shape; each pass overwrites it."""
+
+    def __init__(self, widths: Sequence[int], batch: int, want_grad: bool = False):
+        self.outs = [None] + [np.empty((batch, w)) for w in widths[1:]]
+        if want_grad:
+            self.deltas = [np.empty((batch, w)) for w in widths[1:]]
+            self.dacts = [np.empty((batch, w)) for w in widths[1:]]
+            self.grads = np.empty(n_params(widths))
+            self.layers = _tile(widths, self.grads, self.grads.size)
+
+
+def _forward_checked(params: MlpParams, X: np.ndarray,
+                     plan: _PassPlan | None = None) -> list[np.ndarray]:
+    """Forward pass on validated points: every layer's output, ``[X, h_1, ..., T(X)]``,
+    written into ``plan`` (a one-use plan without one); refuses a non-finite output
+    with NumericError."""
+    if plan is None:
+        plan = _PassPlan(params.widths, X.shape[0])
+    outs = plan.outs
+    outs[0] = X
+    for l, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
+        h = np.matmul(outs[l], w.T, out=outs[l + 1])
+        h += b
+        _apply(act, h)
     if not np.isfinite(outs[-1]).all():
         raise NumericError("forward pass produced non-finite values")
     return outs
@@ -221,20 +244,21 @@ def mlp_backward(params: MlpParams, X, upstream) -> np.ndarray:
         )
     if X.shape[1] != params.input_dim:
         raise InputError(f"expected dimension {params.input_dim}, got {X.shape[1]}")
-    return _backward(params, _forward_checked(params, X), upstream)
+    plan = _PassPlan(params.widths, X.shape[0], want_grad=True)
+    return _backward(params, _forward_checked(params, X, plan), upstream, plan)
 
 
-def _backward(params: MlpParams, outs: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
-    """``mlp_backward`` from the ``_forward_checked`` result of the same points."""
-    grads = np.empty_like(params.flat)
-    layers = params.split(grads)
+def _backward(params: MlpParams, outs: list[np.ndarray], upstream: np.ndarray,
+              plan: _PassPlan) -> np.ndarray:
+    """``mlp_backward`` from the ``_forward_checked`` result of the same points, into
+    ``plan``'s gradient vector, which it returns; ``upstream`` is left unchanged."""
     delta = upstream
     for l in range(params.n_layers - 1, -1, -1):
-        dact = _derivative(params.activations[l], outs[l + 1])
+        dact = _derivative(params.activations[l], outs[l + 1], plan.dacts[l])
         if dact is not None:
-            delta = delta * dact
-        np.matmul(delta.T, outs[l], out=layers[l][0])
-        np.sum(delta, axis=0, out=layers[l][1])
+            delta = np.multiply(delta, dact, out=plan.deltas[l])
+        np.matmul(delta.T, outs[l], out=plan.layers[l][0])
+        np.add.reduce(delta, axis=0, out=plan.layers[l][1])
         if l > 0:
-            delta = delta @ params.weights[l]
-    return grads
+            delta = np.matmul(delta, params.weights[l], out=plan.deltas[l - 1])
+    return plan.grads

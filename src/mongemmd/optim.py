@@ -6,7 +6,10 @@ bit-exactly by serializing the state.
 
 Adam is element-wise, so the gradient and both moments are plain float64 vectors
 shaped like the parameters' ``flat``: an update is a few whole-vector operations,
-bit-equal to a loop over the layers that ``MlpParams.split`` gives.
+bit-equal to a loop over the layers that ``MlpParams.split`` gives. One core,
+``_adam_update``, applies them in place to a parameter vector and its moments;
+``adam_step`` runs it on fresh copies, and training runs it on the run's own
+buffers, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -51,6 +54,30 @@ def adam_init(params: MlpParams, hyper: AdamHyper | None = None) -> AdamState:
     )
 
 
+def _moment_copies(state: AdamState, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float64 copies of both moments, for ``_adam_update`` to overwrite;
+    InputError unless each is a vector of ``size`` entries."""
+    if not np.shape(state.first_moment) == np.shape(state.second_moment) == (size,):
+        raise InputError(f"optimizer moments must be vectors of {size} parameters")
+    return (np.array(state.first_moment, dtype=np.float64),
+            np.array(state.second_moment, dtype=np.float64))
+
+
+def _adam_update(hyper: AdamHyper, t: int, flat: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 g: np.ndarray) -> None:
+    """Adam's update number ``t`` of ``flat`` and its moments ``m``, ``v`` by the finite
+    gradient ``g``, in place; NumericError if it overflows a parameter, after which
+    all three hold the failed update."""
+    m *= hyper.beta1
+    m += (1.0 - hyper.beta1) * g
+    v *= hyper.beta2
+    v += (1.0 - hyper.beta2) * (g * g)
+    flat -= hyper.learning_rate * (m / (1.0 - hyper.beta1 ** t)) / (
+        np.sqrt(v / (1.0 - hyper.beta2 ** t)) + hyper.eps)
+    if not np.isfinite(flat).all():
+        raise NumericError("update overflowed the parameters; optimizer state left unchanged")
+
+
 def adam_step(state: AdamState, params: MlpParams, grads: np.ndarray) -> tuple[AdamState, MlpParams]:
     """One Adam update with bias correction, over the whole flat parameter vector.
 
@@ -59,20 +86,13 @@ def adam_step(state: AdamState, params: MlpParams, grads: np.ndarray) -> tuple[A
     that overflows a parameter; in either numeric case nothing is consumed
     and the caller still holds the previous state and parameters.
     """
+    m, v = _moment_copies(state, params.flat.size)
     g = np.asarray(grads, dtype=np.float64)
-    if not (g.shape == np.shape(state.first_moment) == np.shape(state.second_moment)
-            == params.flat.shape):
-        raise InputError(f"gradient and optimizer moments must be vectors of "
-                         f"{params.flat.size} parameters")
+    if g.shape != params.flat.shape:
+        raise InputError(f"gradient must be a vector of {params.flat.size} parameters")
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient; optimizer state left unchanged")
-    h = state.hyper
     t = state.step_count + 1
-    bc1 = 1.0 - h.beta1 ** t
-    bc2 = 1.0 - h.beta2 ** t
-    m = h.beta1 * state.first_moment + (1.0 - h.beta1) * g
-    v = h.beta2 * state.second_moment + (1.0 - h.beta2) * (g * g)
-    p = params.flat - h.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + h.eps)
-    if not np.isfinite(p).all():
-        raise NumericError("update overflowed the parameters; optimizer state left unchanged")
-    return AdamState(h, m, v, t), params._with_flat(p)
+    flat = params.flat.copy()
+    _adam_update(state.hyper, t, flat, m, v, g)
+    return AdamState(state.hyper, m, v, t), params._with_flat(flat)

@@ -33,27 +33,28 @@ returned as a transposed (Fortran-ordered) view. The order is decided at the
 first entry where the cost and its transpose differ bit for bit, found one
 row block at a time. The transposed instance is solved on the view cost.T,
 no copy: K is C-ordered in both orientations, and the row minima, the
-kernel builds and the log-domain half-steps read the view, the build one
-tile of _TILE_COLS columns at a time so that the strided reads stay in
-cache. Either orientation executes the same arithmetic on the same plan
+kernel builds and the log-domain half-steps read the view, the builds and
+half-steps one tile of _TILE_COLS columns at a time so that the strided
+reads stay in cache. Either orientation executes the same arithmetic on the same plan
 buffer, down to the reported violation, which makes transposition an exact
 symmetry of the output; a self-transposed instance (symmetric cost, equal
 marginals) is symmetrized for the same reason.
 
-Every pass over the n-by-n matrices (the cost check and row minima, the
-kernel builds, both mat-vecs, the final scaling and the violation's sums)
-runs in contiguous spans of rows or columns, one per lane:
-min(free CPUs, entries // _LANE_ELEMS) lanes, at least one, so a small
-problem, or one solved beside a threaded BLAS's workers, runs in the calling
-thread alone. Span 0 runs in the calling thread and the others on a thread
-pool that lives for one solve, each in a copy of the caller's context, so
-``np.errstate`` holds in every lane. Spans start at multiples of _LANE_ALIGN
-rows or columns, where the vectorised numpy and BLAS kernels meet every
-entry at the offset of their unrolled loops that one span gives it; so,
-while each BLAS call runs on one thread, every output entry has the same
-bits whatever the lane count. The kernel builds and the final scaling walk
-each span in bands of _LANE_ALIGN rows, so that a band's several passes run
-in cache. The log-domain half-steps and the vector-sized updates stay serial.
+Every pass over the n-by-n matrices but the log-domain reductions (the cost
+check and row minima, the kernel builds and log-domain fills, both mat-vecs,
+the final scaling and the violation's sums) runs in contiguous spans of rows
+or columns, one per lane: min(free CPUs, entries // _LANE_ELEMS) lanes, at
+least one, so a small problem, or one solved beside a threaded BLAS's
+workers, runs in the calling thread alone. Span 0 runs in the calling thread
+and the others on a thread pool that lives for one solve, each in a copy of
+the caller's context, so ``np.errstate`` holds in every lane. Spans start at
+multiples of _LANE_ALIGN rows or columns, where the vectorised numpy and
+BLAS kernels meet every entry at the offset of their unrolled loops that one
+span gives it; so, while each BLAS call runs on one thread, every output
+entry has the same bits whatever the lane count. The kernel builds, the
+log-domain half-steps' fills of K and the final scaling walk each span in
+bands of _LANE_ALIGN rows, so that a band's several passes run in cache. The
+half-steps' reductions and the vector-sized updates stay serial.
 """
 
 from __future__ import annotations
@@ -292,9 +293,9 @@ def _bands(fn, m: int, lanes) -> None:
     lanes.run(lambda r0, r1: [fn(i0, i1) for i0, i1 in _spans(r0, r1, _LANE_ALIGN)], m)
 
 
-def _gibbs(K, C, f, g, epsilon, lanes) -> tuple[np.ndarray, np.ndarray]:
-    """Write the stabilised kernel exp((f + g - C) / epsilon) into K; return the
-    unit scalings u, v that go with it.
+def _fill(K, C, f, g, epsilon, lanes, exp: bool = False) -> None:
+    """Write (f_i + g_j - C_ij) / epsilon into K, and its exp with ``exp``; a
+    potential given as None is left out of the sum, not added as zero.
 
     K is written one band of rows at a time. C may be a transposed view; its
     columns are then read _TILE_COLS at a time, so each band reads it in tiles
@@ -308,14 +309,25 @@ def _gibbs(K, C, f, g, epsilon, lanes) -> tuple[np.ndarray, np.ndarray]:
     def build(i0, i1):
         # f_i + g_j as a row fill and a contiguous add: the outer add's bits, faster.
         band = K[i0:i1]
-        band[...] = f[i0:i1, None]
-        band += g
+        if f is None:
+            band[...] = g
+        else:
+            band[...] = f[i0:i1, None]
+            if g is not None:
+                band += g
         for j0 in range(0, n, cols):
             tile = band[:, j0:j0 + cols]
             tile -= C[i0:i1, j0:j0 + cols]
         band /= epsilon
-        np.exp(band, out=band)
+        if exp:
+            np.exp(band, out=band)
     _bands(build, K.shape[0], lanes)
+
+
+def _gibbs(K, C, f, g, epsilon, lanes) -> tuple[np.ndarray, np.ndarray]:
+    """Write the stabilised kernel exp((f + g - C) / epsilon) into K; return the
+    unit scalings u, v that go with it."""
+    _fill(K, C, f, g, epsilon, lanes, exp=True)
     return np.ones_like(f), np.ones_like(g)
 
 
@@ -333,11 +345,11 @@ def _vecmat(u, K, lanes) -> np.ndarray:
     return out
 
 
-def _log_potential(K, C, other, log_w, epsilon, axis) -> np.ndarray:
+def _log_potential(K, C, other, log_w, epsilon, axis, lanes) -> np.ndarray:
     """The log-domain half-step epsilon * (log_w - logsumexp((other - C) / epsilon)),
-    reduced along ``axis``, with ``other`` broadcast against C; K is scratch."""
-    np.subtract(other, C, out=K)
-    K /= epsilon
+    reduced along ``axis``: ``other`` is g, one entry per column, for axis 1 and f,
+    one per row, for axis 0. K is scratch, filled as the kernel builds fill it."""
+    _fill(K, C, None if axis == 1 else other, other if axis == 1 else None, epsilon, lanes)
     return epsilon * (log_w - _logsumexp(K, axis))
 
 
@@ -371,13 +383,13 @@ def _solve(C, a, b, epsilon, max_iters, tol, lanes) -> tuple[np.ndarray, int]:
             # in the log domain.
             with np.errstate(divide="ignore"):
                 g += epsilon * np.log(v)
-            f = _log_potential(K, C, g[None, :], log_a, epsilon, 1)
+            f = _log_potential(K, C, g, log_a, epsilon, 1, lanes)
             u, v = _gibbs(K, C, f, g, epsilon, lanes)
         v = _scaling(b, _vecmat(u, K, lanes))
         if v is None:
             with np.errstate(divide="ignore"):
                 f += epsilon * np.log(u)
-            g = _log_potential(K, C, f[:, None], log_b, epsilon, 0)
+            g = _log_potential(K, C, f, log_b, epsilon, 0, lanes)
             u, v = _gibbs(K, C, f, g, epsilon, lanes)
         Kv = _matvec(K, v, lanes)
         viol = float(np.abs(u * Kv - a).max())

@@ -16,6 +16,13 @@ order: those terms are computed once per ``train`` call, so a step makes one ker
 walk (images against images ‖ targets), and any U-statistic over target points
 estimates E K(Y, Y') without bias. Epoch 1's row, and every row without shuffling,
 equals the batch statistic itself.
+
+Every step of a ``train`` call has the same shapes, so the call sets them up once:
+one step plan (``loss._step_plan``: the network passes' arrays, the gradient vector
+and the kernel walk's workspace) and its own copies of the parameters and Adam
+moments, which the in-place Adam core updates. Each epoch gathers its batches with
+one fancy index per set. The bits are those of the public loss and ``adam_step``,
+and a step that fails leaves the caller's state as it was.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .kernel import KernelSpec
-from .loss import LossValues, _evaluate
+from .loss import LossValues, _evaluate, _step_plan
 from .mmd import _target_term
 from .nn import Activation, MlpParams, init_params
-from .optim import AdamHyper, AdamState, adam_init, adam_step
+from .optim import AdamHyper, AdamState, _adam_update, _moment_copies, adam_init
 from .util import _typed, as_point_pair, check_settings, setting
 
 SHUFFLE_STREAM = 1
@@ -195,28 +202,40 @@ def train(
         raise InputError("cannot resume: the config changes settings the checkpoint was"
                          " trained with (" + "; ".join(changed) + ")")
 
-    params, opt, h = state.params, state.optimizer, state.history
+    h, hyper, batch = state.history, state.optimizer.hyper, config.batch_size
     history = LossHistory(list(h.epochs), list(h.objective), list(h.mmd2), list(h.cost))
-    n_batches = n_pairs // config.batch_size
-    batches = [slice(b * config.batch_size, (b + 1) * config.batch_size) for b in range(n_batches)]
+    # This call's own parameters and moments, updated in place step by step; a
+    # failed step leaves ``state`` as it was.
+    params = state.params.copy()
+    m, v = _moment_copies(state.optimizer, params.flat.size)
+    t = state.optimizer.step_count
+    n_batches = n_pairs // batch
+    k = n_batches * batch
     sizes = source.shape[0], target.shape[0]
     yy = []  # the target term of batch b of epoch 1's order, reported for batch b of every epoch
     if start < config.epochs:
         order_y = _epoch_order(config, *sizes, 1)[1]
-        yy = [_target_term(config.kernel, target[order_y[sl]]) for sl in batches]
+        yy = [_target_term(config.kernel, target[order_y[i:i + batch]])
+              for i in range(0, k, batch)]
+        plan = _step_plan(params, batch, batch, True)
     for epoch in range(start + 1, config.epochs + 1):
         order_x, order_y = _epoch_order(config, *sizes, epoch)
-        tot = np.zeros(3)
-        for b, sl in enumerate(batches):
+        xs, ys = source[order_x[:k]], target[order_y[:k]]
+        objective = mmd2 = cost = 0.0
+        for b in range(n_batches):
+            i = b * batch
             try:
-                values, grads = _evaluate(params, source[order_x[sl]], target[order_y[sl]],
-                                          config.kernel, config.inv_lambda, True, yy[b])
-                opt, params = adam_step(opt, params, grads)
+                values, grads = _evaluate(params, xs[i:i + batch], ys[i:i + batch],
+                                          config.kernel, config.inv_lambda, True, yy[b], plan)
+                t += 1
+                _adam_update(hyper, t, params.flat, m, v, grads)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {b}: {exc}") from exc
-            tot += np.array(values)
-        mean = LossValues(*(tot / n_batches))
+            objective += values.objective
+            mmd2 += values.mmd2
+            cost += values.mean_cost
+        mean = LossValues(objective / n_batches, mmd2 / n_batches, cost / n_batches)
         history.append(epoch, mean)
         if progress is not None:
             progress(epoch, mean)
-    return TrainState(params, opt, config.epochs, history)
+    return TrainState(params, AdamState(hyper, m, v, t), config.epochs, history)

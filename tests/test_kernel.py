@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import mongemmd.kernel as kmod
 from mongemmd import (Activation, InputError, KernelSpec, MlpParams, NumericError, kernel_eval,
                       kernel_grad_x, kernel_gram, squared_distance_matrix)
-from mongemmd.kernel import KernelFamily, MaternOrder, _row_blocks, _sqdist, _walk
+from mongemmd.kernel import KernelFamily, MaternOrder, _WalkPlan, _row_blocks, _sqdist, _walk
 from mongemmd.loss import _evaluate
 
 
@@ -570,3 +570,43 @@ class TestWalk:
                 # points lie >= 1/4 apart, so the walk's x_i * sum(c w) - sum(c w x_j)
                 # rounds within a few ulps of 28 times a row's term scale.
                 assert np.all(np.abs(grad - ref_grad) <= 1e-12 * ref_grad_scale[:, None])
+
+
+class TestWalkPlan:
+    """A walk plan built once serves any number of walks of its shapes: two walks in one
+    plan give the bits of two walks that each build their own, whatever the first left in
+    the workspace, the weight columns or the accumulator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 9), ny=st.sampled_from([0, 1, 4, 9]), d=st.integers(1, 3),
+           want_grad=st.booleans(), seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+           twin=st.booleans(), data=st.data())
+    def test_a_reused_plan_gives_the_bits_of_one_use_plans(self, m, ny, d, want_grad, seeds,
+                                                         twin, data):
+        weight = st.floats(-2.0, 2.0).filter(lambda w: w == 0.0 or abs(w) >= 1e-3)
+        budget = data.draw(st.integers(1, m * (m + ny)), label="budget")
+        walks = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((m, d))
+            if twin:  # a coincident pair: the smooth families' zero-coefficient mask runs
+                X[1] = X[0]
+            Y = rng.standard_normal((ny, d)) + 1.0 if ny else None
+            walks.append((X, Y, data.draw(weight, label="wx"), data.draw(weight, label="wy")))
+        specs = [KernelSpec(alpha=0.7)] + [
+            KernelSpec(family="matern", matern_order=order, lengthscale=1.3)
+            for order in ("half", "three_halves", "five_halves")]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmod, "_BLOCK_ELEMS", budget)
+            for spec in specs:
+                if want_grad and twin and is_half(spec):
+                    continue
+                plan = _WalkPlan(m, ny, d, want_grad)
+                for X, Y, wx, wy in walks:
+                    total, grad = _walk(spec, X, Y, wx, wy, want_grad, plan)
+                    ref_total, ref_grad = _walk(spec, X, Y, wx, wy, want_grad)
+                    assert total == ref_total
+                    if want_grad:
+                        assert grad.tobytes() == ref_grad.tobytes()
+                    else:
+                        assert grad is None and ref_grad is None

@@ -24,10 +24,11 @@ ALL_FAMILIES = [GAUSS] + [KernelSpec(family="matern", matern_order=order)
                           for order in ("half", "three_halves", "five_halves")]
 
 
-def frozen_one_block_walk(spec, X, Y=None, wx=1.0, wy=1.0, want_grad=False):
+def frozen_one_block_walk(spec, X, Y=None, wx=1.0, wy=1.0, want_grad=False, plan=None):
     """The weighted kernel sum of sets that fit in one row block, frozen as the one
     walk computes it: X against X ‖ Y as one Gram block, K(x, x) == 1 on the j == i
-    pairs, which have no gradient, and the column weights in the right-hand operands."""
+    pairs, which have no gradient, and the column weights in the right-hand operands.
+    It takes ``_walk``'s arguments and ignores the walk plan."""
     m = X.shape[0]
     C = X if Y is None else np.concatenate([X, Y])
     sq = kernel._sqdist(X, C)
@@ -245,6 +246,23 @@ class TestConsistency:
             values = monge_mmd_loss(params, X, Y, GAUSS, 1e-2)
             T = mlp_forward_batch(params, X)
             assert values.mmd2 == mmd2_unbiased(GAUSS, T, Y)
+
+    @pytest.mark.parametrize("act", [Activation.TANH, Activation.RELU])
+    def test_a_reused_step_plan_gives_the_bits_of_one_use_plans(self, act):
+        """Training evaluates every batch in one step plan; each evaluation has the bits
+        of one in a fresh plan, whatever the network, the kernel or the last batch left
+        in it. Two hidden layers make the backward pass carry a delta between them."""
+        rng = np.random.default_rng(41)
+        plan = loss_module._step_plan(init_params((2, 9, 7, 2)), 12, 12, True)
+        for seed, spec in enumerate(ALL_FAMILIES[:1] + ALL_FAMILIES[2:] + ALL_FAMILIES[:1]):
+            params = init_params((2, 9, 7, 2), hidden_activation=act, seed=seed)
+            X = rng.standard_normal((12, 2))
+            Y = rng.standard_normal((12, 2)) + 1.0
+            got, grads = loss_module._evaluate(params, X, Y, spec, 1e-2, True, 0.25, plan)
+            grads = grads.tobytes()  # the plan's vector, overwritten by its next step
+            want, want_grads = loss_module._evaluate(params, X, Y, spec, 1e-2, True, 0.25)
+            assert got == want, spec
+            assert grads == want_grads.tobytes(), spec
 
     def test_loss_values_is_a_named_tuple(self):
         v = LossValues(1.0, 2.0, 3.0)

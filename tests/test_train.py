@@ -257,6 +257,31 @@ class TestEquivalence:
         assert state_bytes(resumed) == state_bytes(state)
 
 
+class TestStepPlan:
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_five_epochs_equal_a_hand_loop_of_the_public_calls(self, shuffle):
+        """A batch-60 run in one step plan, with per-epoch gathers and the in-place Adam
+        core, keeps the bits of the public loss and ``adam_step`` over the same batches:
+        the history (its ``mmd2`` after epoch 1 only without shuffling, as above) and the
+        final parameters, moments and step count. 150 points leave 30 out of each epoch."""
+        src, tgt = clouds(n=150)
+        cfg = TrainConfig(epochs=5, batch_size=60, hidden_widths=(64,),
+                          hidden_activation="tanh", inv_lambda=1e-6, shuffle=shuffle, seed=4)
+        params, opt, rows, _ = reference_train(cfg, src, tgt)
+        state = train(cfg, src, tgt)
+        assert state.params.flat.tobytes() == params.flat.tobytes()
+        assert state.optimizer.first_moment.tobytes() == opt.first_moment.tobytes()
+        assert state.optimizer.second_moment.tobytes() == opt.second_moment.tobytes()
+        assert state.optimizer.step_count == opt.step_count == 10
+        h = state.history
+        assert h.epochs == [1, 2, 3, 4, 5]
+        assert list(zip(h.objective, h.cost)) == [(o, c) for o, _, c in rows]
+        if shuffle:
+            assert h.mmd2[0] == rows[0][1]
+        else:
+            assert h.mmd2 == [m for _, m, _ in rows]
+
+
 def count_as_points(monkeypatch):
     """Route every mongemmd module's binding of ``util.as_points`` through a counter."""
     calls = []
@@ -411,6 +436,23 @@ class TestTrainingErrors:
         cfg = TrainConfig(epochs=1, batch_size=10, hidden_widths=(4,), seed=0)
         with pytest.raises(NumericError, match="epoch 1, batch 0"):
             train(cfg, src * 1e200, tgt)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_numeric_error_mid_run_leaves_the_resumed_state_alone(self):
+        """train() updates its own copies of the parameters and moments in place: a
+        failure after some steps of a resumed run leaves the caller's state, history
+        included, byte for byte as it was. Without shuffling, row 25 lies in batch 2, so
+        batches 0 and 1 of epoch 3 update the copies before it overflows the cost."""
+        src, tgt = clouds(n=30)
+        cfg = TrainConfig(epochs=4, batch_size=10, hidden_widths=(4,), shuffle=False, seed=0)
+        mid = train(replace(cfg, epochs=2), src, tgt)
+        before = state_bytes(mid)
+        bad = src.copy()
+        bad[25] = 1e200
+        with pytest.raises(NumericError, match="^epoch 3, batch 2: "):
+            train(cfg, bad, tgt, state=mid)
+        assert state_bytes(mid) == before
+        assert state_bytes(train(cfg, src, tgt, state=mid)) == state_bytes(train(cfg, src, tgt))
 
     def test_coincident_matern_half_images_report_epoch_and_batch(self):
         src, tgt = clouds(n=10)

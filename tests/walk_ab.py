@@ -14,8 +14,11 @@ prints, per size, the median time of each and their ratio (one walk / two walks)
   ``mmd2_unbiased`` (two walks) against the frozen three walks.
 
 Last it reruns itself once under the default allocator and once under
-``MALLOC_MMAP_THRESHOLD_=131072`` and prints the minor page faults
-(``ru_minflt``) per batch-500 step of each form.
+``MALLOC_MMAP_THRESHOLD_=131072``, each in a fresh process, and prints the
+minor page faults (``ru_minflt``) per ``train()`` step at batch 500 (two_moons
+to two_circles, n = 2000, relu, width 64): after one warm-up run, a 12-epoch
+run's faults from the end of epoch 1 to the end, over its 44 steps. Run
+alone, that part is ``python tests/walk_ab.py --faults-only``.
 """
 
 from __future__ import annotations
@@ -32,14 +35,17 @@ import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from mongemmd.data import DatasetSpec, generate  # noqa: E402
 from mongemmd.kernel import KernelFamily, KernelSpec, MaternOrder  # noqa: E402
 from mongemmd.mmd import _source_terms, mmd2_unbiased  # noqa: E402
+from mongemmd.train import TrainConfig, train  # noqa: E402
 
 # --- The two walks as they were before the one walk replaced them, frozen. ---
 
@@ -167,31 +173,31 @@ def alternate(old, new, reps):
     return float(np.median(t_old)), float(np.median(t_new))
 
 
-def faults_per_call(call, reps):
-    call()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(reps):
-        call()
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / reps
-
-
-def report_faults(reps):
-    spec = KernelSpec()
-    T, Y = clouds(500, 3)
-    old = faults_per_call(lambda: two_walks(spec, T, Y), reps)
-    new = faults_per_call(lambda: _source_terms(spec, T, Y, True), reps)
+def report_faults():
+    """Minor faults per train() step at batch 500, from the end of epoch 1 on."""
+    config = TrainConfig(epochs=12, batch_size=500, hidden_widths=(64,),
+                         hidden_activation="relu", inv_lambda=1e-6)
+    source = generate(DatasetSpec(family="two_moons", n=2000, seed=1))
+    target = generate(DatasetSpec(family="two_circles", n=2000, seed=2))
+    train(replace(config, epochs=1), source, target)
+    marks = []
+    train(config, source, target,
+          progress=lambda epoch, values: marks.append(
+              resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+    steps = (config.epochs - 1) * (len(source) // config.batch_size)
     mode = os.environ.get("MALLOC_MMAP_THRESHOLD_", "default")
-    print(f"  mmap threshold {mode:>8}: two walks {old:7.1f}, one walk {new:7.1f}"
-          " minor faults per batch-500 step")
+    print(f"  mmap threshold {mode:>8}: {(marks[-1] - marks[0]) / steps:7.2f}"
+          f" minor faults per train() step at batch 500 ({steps} steps)")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=41, help="timed calls per form and size")
-    ap.add_argument("--faults-only", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--faults-only", action="store_true",
+                    help="print the faults per train() step in this process's allocator mode")
     args = ap.parse_args()
     if args.faults_only:
-        report_faults(args.reps)
+        report_faults()
         return
     print(f"numpy {np.__version__}, {os.cpu_count()} cpus,"
           f" OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
@@ -220,8 +226,8 @@ def main():
     print("minor page faults (each mode in a fresh process):")
     for extra in ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"}):
         env = {k: v for k, v in os.environ.items() if k != "MALLOC_MMAP_THRESHOLD_"}
-        subprocess.run([sys.executable, __file__, "--faults-only", "--reps", "50"],
-                       env={**env, **extra}, check=True)
+        subprocess.run([sys.executable, __file__, "--faults-only"], env={**env, **extra},
+                       check=True)
 
 
 if __name__ == "__main__":
