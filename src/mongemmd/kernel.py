@@ -14,17 +14,20 @@ For every family the spatial gradient factors as
 ``dK/dx (x, y) = coeff(r) * (x - y)``; one formula routine gives the values
 and, when asked, the coefficients, sharing one exponential between them.
 
-All arithmetic is float64. Squared distances come from one routine,
-``_Blocks``, which forms every coordinate's differences X_ij - Y_kj as
-one matrix product of the factors [X[:, j], 1] and [1; -Y[:, j]], squares
-them in place and sums one coordinate at a time; the Gram matrix, the
-batched routines, the scalar ``kernel_eval`` and the Sinkhorn cost matrix
-all use it, so their entries agree bit for bit at every dimension. Each
-product entry is x * 1 + 1 * (-y), two exact products whose sum is rounded
-once in any order, with or without FMA, so it is fl(x - y), the broadcast
-subtraction's bits; a zero may come out as -0.0, which squaring erases. Points
-more than ~1.3e154 apart overflow their squared distance to inf, whose kernel
-value 0 is the right limit. The public entries silence that overflow with
+All arithmetic is float64. Squared distances come from one set of factors,
+``_Factors``: every coordinate's differences X_ij - Y_kj are the matrix
+product of [X[:, j], 1] and [1; -Y[:, j]], squared in place and summed one
+coordinate at a time, in index order. ``_Blocks`` forms a row block's
+products for all coordinates at once in a workspace, for the Gram matrix, the
+batched routines and the scalar ``kernel_eval``; ``_sqdist`` writes the
+Sinkhorn cost matrix in place, one cache-sized band of rows at a time, on
+the spans its caller gives. Their entries agree bit for bit at every
+dimension. Each product entry is x * 1 + 1 * (-y), two exact products whose
+sum is rounded once in any order, with or without FMA, so it is fl(x - y), the
+broadcast subtraction's bits; a zero may come out as -0.0, which squaring
+erases. Points more than ~1.3e154 apart overflow their squared distance to
+inf, whose kernel value 0 is the right limit. The public entries silence that
+overflow with
 ``np.errstate``; the training step's walk below does not, since entering it
 costs microseconds, a noticeable share of a small-batch step.
 
@@ -66,6 +69,9 @@ from .util import as_point_pair, check_settings, setting
 # its workspace of three planes (d <= 3) stays within a 1 MiB L2. The block
 # edges set the order in which every kernel sum adds up.
 _BLOCK_ELEMS = 16000
+# A band of a distance matrix written in place holds about this many entries, one
+# float64 plane of 512 KiB: with its scratch band it stays within a 2 MiB L2.
+_BAND_ELEMS = 1 << 16
 # A Matern argument z beyond which exp(-z) is exactly 0 in float64 (it is from
 # ~745.2 on): capping z there changes no value and keeps an infinite z out of inf * 0.
 _Z_MAX = 1000.0
@@ -148,15 +154,50 @@ def _as_vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return X[0], Y[0]
 
 
-class _Blocks:
+class _Factors:
+    """The per-coordinate factors L[j] = [X[:, j], 1] (m x 2) and R[j] = [1; -Y[:, j]]
+    (2 x n) of m points X against n columns in dimension d: the product L[j] @ R[j]
+    holds every difference X_ij - Y_kj. The buffers are allocated once; ``load``
+    fills them for given points and serves any number of products."""
+
+    def __init__(self, m: int, n: int, d: int):
+        self.L = np.empty((d, m, 2))
+        self.L[:, :, 1] = 1.0
+        self.R = np.empty((d, 2, n))
+        self.R[:, 0] = 1.0
+
+    def load(self, X: np.ndarray, *cols: np.ndarray) -> None:
+        """Fill the factors of the rows X against the columns cols[0] ‖ cols[1] ‖ ..."""
+        self.L[:, :, 0] = X.T
+        c0 = 0
+        for Y in cols:
+            np.negative(Y.T, out=self.R[:, 1, c0:c0 + Y.shape[0]])
+            c0 += Y.shape[0]
+
+    def rows(self, i0: int, i1: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write the squared distances of rows [i0, i1) to every column into ``out``.
+
+        Coordinate 0's product goes straight into ``out``; each later one goes
+        through ``scratch``, of ``out``'s shape, and is added in index order, so the
+        entries have the bits of a ``_Blocks`` block's first plane.
+        """
+        L, R = self.L, self.R
+        np.matmul(L[0, i0:i1], R[0], out=out)
+        np.square(out, out=out)
+        for j in range(1, L.shape[0]):
+            np.matmul(L[j, i0:i1], R[j], out=scratch)
+            np.square(scratch, out=scratch)
+            out += scratch
+
+
+class _Blocks(_Factors):
     """The row blocks of ``_row_blocks`` for m points X against n columns in dimension d:
     iterating ``blocks(X, *cols)`` yields ``(i0, i1, P)`` per block, where ``P`` is
     ``planes`` arrays of the block's shape, the first holding the squared distances of
     rows X[i0:i1] to the columns cols[0] ‖ cols[1] ‖ ... from i0 on (triangular, where
     X is the first m columns) or from 0, the rest free.
 
-    The per-coordinate factors L[j] = [X[:, j], 1] (m x 2) and R[j] = [1; -Y[:, j]]
-    (2 x n) are filled once per call; one ``np.matmul`` of their slices gives a
+    The factors are loaded once per call; one ``np.matmul`` of their slices gives a
     block's differences for every coordinate, which are squared in place and added
     into the first plane one coordinate at a time, in index order, which frees the
     others. The factor buffers, the block list and one workspace of max(d,
@@ -166,22 +207,15 @@ class _Blocks:
     """
 
     def __init__(self, m: int, n: int, d: int, triangular: bool = False, planes: int = 1):
-        self.L = np.empty((d, m, 2))
-        self.L[:, :, 1] = 1.0
-        self.R = np.empty((d, 2, n))
-        self.R[:, 0] = 1.0
+        super().__init__(m, n, d)
         self.spans = [(i0, i1, i0 if triangular else 0)
                       for i0, i1 in _row_blocks(m, n, triangular)]
         self.depth, self.planes = max(d, planes), planes
         self.ws = np.empty(self.depth * max((i1 - i0) * (n - c0) for i0, i1, c0 in self.spans))
 
     def __call__(self, X: np.ndarray, *cols: np.ndarray):
+        self.load(X, *cols)
         L, R, depth = self.L, self.R, self.depth
-        L[:, :, 0] = X.T
-        c0 = 0
-        for Y in cols:
-            np.negative(Y.T, out=R[:, 1, c0:c0 + Y.shape[0]])
-            c0 += Y.shape[0]
         d, n = X.shape[1], R.shape[2]
         for i0, i1, c0 in self.spans:
             P = self.ws[:depth * (i1 - i0) * (n - c0)].reshape(depth, i1 - i0, n - c0)
@@ -198,7 +232,7 @@ def _sqdist_blocks(X: np.ndarray, Y: np.ndarray):
     return _Blocks(X.shape[0], Y.shape[0], X.shape[1])(X, Y)
 
 
-def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _sqdist(X: np.ndarray, Y: np.ndarray, lanes=None) -> np.ndarray:
     """Squared distances between every row of X and every row of Y.
 
     Each difference is the product entry x * 1 + 1 * (-y), two exact products
@@ -206,10 +240,31 @@ def _sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     bits of x - y and coincident points give exactly 0. Coordinates are summed
     in index order, which for d <= 5 has the bits of numpy's reduction of the
     squared differences over d.
+
+    The result is written in place, a band of rows holding about _BAND_ELEMS
+    entries at a time (``_Factors.rows``). ``lanes``, when given, has a ``count`` and a
+    ``run(fn, m)`` that calls fn(i0, i1) on at most ``count`` spans tiling the
+    rows [0, m); without it the rows are one span. Each span takes one scratch
+    band, made here in the calling thread: one made in a pool thread would stay
+    in that thread's malloc arena after the call. Every entry is computed
+    alone, so any tiling gives the same bits.
     """
-    out = np.empty((X.shape[0], Y.shape[0]))
-    for i0, i1, (sq,) in _sqdist_blocks(X, Y):
-        out[i0:i1] = sq
+    (m, d), n = X.shape, Y.shape[0]
+    factors = _Factors(m, n, d)
+    factors.load(X, Y)
+    out = np.empty((m, n))
+    rows = min(m, max(1, _BAND_ELEMS // n))
+    scratch = [np.empty((rows, n)) for _ in range(1 if lanes is None else lanes.count)]
+
+    def fill(r0, r1):
+        band = scratch.pop()
+        for i0 in range(r0, r1, rows):
+            i1 = min(i0 + rows, r1)
+            factors.rows(i0, i1, out[i0:i1], band[:i1 - i0])
+    if lanes is None:
+        fill(0, m)
+    else:
+        lanes.run(fill, m)
     return out
 
 

@@ -14,7 +14,10 @@ place. Where a denominator is 0 or not finite at a positive marginal (a
 kernel row or column underflowed), that half-step runs in the log domain
 with ``_logsumexp`` (the real-input arithmetic of SciPy 1.17's
 ``logsumexp``). The loop starts where the log-domain iteration does, g = 0,
-with f the row minimum of the cost so that no kernel row underflows.
+with f the row minimum of the cost so that no kernel row underflows; that
+first build subtracts the cost from f alone, as f + 0 differs from f only in
+the sign of a zero, which exp erases. A build or log-domain fill with one
+potential forms p - C in one subtract; with both, f + g is formed first.
 
 _TAU = 1e100 is set by float64's fixed range, not by the problem: folding
 only keeps the scalings and the kernel representable. K <= 1 (to rounding), as
@@ -40,33 +43,44 @@ buffer, down to the reported violation, which makes transposition an exact
 symmetry of the output; a self-transposed instance (symmetric cost, equal
 marginals) is symmetrized for the same reason.
 
-Every pass over the n-by-n matrices but the log-domain reductions (the cost
-check and row minima, the kernel builds and log-domain fills, both mat-vecs,
-the final scaling and the violation's sums) runs in contiguous spans of rows
-or columns, one per lane: min(free CPUs, entries // _LANE_ELEMS) lanes, at
-least one, so a small problem, or one solved beside a threaded BLAS's
-workers, runs in the calling thread alone. Span 0 runs in the calling thread
+Every pass of a solve over the n-by-n matrices (the cost check and row
+minima, the kernel builds, the log-domain half-steps' fills and reductions,
+both mat-vecs, the final scaling and the violation's sums) runs in contiguous
+spans of rows or columns, one per lane: min(free CPUs, entries //
+_LANE_ELEMS) lanes, at least one, so a small problem, or one solved beside a
+threaded BLAS's workers, runs in the calling thread alone. Span 0 runs in the calling thread
 and the others on a thread pool that lives for one solve, each in a copy of
 the caller's context, so ``np.errstate`` holds in every lane. Spans start at
 multiples of _LANE_ALIGN rows or columns, where the vectorised numpy and
 BLAS kernels meet every entry at the offset of their unrolled loops that one
 span gives it; so, while each BLAS call runs on one thread, every output
-entry has the same bits whatever the lane count. The kernel builds, the
-log-domain half-steps' fills of K and the final scaling walk each span in
-bands of _LANE_ALIGN rows, so that a band's several passes run in cache. The
-half-steps' reductions and the vector-sized updates stay serial.
+entry has the same bits whatever the lane count. A log-domain reduction
+runs over spans of rows (a u-step) or of columns (a v-step), so each row's or
+column's reduction runs whole in one lane, with the bits it has over all of K.
+The kernel builds, the log-domain half-steps' fills of K and the final scaling
+walk each span in bands of _LANE_ALIGN rows, so that a band's several passes
+run in cache. The vector-sized updates stay serial.
+
+Around the solve, compare's leg runs ``squared_distance_matrix`` on the lanes
+a solve of its cost takes, each entry written once in place, and
+``default_epsilon``, which selects the median without copying the cost: from
+the entries in a bracket that a strided sample gives, gathered in one pass in
+one thread, or from one partitioned copy when the bracket misses.
+``barycentric_map`` is one BLAS product: split into row spans, its images
+change bits.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernel import _sqdist
+from .kernel import _BAND_ELEMS, _sqdist
 from .util import _typed, as_point_pair, as_points
 
 DEFAULT_MAX_ITERS = 10000
@@ -82,6 +96,10 @@ _LANE_ELEMS = 1 << 20
 _LANE_ALIGN = 64
 # Columns of a transposed cost that the kernel build reads per tile.
 _TILE_COLS = 256
+# default_epsilon brackets the median of a cost of at least this many entries,
+# from a sample of about one entry in _SAMPLE_STRIDE.
+_BRACKET_MIN = 1 << 16
+_SAMPLE_STRIDE = 128
 
 
 @dataclass
@@ -203,12 +221,23 @@ def _violation(P: np.ndarray, a: np.ndarray, b: np.ndarray, lanes: _Lanes = _ONE
                      np.abs(np.concatenate(cols) - b).max()))
 
 
-def _logsumexp(A: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp(A: np.ndarray, axis: int, lanes: _Lanes = _ONE_LANE) -> np.ndarray:
     """log(sum(exp(A), axis)) with the arithmetic of ``scipy.special.logsumexp``.
 
     Overwrites ``A``. A slice whose maximum is not finite gives that maximum,
-    as SciPy does: -inf for an empty sum, +inf for an overflowing one.
+    as SciPy does: -inf for an empty sum, +inf for an overflowing one. Runs one
+    span per lane, of rows for axis 1 and of columns for axis 0, so each
+    reduction runs whole in one lane, as it would over all of A.
     """
+    if axis == 1:
+        parts = lanes.run(lambda i0, i1: _lse(A[i0:i1], 1), A.shape[0])
+    else:
+        parts = lanes.run(lambda j0, j1: _lse(A[:, j0:j1], 0), A.shape[1])
+    return np.concatenate(parts)
+
+
+def _lse(A: np.ndarray, axis: int) -> np.ndarray:
+    """``_logsumexp`` of one span of A, in the calling thread."""
     a_max = A.max(axis=axis, keepdims=True)
     tie = A == a_max
     m = np.expand_dims(np.count_nonzero(tie, axis=axis), axis).astype(np.float64)
@@ -307,17 +336,20 @@ def _fill(K, C, f, g, epsilon, lanes, exp: bool = False) -> None:
     cols = n if C.strides[1] == C.itemsize else _TILE_COLS
 
     def build(i0, i1):
-        # f_i + g_j as a row fill and a contiguous add: the outer add's bits, faster.
         band = K[i0:i1]
-        if f is None:
-            band[...] = g
-        else:
+        if f is not None and g is not None:
+            # f_i + g_j as a row fill and a contiguous add: the outer add's bits, faster.
             band[...] = f[i0:i1, None]
-            if g is not None:
-                band += g
+            band += g
         for j0 in range(0, n, cols):
-            tile = band[:, j0:j0 + cols]
-            tile -= C[i0:i1, j0:j0 + cols]
+            j1 = j0 + cols
+            tile, cost = band[:, j0:j1], C[i0:i1, j0:j1]
+            if g is None:
+                np.subtract(f[i0:i1, None], cost, out=tile)
+            elif f is None:
+                np.subtract(g[j0:j1], cost, out=tile)
+            else:
+                tile -= cost
         band /= epsilon
         if exp:
             np.exp(band, out=band)
@@ -328,7 +360,7 @@ def _gibbs(K, C, f, g, epsilon, lanes) -> tuple[np.ndarray, np.ndarray]:
     """Write the stabilised kernel exp((f + g - C) / epsilon) into K; return the
     unit scalings u, v that go with it."""
     _fill(K, C, f, g, epsilon, lanes, exp=True)
-    return np.ones_like(f), np.ones_like(g)
+    return np.ones(K.shape[0]), np.ones(K.shape[1])
 
 
 def _matvec(K, v, lanes) -> np.ndarray:
@@ -350,7 +382,7 @@ def _log_potential(K, C, other, log_w, epsilon, axis, lanes) -> np.ndarray:
     reduced along ``axis``: ``other`` is g, one entry per column, for axis 1 and f,
     one per row, for axis 0. K is scratch, filled as the kernel builds fill it."""
     _fill(K, C, None if axis == 1 else other, other if axis == 1 else None, epsilon, lanes)
-    return epsilon * (log_w - _logsumexp(K, axis))
+    return epsilon * (log_w - _logsumexp(K, axis, lanes))
 
 
 def _scaling(w, denom):
@@ -374,7 +406,8 @@ def _solve(C, a, b, epsilon, max_iters, tol, lanes) -> tuple[np.ndarray, int]:
     f, g = np.empty(a.shape[0]), np.zeros(b.shape[0])
     lanes.run(lambda i0, i1: C[i0:i1].min(axis=1, out=f[i0:i1]), f.size)
     K = np.empty(C.shape)
-    u, v = _gibbs(K, C, f, g, epsilon, lanes)
+    # g is 0 here, and f + 0 is f but for the sign of a zero, which exp erases.
+    u, v = _gibbs(K, C, f, None, epsilon, lanes)
     Kv = _matvec(K, v, lanes)
     for it in range(1, max_iters + 1):
         u = _scaling(a, Kv)
@@ -417,19 +450,27 @@ def _solve(C, a, b, epsilon, max_iters, tol, lanes) -> tuple[np.ndarray, int]:
 def default_epsilon(cost_matrix) -> float:
     """0.1 times the median cost; the regularization scale used throughout.
 
-    The median is selected, not sorted: one partitioned copy of the cost, at
-    index k = size // 2. The upper middle is entry k and, for an even size,
-    the lower middle is the maximum below it; their mean is formed as
-    ``np.median`` forms it, so the value has its bits. NaN sorts last, so
-    the maximum from k on is NaN exactly when the cost holds one.
+    The median is selected, not sorted, with the bits of ``np.median``. The
+    upper middle is the entry of rank k = size // 2 and, for an even size, the
+    lower middle is the maximum below it; their mean is formed as ``np.median``
+    forms it. A cost of at least _BRACKET_MIN entries is read in memory order,
+    so a transposed view is not copied, and its middle is selected from the
+    entries that ``_bracket`` gathers. Below that size, or when ``_bracket``
+    gives None (its bracket misses the middle or holds too many entries, or
+    the cost holds a NaN), one copy of the cost is partitioned at k. NaN sorts
+    last, so the maximum from k on is NaN exactly when the cost holds one.
     """
     C = _as_cost(cost_matrix)
+    if C.flags.f_contiguous:
+        C = C.T  # the same entries, in memory order
     k = C.size // 2
-    part = np.partition(C, k, axis=None)
-    median = float(part[k])
+    found = _bracket(C, k) if C.size >= _BRACKET_MIN and C.flags.c_contiguous else None
+    part, j = (C.flatten(), k) if found is None else found
+    part.partition(j)
+    median = float(part[j])
     if C.size % 2 == 0:
-        median = (float(part[:k].max()) + median) / 2
-    if np.isnan(part[k:].max()):
+        median = (float(part[:j].max()) + median) / 2
+    if np.isnan(part[j:].max()):
         median = np.nan
     eps = 0.1 * median
     if not (np.isfinite(eps) and eps > 0.0):
@@ -439,15 +480,67 @@ def default_epsilon(cost_matrix) -> float:
     return eps
 
 
+def _bracket(C: np.ndarray, k: int):
+    """``(part, j)``: the entries of the C-ordered cost C in a bracket that holds its
+    entries of rank k and, for an even size, k - 1, with j = k less the entries below
+    the bracket; or None when the bracket misses, holds more than twice the share of
+    C that it spans in the sample, or C holds a NaN.
+
+    The bracket is the pair of order statistics four standard deviations either
+    side of rank k's place in a sample of every s-th entry in memory order
+    (Floyd & Rivest, CACM 18(3), 1975). The stride s is the first from
+    _SAMPLE_STRIDE on that is coprime to both sides of C, so the sample meets
+    every column (and, read the other way, every row). One pass over bands of
+    _BAND_ELEMS entries, in one thread, counts the entries at or above the
+    bracket's low end and at or below its high end, and gathers those inside.
+    """
+    flat = C.reshape(-1)
+    s = _SAMPLE_STRIDE
+    while math.gcd(s, flat.size) > 1:  # coprime to the size is coprime to both sides
+        s += 1
+    sample = flat[::s].copy()
+    at, spread = k * sample.size // flat.size, math.isqrt(sample.size) * 2
+    i_lo, i_hi = max(0, at - spread), min(sample.size - 1, at + spread)
+    sample.partition((i_lo, i_hi))
+    lo, hi = sample[i_lo], sample[i_hi]
+    # Room for twice the share of the cost that the bracket spans in the sample.
+    inside = np.empty(2 * (i_hi - i_lo + 1) * flat.size // sample.size)
+    ge, le = np.empty(_BAND_ELEMS, dtype=bool), np.empty(_BAND_ELEMS, dtype=bool)
+    n_ge = n_le = n_in = 0
+    for i0 in range(0, flat.size, _BAND_ELEMS):
+        band = flat[i0:i0 + _BAND_ELEMS]
+        g, e = ge[:band.size], le[:band.size]
+        np.greater_equal(band, lo, out=g)
+        np.less_equal(band, hi, out=e)
+        n_ge += np.count_nonzero(g)
+        n_le += np.count_nonzero(e)
+        g &= e
+        count = np.count_nonzero(g)
+        if n_in + count > inside.size:
+            return None
+        np.compress(g, band, out=inside[n_in:n_in + count])
+        n_in += count
+    # lo <= hi, so every entry but a NaN is >= lo or <= hi, and those inside are both.
+    if n_ge + n_le - n_in < flat.size:
+        return None
+    j = k - (flat.size - n_ge)
+    # The middle, rank k and for an even size k - 1, must lie inside.
+    if j < 1 - flat.size % 2 or j >= n_in:
+        return None
+    return inside[:n_in], j
+
+
 @np.errstate(over="ignore")
 def squared_distance_matrix(X, Y) -> np.ndarray:
     """Pairwise squared Euclidean costs between two point sets; inf where they overflow.
 
-    Filled one cache-sized row block at a time, as ``kernel_gram`` is, so the
-    distance temporaries stay small; the entries have the same bits.
+    Written in place one cache-sized band of rows at a time, on the lanes a
+    solve of this cost takes, each with one scratch band; the entries have the
+    bits of ``kernel_gram``'s distances.
     """
     X, Y = as_point_pair(X, Y)
-    return _sqdist(X, Y)
+    with _Lanes(X.shape[0] * Y.shape[0]) as lanes:
+        return _sqdist(X, Y, lanes)
 
 
 def barycentric_map(coupling: Coupling, Y) -> np.ndarray:

@@ -341,6 +341,20 @@ class TestMemory:
                 tracemalloc.stop()
             assert peak / cost.nbytes <= 1.25, _orientation(cost, a, a)
 
+    def test_default_epsilon_makes_no_flattened_copy(self):
+        """A cost above the bracket's size threshold, contiguous or a transposed view,
+        is read in place: no copy of it is made, flattened or otherwise."""
+        C = np.random.default_rng(64).uniform(0.0, 4.0, size=(1000, 1001))
+        assert C.size >= sinkhorn._BRACKET_MIN
+        for cost in (C, C.T):
+            tracemalloc.start()
+            try:
+                default_epsilon(cost)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / C.nbytes <= 0.25
+
     def test_default_epsilon_holds_one_copy(self):
         C = np.random.default_rng(62).uniform(0.0, 4.0, size=(300, 300))
         for cost in (C, C.T):
@@ -380,6 +394,28 @@ class TestLogSumExp:
         A[4] = -np.inf
         A[:, 7] = -np.inf
         self.check(A)
+
+    def test_lanes_split_rows_and_columns_with_the_bits_of_one_span(self, monkeypatch):
+        """Axis 1 runs one span of rows per lane and axis 0 one span of columns, off
+        the 64 grid, with ties and -inf rows and columns: the bits of one span."""
+        rng = np.random.default_rng(34)
+        A = np.round(rng.standard_normal((201, 333)) * 8.0) / 4.0
+        A[rng.random(A.shape) < 0.1] = -np.inf
+        A[70], A[:, 130] = -np.inf, -np.inf
+        spans, lse = [], sinkhorn._lse
+        monkeypatch.setattr(sinkhorn, "_lse", lambda S, axis: spans.append(S.shape) or lse(S, axis))
+        for axis in (0, 1):
+            whole = lse(A.copy(), axis)
+            for count in range(1, 6):
+                force_lanes(monkeypatch, count)
+                spans.clear()
+                with sinkhorn._Lanes(A.size) as lanes:
+                    got = _logsumexp(A.copy(), axis, lanes)
+                    widths = lanes.run(lambda i0, i1: i1 - i0, A.shape[1 - axis])
+                assert got.tobytes() == whole.tobytes(), (axis, count)
+                assert sorted(shape[1 - axis] for shape in spans) == sorted(widths)
+                assert all(shape[axis] == A.shape[axis] for shape in spans)
+                assert (len(spans) > 1) == (count > 1)
 
 
 class TestImport:
@@ -569,6 +605,33 @@ class TestLanes:
             done.set()
             other.join()
 
+    def test_log_domain_reductions_split_by_lanes(self, monkeypatch):
+        """The far-* instances' log-sum-exps run one span per lane with the bits of
+        one span, and their plans, iteration counts and violations agree in 1 to 5 lanes."""
+        spans, lse, logsumexp = [], sinkhorn._lse, sinkhorn._logsumexp
+        checked = []
+
+        def compared(A, axis, lanes):
+            whole = lse(A.copy(), axis)
+            spans.clear()
+            got = logsumexp(A, axis, lanes)
+            checked.append((len(spans), got.tobytes() == whole.tobytes()))
+            return got
+
+        monkeypatch.setattr(sinkhorn, "_lse", lambda S, axis: spans.append(S.shape) or lse(S, axis))
+        monkeypatch.setattr(sinkhorn, "_logsumexp", compared)
+        far = [inst for inst in lane_instances() if inst[0].startswith("far-")]
+        results = []
+        for count in range(1, 6):
+            force_lanes(monkeypatch, count)
+            checked.clear()
+            results.append([(c.matrix.tobytes(), c.n_iters, c.max_violation)
+                            for _, C, a, b, eps in far
+                            for c in [sinkhorn_solve(C, a, b, epsilon=eps)]])
+            assert checked and all(same for _, same in checked), count
+            assert all((n_spans > 1) == (count > 1) for n_spans, _ in checked), count
+        assert all(r == results[0] for r in results[1:])
+
     def test_no_thread_outlives_a_solve(self, monkeypatch):
         C, a, b = random_problem(301, 299, 71)
         force_lanes(monkeypatch, 4)
@@ -667,6 +730,77 @@ class TestHelpers:
                 with pytest.raises(InputError, match="median-based epsilon"):
                     default_epsilon(cost)
 
+    def test_default_epsilon_brackets_large_costs_with_numpys_bits(self, monkeypatch):
+        """Costs at or above the bracket's size threshold, odd and even sizes: the value
+        is a tenth of np.median's bit for bit, or the same refusal. The sample meets a
+        sorted cost all along its length and brackets its middle. A cost whose middle value
+        fills most of it (constant, two-valued, 60% zeros or infinities), whose bracket
+        would gather most entries, a NaN, a cost whose sampled entries stand above the
+        rest, or one whose bracket leaves out a middle entry take the full partition."""
+        hits = []
+        bracket = sinkhorn._bracket
+        monkeypatch.setattr(sinkhorn, "_bracket",
+                            lambda C, k: (lambda found: hits.append(found is not None) or found)(
+                                bracket(C, k)))
+        rng = np.random.default_rng(65)
+        for m, n in ((257, 257), (256, 300)):
+            assert m * n >= sinkhorn._BRACKET_MIN
+            ascending = np.arange(1.0, m * n + 1.0).reshape(m, n)
+            zeros = np.where(rng.random((m, n)) < 0.5, 0.0, -0.0)
+            nan = rng.uniform(0.0, 4.0, (m, n))
+            nan[m // 3, n // 5] = np.nan
+            missed = np.ones((m, n))
+            stride = next(s for s in itertools.count(sinkhorn._SAMPLE_STRIDE)
+                          if math.gcd(s, m) == math.gcd(s, n) == 1)
+            missed.reshape(-1)[::stride] = 2.0
+            # Columns 0 and 128 stand apart: a stride of 128 would sample only them.
+            periodic = rng.uniform(0.0, 1.0, (m, n))
+            periodic[:, ::128] += 10.0
+            # Permutations of 0 .. m n - 1 whose sample puts the bracket's low end on the
+            # upper middle k, so that the lower middle k - 1 lies below the bracket, ...
+            k, size = m * n // 2, m * n
+            sampled = np.arange(0, size, stride)
+            at, spread = k * sampled.size // size, math.isqrt(sampled.size) * 2
+            top = sampled.size - at - spread - 1
+            ends = {}
+            for name, picks in (
+                    ("low", np.concatenate([np.arange(at - spread), np.arange(k, k + top + 2 * spread + 1)])),
+                    # and its high end one below k: the middle lies above the bracket.
+                    ("high", np.concatenate([np.arange(k - at - spread - 1, k), np.arange(size - top, size)]))):
+                cost = np.empty(size)
+                cost[sampled] = picks
+                cost[np.setdiff1d(np.arange(size), sampled)] = rng.permutation(
+                    np.setdiff1d(np.arange(size, dtype=float), picks))
+                ends[name] = cost.reshape(m, n)
+            costs = {
+                "ascending": (ascending, True),
+                "descending": (ascending[::-1, ::-1].copy(), True),
+                "constant": (np.full((m, n), 2.5), False),
+                "two values": (np.where(rng.random((m, n)) < 0.5, 1.0, 3.0), False),
+                "signed zeros": (np.where(rng.random((m, n)) < 0.25, zeros,
+                                          rng.uniform(0.0, 1.0, (m, n))), True),
+                "zero middle": (np.where(rng.random((m, n)) < 0.6, zeros, 1.0), False),
+                "infinities": (np.where(rng.random((m, n)) < 0.3, np.inf,
+                                        rng.uniform(0.0, 1.0, (m, n))), True),
+                "infinite middle": (np.where(rng.random((m, n)) < 0.6, np.inf, 1.0), False),
+                "one NaN": (nan, False),
+                "transposed view": (rng.uniform(0.0, 4.0, (n, m)).T, True),
+                "missed": (missed, False),
+                "column-periodic": (periodic, True),
+                "middle at the low end": (ends["low"], m * n % 2 == 1),
+                "middle above the high end": (ends["high"], False),
+            }
+            for name, (cost, hit) in costs.items():
+                with np.errstate(all="ignore"):
+                    expected = 0.1 * float(np.median(cost))
+                hits.clear()
+                if np.isfinite(expected) and expected > 0.0:
+                    assert default_epsilon(cost).hex() == expected.hex(), name
+                else:
+                    with pytest.raises(InputError, match="median-based epsilon"):
+                        default_epsilon(cost)
+                assert hits == [hit], name
+
     def test_default_epsilon_rejects_degenerate_costs(self):
         with pytest.raises(InputError):
             default_epsilon(np.zeros((3, 3)))
@@ -698,12 +832,45 @@ class TestHelpers:
                                            ((X[i] - Y[j]) ** 2).sum(),
                                            rtol=1e-12)
 
+    @pytest.mark.parametrize("m, n, d", [(130, 77, 3), (1999, 2001, 2), (65, 300, 1)])
+    def test_distance_matrix_keeps_its_bits_in_every_lane_count(self, monkeypatch, m, n, d):
+        from test_kernel import frozen_sqdist
+
+        rng = np.random.default_rng(m + d)
+        X, Y = rng.standard_normal((m, d)) * 3.0, rng.standard_normal((n, d))
+        Y[:m:7] = X[:n:7]
+        expected = frozen_sqdist(X, Y).tobytes()
+        spans, run = [], sinkhorn._Lanes.run
+        monkeypatch.setattr(sinkhorn._Lanes, "run",
+                            lambda self, fn, n: spans.append(len(r := run(self, fn, n))) or r)
+        for count in (1, 2, 3, 5):
+            force_lanes(monkeypatch, count)
+            spans.clear()
+            assert squared_distance_matrix(X, Y).tobytes() == expected, count
+            with sinkhorn._Lanes(m * n) as lanes:
+                widths = run(lanes, lambda i0, i1: i1 - i0, m)
+            assert spans == [len(widths)] and (len(widths) == count or m < 1000)
+
+    def test_distance_matrix_pool_lanes_run_under_the_callers_errstate(self, monkeypatch):
+        """Rows 64.. lie 1e200 from every target, so their squared distances overflow on
+        a pool lane; the routine's own np.errstate silences that there too (pytest turns
+        warnings into errors)."""
+        X = np.zeros((130, 2))
+        X[64:] = 1e200
+        Y = np.full((70, 2), -1e200)
+        Y[:5] = 0.0
+        force_lanes(monkeypatch, 3)
+        C = squared_distance_matrix(X, Y)
+        assert np.isinf(C[64:]).all() and np.isinf(C[:64, 5:]).all()
+        assert (C[:64, :5] == 0.0).all() and np.isinf(C[64:, :5]).all()
+
     def test_distance_matrix_row_blocks_keep_the_bits(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((23, 3))
         Y = rng.standard_normal((17, 3))
         whole = kernel._sqdist(X, Y)
         monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 17)  # one row of 17 columns per block
+        monkeypatch.setattr(kernel, "_BAND_ELEMS", 17)  # and per band
         np.testing.assert_array_equal(squared_distance_matrix(X, Y), whole)
 
     def test_distance_matrix_holds_one_matrix_and_one_block(self):
