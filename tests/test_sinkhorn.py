@@ -732,16 +732,19 @@ class TestHelpers:
 
     def test_default_epsilon_brackets_large_costs_with_numpys_bits(self, monkeypatch):
         """Costs at or above the bracket's size threshold, odd and even sizes: the value
-        is a tenth of np.median's bit for bit, or the same refusal. The sample meets a
-        sorted cost all along its length and brackets its middle. A cost whose middle value
-        fills most of it (constant, two-valued, 60% zeros or infinities), whose bracket
-        would gather most entries, a NaN, a cost whose sampled entries stand above the
-        rest, or one whose bracket leaves out a middle entry take the full partition."""
-        hits = []
-        bracket = sinkhorn._bracket
-        monkeypatch.setattr(sinkhorn, "_bracket",
-                            lambda C, k: (lambda found: hits.append(found is not None) or found)(
-                                bracket(C, k)))
+        is a tenth of np.median's, bit for bit, or the same refusal. The sample spans a
+        sorted cost end to end and brackets its middle. The full partition runs for a cost
+        whose middle value fills most of it (constant, two-valued, 60% zeros or
+        infinities), a NaN, a cost whose sampled entries stand above the rest, and a
+        bracket that leaves out a middle entry."""
+        hits, bracket = [], sinkhorn._bracket
+
+        def recorded(C, k):
+            found = bracket(C, k)
+            hits.append(found is not None)
+            return found
+
+        monkeypatch.setattr(sinkhorn, "_bracket", recorded)
         rng = np.random.default_rng(65)
         for m, n in ((257, 257), (256, 300)):
             assert m * n >= sinkhorn._BRACKET_MIN
