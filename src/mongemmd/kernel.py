@@ -17,19 +17,19 @@ and, when asked, the coefficients, sharing one exponential between them.
 All arithmetic is float64. Squared distances come from one set of factors,
 ``_Factors``: every coordinate's differences X_ij - Y_kj are the matrix
 product of [X[:, j], 1] and [1; -Y[:, j]], squared in place and summed one
-coordinate at a time, in index order. ``_Blocks`` forms a row block's
-products for all coordinates at once in a workspace, for the Gram matrix, the
-batched routines and the scalar ``kernel_eval``; ``_sqdist`` writes the
-Sinkhorn cost matrix in place, one cache-sized band of rows at a time, on
-the spans its caller gives. Their entries agree bit for bit at every
-dimension. Each product entry is x * 1 + 1 * (-y), two exact products whose
-sum is rounded once in any order, with or without FMA, so it is fl(x - y), the
+coordinate at a time, in index order. ``_sqdist`` writes a full matrix in
+place, one cache-sized band of rows at a time, on the spans its caller
+gives: the Sinkhorn cost, and the Gram matrix, whose bands it then evaluates
+through one scratch band (so does the scalar ``kernel_eval``, as a 1 x 1
+Gram). The walk below forms a row block's products for all coordinates at
+once in its workspace. Their entries agree bit for bit at every dimension.
+Each product entry is x * 1 + 1 * (-y), two exact products whose sum is
+rounded once in any order, with or without FMA, so it is fl(x - y), the
 broadcast subtraction's bits; a zero may come out as -0.0, which squaring
 erases. Points more than ~1.3e154 apart overflow their squared distance to
 inf, whose kernel value 0 is the right limit. The public entries silence that
-overflow with
-``np.errstate``; the training step's walk below does not, since entering it
-costs microseconds, a noticeable share of a small-batch step.
+overflow with ``np.errstate``; the training step's walk below does not, since
+entering it costs microseconds, a noticeable share of a small-batch step.
 
 Every kernel sum (the MMD estimators' and the training loss's) is one walk,
 ``_walk``: it adds the weighted Gram matrix of X against the columns X ‖ Y
@@ -43,14 +43,15 @@ images ‖ targets; the unbiased estimator adds one walk of the targets alone.
 A block's rows are counted from the wider of its two column parts, so it
 holds at most 2 * ``_BLOCK_ELEMS`` entries. Its distances, values and
 coefficients live in one workspace of max(d, 3) planes of that size (750 KiB
-at d = 2), overwritten by every block. The workspace, the factor buffers, the
-block list and the weight columns make up a ``_WalkPlan``, built for sets of
-given shapes: a public entry builds a one-use plan per call, and training
-builds one per run and walks every step in it. A plane that large lies above
-glibc's 128 KiB mmap threshold, so temporaries made per block would be mapped
-and faulted in afresh on every block, and so would a workspace made per step
-under a fixed threshold (``MALLOC_MMAP_THRESHOLD_=131072``: ~190 minor faults
-per batch-500 step); the one workspace per run is mapped once.
+at d = 2), overwritten by every block. The walk's one plan, ``_WalkPlan``,
+holds the workspace, the factors, the block list and the weight columns,
+built for sets of given shapes: a public entry builds a one-use plan per
+call, and training builds one per run and walks every step in it. A plane
+that large lies above glibc's 128 KiB mmap threshold, so temporaries made
+per block would be mapped and faulted in afresh on every block, and so would
+a workspace made per step under a fixed threshold
+(``MALLOC_MMAP_THRESHOLD_=131072``: ~190 minor faults per batch-500 step);
+the one workspace per run is mapped once.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ import numpy as np
 from .errors import InputError
 from .util import as_point_pair, check_settings, setting
 
-# A Gram or distance row block holds at most this many (row, column) entries,
-# one float64 plane of 125 KiB; a walk's block holds at most twice as many, so
-# its workspace of three planes (d <= 3) stays within a 1 MiB L2. The block
-# edges set the order in which every kernel sum adds up.
+# A walk's row block holds at most twice this many (row, column) entries, 250 KiB
+# per float64 plane, so its workspace of three planes (d <= 3) stays within a
+# 1 MiB L2. The block edges set the order in which every kernel sum adds up.
 _BLOCK_ELEMS = 16000
-# A band of a distance matrix written in place holds about this many entries, one
-# float64 plane of 512 KiB: with its scratch band it stays within a 2 MiB L2.
+# A band of a distance or Gram matrix written in place holds about this many entries,
+# one float64 plane of 512 KiB: with its scratch band it stays within a 2 MiB L2.
 _BAND_ELEMS = 1 << 16
 # A Matern argument z beyond which exp(-z) is exactly 0 in float64 (it is from
 # ~745.2 on): capping z there changes no value and keeps an infinite z out of inf * 0.
@@ -179,7 +179,7 @@ class _Factors:
 
         Coordinate 0's product goes straight into ``out``; each later one goes
         through ``scratch``, of ``out``'s shape, and is added in index order, so the
-        entries have the bits of a ``_Blocks`` block's first plane.
+        entries have the bits of the walk's distances.
         """
         L, R = self.L, self.R
         np.matmul(L[0, i0:i1], R[0], out=out)
@@ -188,48 +188,6 @@ class _Factors:
             np.matmul(L[j, i0:i1], R[j], out=scratch)
             np.square(scratch, out=scratch)
             out += scratch
-
-
-class _Blocks(_Factors):
-    """The row blocks of ``_row_blocks`` for m points X against n columns in dimension d:
-    iterating ``blocks(X, *cols)`` yields ``(i0, i1, P)`` per block, where ``P`` is
-    ``planes`` arrays of the block's shape, the first holding the squared distances of
-    rows X[i0:i1] to the columns cols[0] ‖ cols[1] ‖ ... from i0 on (triangular, where
-    X is the first m columns) or from 0, the rest free.
-
-    The factors are loaded once per call; one ``np.matmul`` of their slices gives a
-    block's differences for every coordinate, which are squared in place and added
-    into the first plane one coordinate at a time, in index order, which frees the
-    others. The factor buffers, the block list and one workspace of max(d,
-    ``planes``) planes, large enough for the largest block, are allocated once, when
-    the blocks are built, and serve every call on sets of these shapes; ``P`` is
-    overwritten by the next block.
-    """
-
-    def __init__(self, m: int, n: int, d: int, triangular: bool = False, planes: int = 1):
-        super().__init__(m, n, d)
-        self.spans = [(i0, i1, i0 if triangular else 0)
-                      for i0, i1 in _row_blocks(m, n, triangular)]
-        self.depth, self.planes = max(d, planes), planes
-        self.ws = np.empty(self.depth * max((i1 - i0) * (n - c0) for i0, i1, c0 in self.spans))
-
-    def __call__(self, X: np.ndarray, *cols: np.ndarray):
-        self.load(X, *cols)
-        L, R, depth = self.L, self.R, self.depth
-        d, n = X.shape[1], R.shape[2]
-        for i0, i1, c0 in self.spans:
-            P = self.ws[:depth * (i1 - i0) * (n - c0)].reshape(depth, i1 - i0, n - c0)
-            D = P[:d]
-            np.matmul(L[:, i0:i1], R[:, :, c0:], out=D)
-            np.square(D, out=D)
-            for j in range(1, d):
-                D[0] += D[j]
-            yield i0, i1, P[:self.planes]
-
-
-def _sqdist_blocks(X: np.ndarray, Y: np.ndarray):
-    """One-use ``_Blocks`` of X's rows against the columns Y, iterated."""
-    return _Blocks(X.shape[0], Y.shape[0], X.shape[1])(X, Y)
 
 
 def _sqdist(X: np.ndarray, Y: np.ndarray, lanes=None) -> np.ndarray:
@@ -292,15 +250,14 @@ def kernel_grad_x(spec: KernelSpec, x, y) -> np.ndarray:
     return _walk(spec, x[None], y[None], 0.0, 1.0, want_grad=True)[1][0]
 
 
-def _row_blocks(n_rows: int, n_cols: int, triangular: bool = False):
-    """Row ranges [i0, i1) of at most _BLOCK_ELEMS entries each. A triangular block
-    spans the columns from i0 on, the rows' own [i0, n_rows) and the n_cols - n_rows
-    after them; its rows are counted from the wider part, so it holds at most twice
-    as many entries, and they grow as the first part narrows."""
+def _row_blocks(n_rows: int, n_cols: int):
+    """The walk's row ranges [i0, i1). Block [i0, i1) spans the columns from i0 on, the
+    rows' own [i0, n_rows) and the n_cols - n_rows after them; its rows are counted
+    from the wider part, at most _BLOCK_ELEMS entries of it, so a block holds at most
+    twice as many, and they grow as the first part narrows."""
     i0 = 0
     while i0 < n_rows:
-        width = max(n_rows - i0, n_cols - n_rows) if triangular else n_cols
-        i1 = min(n_rows, i0 + max(1, _BLOCK_ELEMS // max(1, width)))
+        i1 = min(n_rows, i0 + max(1, _BLOCK_ELEMS // max(n_rows - i0, n_cols - n_rows)))
         yield i0, i1
         i0 = i1
 
@@ -313,22 +270,37 @@ def kernel_gram(spec: KernelSpec, X, Y) -> np.ndarray:
     definite for distinct points).
     """
     X, Y = as_point_pair(X, Y)
-    out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)
-    for i0, i1, (sq,) in _sqdist_blocks(X, Y):
-        _eval_from_sqdist(spec, sq, out[i0:i1])
+    out = _sqdist(X, Y)
+    m, n = out.shape
+    rows = min(m, max(1, _BAND_ELEMS // n))
+    scratch = np.empty((rows, n))
+    for i0 in range(0, m, rows):
+        band = out[i0:i0 + rows]
+        sq = scratch[:band.shape[0]]
+        np.copyto(sq, band)
+        _eval_from_sqdist(spec, sq, band)
     return out
 
 
-class _WalkPlan:
+class _WalkPlan(_Factors):
     """The set-up of ``_walk`` over m points X and n_y points Y in dimension d: the
-    triangular ``_Blocks`` of X against X ‖ Y with 3 planes (2 without the gradient),
-    the total's column weights ``wt`` and, with ``want_grad``, the matrix
-    A = [w, w * cols] and its accumulator H. Built once, it serves every walk of
-    those shapes, whatever the points and weights; each walk overwrites it."""
+    ``_Factors`` of X against X ‖ Y, the row blocks of ``_row_blocks``, one workspace of
+    max(d, 3) planes (2 without the gradient) large enough for the largest block, the
+    total's column weights ``wt`` and, with ``want_grad``, the matrix A = [w, w * cols]
+    and its accumulator H. Built once, it serves every walk of those shapes, whatever
+    the points and weights; each walk overwrites it."""
 
     def __init__(self, m: int, n_y: int, d: int, want_grad: bool = False):
         n = m + n_y
-        self.blocks = _Blocks(m, n, d, True, 3 if want_grad else 2)
+        super().__init__(m, n, d)
+        self.spans = list(_row_blocks(m, n))
+        self.depth = max(d, 3 if want_grad else 2)
+        size = self.depth * max((i1 - i0) * (n - i0) for i0, i1 in self.spans)
+        # The workspace starts on a 64-byte cache line. Where malloc put it 16 bytes
+        # past one, AVX-512 loads straddled lines and batch-500 steps ran ~1.13x slower.
+        raw = np.empty(size + 7)
+        start = -raw.ctypes.data % 64 // 8
+        self.ws = raw[start:start + size]
         self.wt = np.empty(n)
         self.A = np.empty((n, d + 1)) if want_grad else None
         self.H = np.empty((m, d + 1)) if want_grad else None
@@ -367,10 +339,21 @@ def _walk(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None,
         if Y is not None:
             np.multiply(Y, wy, out=A[m:, 1:])
         H.fill(0.0)  # row i: sum_j c_ij [w_j, w_j C_j], mirrored pairs too
+    plan.load(X, *cols)
+    L, R, depth = plan.L, plan.R, plan.depth
+    d, n = X.shape[1], R.shape[2]
     total = 0.0
-    for i0, i1, P in plan.blocks(X, *cols):
+    for i0, i1 in plan.spans:
+        r, c = i1 - i0, n - i0
+        # Every coordinate's differences in one product, added into plane 0 in
+        # index order as ``_sqdist`` adds them, so the two agree bit for bit.
+        P = plan.ws[:depth * r * c].reshape(depth, r, c)
+        D = P[:d]
+        np.matmul(L[:, i0:i1], R[:, :, i0:], out=D)
+        np.square(D, out=D)
+        for j in range(1, d):
+            D[0] += D[j]
         sq, k, coeff = P[0], P[1], P[2] if want_grad else None
-        r, c = sq.shape
         diag = slice(None, None, c + 1)  # the flat positions of the pairs j == i
         sq.reshape(-1)[diag] = np.inf  # no coefficient there; K(x, x) == 1 is set below
         zero = None

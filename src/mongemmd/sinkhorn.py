@@ -34,7 +34,7 @@ instance (cost.T, marginals swapped) sorts lower by shape, then the cost's
 bytes, then the marginals' bytes, that instance is solved and its plan
 returned as a transposed (Fortran-ordered) view. The order is decided at the
 first entry where the cost and its transpose differ bit for bit, found one
-row block at a time. The transposed instance is solved on the view cost.T,
+band of rows at a time. The transposed instance is solved on the view cost.T,
 no copy: K is C-ordered in both orientations, and the row minima, the
 kernel builds and the log-domain half-steps read the view, the builds and
 half-steps one tile of _TILE_COLS columns at a time so that the strided
@@ -75,6 +75,8 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +90,6 @@ DEFAULT_TOL = 1e-9
 # Scalings u, v are folded into the potentials once they leave [1/_TAU, _TAU]:
 # a bound from float64's range, not the problem's (see the module docstring).
 _TAU = 1e100
-# Entries of the cost that _orientation compares with its transpose at a time.
-_ORIENT_BLOCK_ELEMS = 1 << 16
 # Entries of the cost per lane of a solve: one lane below twice this many.
 _LANE_ELEMS = 1 << 20
 # Lane spans start at multiples of this many rows, columns or entries.
@@ -136,23 +136,31 @@ class _Lanes:
     """The lanes of one solve: min(_cpus(), entries // _LANE_ELEMS) of them, at least one.
 
     As a context manager it owns a pool of count - 1 threads, joined on exit;
-    one lane needs no pool and starts no thread.
+    one lane needs no pool and starts no thread. A joined thread stays in
+    /proc/self/task until the OS reaps it, and ``_cpus()`` would count it, so
+    exit also waits, 10 ms at most (a thread id can be reused), until the
+    pool's threads have left it.
     """
 
     def __init__(self, entries: int):
         self.count = max(1, min(_cpus(), entries // _LANE_ELEMS))
-        self._pool = None
+        self._pool, self._tids = None, []
 
     def __enter__(self) -> _Lanes:
         if self.count > 1:
             # Imported here: the package import stays without it.
             from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(self.count - 1)
+            self._pool = ThreadPoolExecutor(
+                self.count - 1, initializer=lambda: self._tids.append(threading.get_native_id()))
         return self
 
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
             self._pool.shutdown()
+            tasks = [f"/proc/self/task/{tid}" for tid in self._tids]
+            deadline = time.monotonic() + 0.01
+            while any(map(os.path.exists, tasks)) and time.monotonic() < deadline:
+                time.sleep(0)
 
     def run(self, fn, n: int) -> list:
         """Call fn(i0, i1) on at most ``count`` spans that tile [0, n), each
@@ -178,9 +186,6 @@ def _spans(i0: int, i1: int, step: int) -> list:
     return list(zip(starts, starts[1:] + [i1]))
 
 
-_ONE_LANE = _Lanes(0)
-
-
 def _as_cost(cost_matrix) -> np.ndarray:
     C = np.asarray(cost_matrix, dtype=np.float64)
     if C.ndim != 2 or C.size == 0:
@@ -189,7 +194,8 @@ def _as_cost(cost_matrix) -> np.ndarray:
 
 
 def _check_problem(C, a, b, epsilon: float, lanes: _Lanes):
-    """Check the contiguous cost C, the marginals (uniform when None) and epsilon."""
+    """Check the contiguous cost C, the marginals (uniform when None) and epsilon;
+    return the marginals as contiguous float64 vectors."""
     # min is NaN when any entry is, so two reductions cover NaN and both infinities.
     flat = C.reshape(-1)
     ends = lanes.run(lambda i0, i1: (flat[i0:i1].min(), flat[i0:i1].max()), flat.size)
@@ -211,17 +217,17 @@ def _check_problem(C, a, b, epsilon: float, lanes: _Lanes):
             raise InputError(f"marginal {name} must sum to 1, got {w.sum():.12g}")
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    return C, a, b
+    return a, b
 
 
-def _violation(P: np.ndarray, a: np.ndarray, b: np.ndarray, lanes: _Lanes = _ONE_LANE) -> float:
+def _violation(P: np.ndarray, a: np.ndarray, b: np.ndarray, lanes: _Lanes) -> float:
     rows = lanes.run(lambda i0, i1: P[i0:i1].sum(axis=1), P.shape[0])
     cols = lanes.run(lambda j0, j1: P[:, j0:j1].sum(axis=0), P.shape[1])
     return float(max(np.abs(np.concatenate(rows) - a).max(),
                      np.abs(np.concatenate(cols) - b).max()))
 
 
-def _logsumexp(A: np.ndarray, axis: int, lanes: _Lanes = _ONE_LANE) -> np.ndarray:
+def _logsumexp(A: np.ndarray, axis: int, lanes: _Lanes) -> np.ndarray:
     """log(sum(exp(A), axis)) with the arithmetic of ``scipy.special.logsumexp``.
 
     Overwrites ``A``. A slice whose maximum is not finite gives that maximum,
@@ -255,14 +261,14 @@ def _orientation(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
     """Compare (C.T, b, a) with (C, a, b) as tuples of shape and ``tobytes()``: -1, 0 or 1.
 
     Reads only the first entry where C and C.T differ bit for bit, comparing
-    one block of rows with the matching block of columns at a time, so it
+    one band of rows with the matching band of columns at a time, so it
     makes neither a transposed copy nor a byte string of C.
     """
     m, n = C.shape
     if m != n:
         return -1 if n < m else 1
     bits = C.view(np.uint64)
-    rows = max(1, _ORIENT_BLOCK_ELEMS // n)
+    rows = max(1, _BAND_ELEMS // n)
     here, flipped = a.tobytes(), b.tobytes()
     for i0 in range(0, n, rows):
         differ = bits[i0:i0 + rows] != bits[:, i0:i0 + rows].T
@@ -300,7 +306,7 @@ def sinkhorn_solve(
         raise InputError(f"tol must be positive, got {tol}")
     C = np.ascontiguousarray(_as_cost(cost_matrix))
     with _Lanes(C.size) as lanes:
-        C, a, b = _check_problem(C, a, b, epsilon, lanes)
+        a, b = _check_problem(C, a, b, epsilon, lanes)
         sign = _orientation(C, a, b)
         if sign < 0:
             P, n_iters = _solve(C.T, b, a, epsilon, max_iters, tol, lanes)

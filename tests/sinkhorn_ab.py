@@ -20,6 +20,10 @@ The two forms alternate, the first one first on odd repetitions:
   ``sinkhorn._cpus``; the solver by itself takes the count it prints as "own";
 - with ``--against``, the package under OTHER_SRC (say, the ``src`` of a
   checkout of the parent commit) and this tree's, each at its own lane count.
+  Each BLAS mode then runs twice, in fresh processes, once with this tree's
+  package loaded first and once with OTHER_SRC's: the load order alone has
+  moved a ratio by ~10% at n = 1000, so a difference counts only if it shows
+  in both.
 
 It prints, per size, orientation and stage, the median time of each form,
 their ratio (second / first), the repetitions the second form won, and
@@ -80,14 +84,20 @@ def leg(pkg, X, Y, lanes):
     return times, outputs, coupling.n_iters
 
 
-def report(reps, against):
+def report(reps, against, against_first):
     cpus = len(os.sched_getaffinity(0))
-    this = load(SRC, "mongemmd")
     if against is None:
+        this = load(SRC, "mongemmd")
         forms = [("1 lane", this, 1), (f"{cpus} lanes", this, cpus)]
+        order = ""
     else:
-        forms = [("against", load(Path(against).resolve(), "mongemmd_against"), None),
-                 ("this", this, None)]
+        packages = [(SRC, "mongemmd"), (Path(against).resolve(), "mongemmd_against")]
+        if against_first:
+            packages.reverse()
+        loaded = {name: load(src, name) for src, name in packages}
+        this = loaded["mongemmd"]
+        forms = [("against", loaded["mongemmd_against"], None), ("this", this, None)]
+        order = f", {'against' if against_first else 'this'} loaded first"
     # Count the kernel builds of each solve.
     builds = [0]
     for _, pkg, _ in forms:
@@ -96,7 +106,7 @@ def report(reps, against):
             return _gibbs(*args)
         pkg.sinkhorn._gibbs = counted
     blas = os.environ.get("OPENBLAS_NUM_THREADS", "default")
-    print(f"numpy {np.__version__}, {cpus} cpus, OPENBLAS_NUM_THREADS={blas}:")
+    print(f"numpy {np.__version__}, {cpus} cpus, OPENBLAS_NUM_THREADS={blas}{order}:")
     names = [name for name, _, _ in forms]
     for n in (1000, 2000):
         rng = np.random.default_rng(n)
@@ -128,15 +138,18 @@ def main():
     ap.add_argument("--against", metavar="OTHER_SRC",
                     help="a directory holding another tree's mongemmd package")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--against-first", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        report(args.reps, args.against)
+        report(args.reps, args.against, args.against_first)
         return
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    extra_args = [] if args.against is None else ["--against", args.against]
+    runs = [[]] if args.against is None else [
+        ["--against", args.against], ["--against", args.against, "--against-first"]]
     for extra in ({var: "1" for var in THREAD_VARS}, {}):
-        subprocess.run([sys.executable, __file__, "--child", "--reps", str(args.reps), *extra_args],
-                       env={**env, **extra}, check=True)
+        for run_args in runs:
+            subprocess.run([sys.executable, __file__, "--child", "--reps", str(args.reps),
+                            *run_args], env={**env, **extra}, check=True)
 
 
 if __name__ == "__main__":

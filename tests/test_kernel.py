@@ -235,7 +235,7 @@ def frozen_walk(spec, X, Y, wx, wy, want_grad):
         A = np.column_stack([wg, wg[:, None] * C])
         H = np.zeros((m, A.shape[1]))
     total = 0.0
-    for i0, i1 in _row_blocks(m, C.shape[0], True):
+    for i0, i1 in _row_blocks(m, C.shape[0]):
         sq = frozen_sqdist(X[i0:i1], C[i0:])
         r, c = sq.shape
         diag = slice(None, None, c + 1)
@@ -279,7 +279,7 @@ class TestProductFormIsExact:
         X = rng.standard_normal((500, d))
         Y = rng.standard_normal((500, d)) + 0.5
         Y[::7] = X[::7]  # coincident pairs across the sets
-        assert len(list(_row_blocks(500, 1000, True))) > 10
+        assert len(list(_row_blocks(500, 1000))) > 10
         for other, wx, wy in ((None, 0.5, 1.0), (Y, 1.0 / (500 * 499), -2.0 / 500**2)):
             for want_grad in (False, True):
                 if want_grad and other is Y and spec.matern_order is MaternOrder.HALF:
@@ -290,18 +290,17 @@ class TestProductFormIsExact:
                 if want_grad:
                     assert grad.tobytes() == ref_grad.tobytes()
 
-    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
     def test_gram_and_cost_matrix_across_row_blocks(self, d):
         rng = np.random.default_rng(50 + d)
         X = rng.standard_normal((300, d)) * 3
         Y = rng.standard_normal((700, d))
         Y[:300:11] = X[::11]
-        assert len(list(_row_blocks(300, 700))) > 10
+        assert 300 * 700 > 3 * kmod._BAND_ELEMS  # both matrices span several bands
         expected = frozen_sqdist(X, Y)
         assert squared_distance_matrix(X, Y).tobytes() == expected.tobytes()
         for spec in FAMILY_SPECS:
-            ref = np.concatenate([kernel_values(spec, frozen_sqdist(X[i0:i1], Y))
-                                  for i0, i1 in _row_blocks(300, 700)])
+            ref = kernel_values(spec, expected)
             assert kernel_gram(spec, X, Y).tobytes() == ref.tobytes()
 
 
@@ -351,7 +350,7 @@ class TestKernelGram:
         Y = rng.standard_normal((17, 3))
         spec = KernelSpec(alpha=0.5)
         whole = kernel_gram(spec, X, Y)
-        monkeypatch.setattr(kmod, "_BLOCK_ELEMS", 17)  # one row of 17 columns per block
+        monkeypatch.setattr(kmod, "_BAND_ELEMS", 17)  # one row of 17 columns per band
         np.testing.assert_array_equal(kernel_gram(spec, X, Y), whole)
 
 
@@ -462,7 +461,7 @@ class TestTriangularWalk:
         budget = data.draw(st.integers(1, n * n // 2), label="budget")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kmod, "_BLOCK_ELEMS", budget)
-            assert len(list(_row_blocks(n, n, True))) >= 2
+            assert len(list(_row_blocks(n, n))) >= 2
             for spec in FAMILY_SPECS:
                 total = _walk(spec, X, None, 0.5)[0]
                 assert total == pytest.approx(0.5 * kernel_gram(spec, X, X).sum(), rel=1e-13)
@@ -488,7 +487,7 @@ class TestTriangularWalk:
         budget = data.draw(st.integers(1, n * n // 2), label="budget")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kmod, "_BLOCK_ELEMS", budget)
-            blocks = list(_row_blocks(n, n, True))
+            blocks = list(_row_blocks(n, n))
             b = data.draw(st.integers(0, len(blocks) - 2), label="block of i")
             i = data.draw(st.integers(blocks[b][0], blocks[b][1] - 1), label="i")
             j = data.draw(st.integers(blocks[b][1], n - 1), label="j")
@@ -549,7 +548,7 @@ class TestWalk:
             (Y == x).all(axis=1).any() for x in X if Y is not None)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kmod, "_BLOCK_ELEMS", budget)
-            assert len(list(_row_blocks(m, m + ny, True))) >= 2
+            assert len(list(_row_blocks(m, m + ny))) >= 2
             for spec in FAMILY_SPECS:
                 ref, ref_scale, ref_grad, ref_grad_scale = pair_reference(spec, X, Y, wx, wy)
                 total = _walk(spec, X, Y, wx, wy)[0]

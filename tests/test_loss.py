@@ -174,7 +174,7 @@ class TestGradientAgainstFiniteDifferences:
         """A 40-point batch split into >= 4 row blocks, so the mirrored columns and
         the weights of every block reach the gradient."""
         monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 8 * 40)  # 8 rows per block
-        assert len(list(kernel._row_blocks(40, 80, True))) >= 4
+        assert len(list(kernel._row_blocks(40, 80))) >= 4
         params = init_params((2, 4, 2), hidden_activation=Activation.TANH, seed=7)
         rng = np.random.default_rng(400)
         X = rng.standard_normal((40, 2))
@@ -221,7 +221,7 @@ class TestConsistency:
         """A 60-point batch fits in one row block, so its values and gradients
         equal the frozen one-block walk bit for bit; this is what keeps
         batch-60 training artifacts reproducible from that arithmetic alone."""
-        assert len(list(kernel._row_blocks(60, 120, True))) == 1
+        assert len(list(kernel._row_blocks(60, 120))) == 1
         for spec in ALL_FAMILIES:
             for seed, act in enumerate([Activation.TANH, Activation.RELU] * 2):
                 params = init_params((2, 64, 2), hidden_activation=act, seed=seed)

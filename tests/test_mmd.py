@@ -145,8 +145,8 @@ class TestUnbiased:
 
     def test_memory_does_not_grow_with_n(self):
         """At n = 2000 a Gram matrix is 32 MB; the walk holds under 1.5 MiB, with or without
-        the gradient and for one set or two (its block reaches 2 * _BLOCK_ELEMS entries in
-        three planes, 768 KB at d = 2, when it holds a second set and the gradient)."""
+        the gradient and for one set or two (its workspace is max(d, 3) planes of a block of
+        up to 2 * _BLOCK_ELEMS entries, 768 KB at d = 2, with a second set and the gradient)."""
         n = 2000
         rng = np.random.default_rng(30)
         X = rng.standard_normal((n, 2))
@@ -158,10 +158,10 @@ class TestUnbiased:
             assert traced_peak(call) < 3 << 19
 
     def test_memory_does_not_grow_with_the_number_of_blocks(self):
-        """At 3 row blocks and at >= 100 the walk holds one workspace, max(d, planes)
-        planes of its largest block, and O(n d) beside it: the factors, the weighted
-        columns, the gradient and one mirrored product at a time, never a temporary
-        per block that outlives it."""
+        """At 3 row blocks and at >= 100 the walk holds one workspace, max(d, 3) planes
+        (2 without the gradient) of its largest block, and O(n d) beside it: the factors,
+        the weighted columns, the gradient and one mirrored product at a time, never a
+        temporary per block that outlives it."""
         rng = np.random.default_rng(31)
         spec = KernelSpec()
         # (rows, second set?) giving 3 blocks, then >= 100, for one set and for two.
@@ -170,7 +170,7 @@ class TestUnbiased:
             X = rng.standard_normal((m, 2))
             other = rng.standard_normal((m, 2)) if two else None
             n = 2 * m if two else m
-            blocks = list(kernel._row_blocks(m, n, True))
+            blocks = list(kernel._row_blocks(m, n))
             assert len(blocks) == 3 if few else len(blocks) >= 100
             elems = max((i1 - i0) * (n - i0) for i0, i1 in blocks)
             for want_grad in (False, True):

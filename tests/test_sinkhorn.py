@@ -28,7 +28,6 @@ from mongemmd.compare import (
 )
 from mongemmd.errors import InputError, NumericError
 from mongemmd.sinkhorn import (
-    _ORIENT_BLOCK_ELEMS,
     Coupling,
     _logsumexp,
     _orientation,
@@ -210,17 +209,17 @@ def reference_solve(C, a, b, epsilon, max_iters, tol):
         log_a, log_b = np.log(a), np.log(b)
     f, g = np.zeros(a.shape[0]), np.zeros(b.shape[0])
     P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-    viol = _violation(P, a, b)
+    viol = _violation(P, a, b, sinkhorn._Lanes(0))
     it = 0
     while viol >= tol and it < max_iters:
-        f = epsilon * (log_a - _logsumexp((g[None, :] - C) / epsilon, axis=1))
-        g = epsilon * (log_b - _logsumexp((f[:, None] - C) / epsilon, axis=0))
+        f = epsilon * (log_a - _logsumexp((g[None, :] - C) / epsilon, 1, sinkhorn._Lanes(0)))
+        g = epsilon * (log_b - _logsumexp((f[:, None] - C) / epsilon, 0, sinkhorn._Lanes(0)))
         P = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-        viol = _violation(P, a, b)
+        viol = _violation(P, a, b, sinkhorn._Lanes(0))
         it += 1
     if key_t == key:
         P = (P + P.T) / 2.0
-        viol = _violation(P, a, b)
+        viol = _violation(P, a, b, sinkhorn._Lanes(0))
     return P, it, viol
 
 
@@ -258,7 +257,8 @@ class TestReferenceLoop:
                 assert coupling.converged
                 P, ref_iters, _ = reference_solve(C, a, b, eps, 10000, tol)
                 assert np.abs(coupling.matrix - P).max() <= 10 * tol
-                assert coupling.max_violation == _violation(coupling.matrix, a, b)
+                assert coupling.max_violation == _violation(coupling.matrix, a, b,
+                                                              sinkhorn._Lanes(0))
                 assert abs(coupling.n_iters - ref_iters) <= 1
 
     def test_small_epsilon_converges_where_the_reference_does(self, monkeypatch):
@@ -305,7 +305,7 @@ class TestReferenceLoop:
 
     def test_orientation_finds_an_asymmetry_in_the_last_row_block(self):
         n = 512
-        rows = _ORIENT_BLOCK_ELEMS // n
+        rows = sinkhorn._BAND_ELEMS // n
         assert n // rows > 1 and (n - 2) // rows == (n - 1) // rows
         C = np.random.default_rng(12).uniform(0.0, 4.0, size=(n, n))
         C = (C + C.T) / 2.0
@@ -374,7 +374,7 @@ class TestLogSumExp:
     def check(A):
         special = pytest.importorskip("scipy.special")
         for axis in (0, 1):
-            np.testing.assert_allclose(_logsumexp(A.copy(), axis),
+            np.testing.assert_allclose(_logsumexp(A.copy(), axis, sinkhorn._Lanes(0)),
                                        special.logsumexp(A, axis=axis), rtol=1e-15)
 
     def test_random_rows(self):
@@ -508,6 +508,27 @@ def force_lanes(monkeypatch, count):
     monkeypatch.setattr(sinkhorn, "_cpus", lambda: count)
 
 
+def settled_cpus():
+    """``_cpus()`` once no thread is leaving the process: the same reading for 20 ms
+    running, 2 s at most. A thread that an earlier test joined stays listed in
+    /proc/self/task until the OS reaps it."""
+    deadline = time.monotonic() + 2.0
+    value, since = sinkhorn._cpus(), time.monotonic()
+    while time.monotonic() - since < 0.02 and time.monotonic() < deadline:
+        time.sleep(0.001)
+        now = sinkhorn._cpus()
+        if now != value:
+            value, since = now, time.monotonic()
+    return value
+
+
+def wait_gone(tid):
+    """Wait, 2 s at most, until the thread ``tid`` has left /proc/self/task."""
+    deadline = time.monotonic() + 2.0
+    while os.path.exists(f"/proc/self/task/{tid}") and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 def lane_instances():
     """Shapes off the 64-entry grid in both orientations, an absorbing instance and
     log-domain ones: (name, cost, a, b, epsilon)."""
@@ -595,7 +616,7 @@ class TestLanes:
                         reason="counting the process's threads needs /proc")
     def test_each_other_thread_of_the_process_takes_a_cpu(self):
         """A threaded BLAS's workers, like any other thread, leave one CPU fewer for lanes."""
-        before = sinkhorn._cpus()
+        before = settled_cpus()
         done = threading.Event()
         other = threading.Thread(target=done.wait)
         other.start()
@@ -603,7 +624,23 @@ class TestLanes:
             assert sinkhorn._cpus() == before - 1
         finally:
             done.set()
-            other.join()
+            other.join(timeout=5.0)
+            assert not other.is_alive()
+            wait_gone(other.native_id)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counting the process's threads needs /proc")
+    def test_a_closed_pool_leaves_the_cpu_count_as_it_found_it(self, monkeypatch):
+        """Read right after a multi-lane ``_Lanes`` closes, ``_cpus()`` counts none of its
+        threads: exit waits until they have left /proc/self/task."""
+        cpus = sinkhorn._cpus
+        before = settled_cpus()
+        force_lanes(monkeypatch, 3)
+        # A dying thread lingers in a few percent of closes, so many closes are read.
+        for _ in range(300):
+            with sinkhorn._Lanes(1 << 62) as lanes:
+                assert len(lanes.run(lambda i0, i1: threading.get_native_id(), 3 * 64)) == 3
+            assert cpus() == before
 
     def test_log_domain_reductions_split_by_lanes(self, monkeypatch):
         """The far-* instances' log-sum-exps run one span per lane with the bits of
@@ -872,8 +909,7 @@ class TestHelpers:
         X = rng.standard_normal((23, 3))
         Y = rng.standard_normal((17, 3))
         whole = kernel._sqdist(X, Y)
-        monkeypatch.setattr(kernel, "_BLOCK_ELEMS", 17)  # one row of 17 columns per block
-        monkeypatch.setattr(kernel, "_BAND_ELEMS", 17)  # and per band
+        monkeypatch.setattr(kernel, "_BAND_ELEMS", 17)  # one row of 17 columns per band
         np.testing.assert_array_equal(squared_distance_matrix(X, Y), whole)
 
     def test_distance_matrix_holds_one_matrix_and_one_block(self):
